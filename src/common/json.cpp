@@ -29,12 +29,6 @@ Json::number(double v)
 }
 
 Json
-Json::number(uint64_t v)
-{
-    return number(static_cast<double>(v));
-}
-
-Json
 Json::str(std::string s)
 {
     Json j;
@@ -253,7 +247,7 @@ class Parser
     static constexpr int kMaxDepth = 64;
 
     bool
-    fail(const char *what)
+    fail(const std::string &what)
     {
         err_ = "offset " + std::to_string(pos_) + ": " + what;
         return false;
@@ -337,8 +331,8 @@ class Parser
                         return fail("bad hex digit in \\u escape");
                     }
                 }
-                // Encode as UTF-8 (surrogate pairs unsupported: the
-                // protocol carries names and paths, not astral text).
+                // Encode as UTF-8 (surrogate pairs unsupported: scenario
+                // strings are names and paths, not astral text).
                 if (value < 0x80) {
                     out += static_cast<char>(value);
                 } else if (value < 0x800) {
@@ -357,34 +351,54 @@ class Parser
         }
     }
 
+    /** Consume a run of decimal digits; returns how many. */
+    size_t
+    digits()
+    {
+        const size_t start = pos_;
+        while (pos_ < text_.size() &&
+               std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+            ++pos_;
+        }
+        return pos_ - start;
+    }
+
+    bool
+    peek(char c) const
+    {
+        return pos_ < text_.size() && text_[pos_] == c;
+    }
+
     bool
     parseNumber(Json &out)
     {
+        // JSON's grammar: -?int(.digits)?([eE][+-]?digits)?, where int
+        // has no leading zero. strtod accepts more ("01", "1.", "1.e5"),
+        // so the grammar is checked first.
         const size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-') {
+        if (peek('-')) {
             ++pos_;
         }
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-')) {
+        const size_t int_start = pos_;
+        const size_t int_digits = digits();
+        bool ok = int_digits > 0 &&
+                  (int_digits == 1 || text_[int_start] != '0');
+        if (ok && peek('.')) {
             ++pos_;
+            ok = digits() > 0;
         }
-        const std::string tok = text_.substr(start, pos_ - start);
-        // JSON forbids leading zeros ("01") and a bare leading dot;
-        // strtod accepts both, so check the grammar first.
-        const size_t digits = tok[0] == '-' ? 1 : 0;
-        if (tok.size() <= digits ||
-            !std::isdigit(static_cast<unsigned char>(tok[digits])) ||
-            (tok[digits] == '0' && digits + 1 < tok.size() &&
-             std::isdigit(static_cast<unsigned char>(tok[digits + 1])))) {
-            pos_ = start;
-            return fail("malformed number");
+        if (ok && (peek('e') || peek('E'))) {
+            ++pos_;
+            if (peek('+') || peek('-')) {
+                ++pos_;
+            }
+            ok = digits() > 0;
         }
-        char *end = nullptr;
-        const double v = std::strtod(tok.c_str(), &end);
-        if (end == tok.c_str() || *end != '\0' || !std::isfinite(v)) {
+        const double v =
+            ok ? std::strtod(text_.substr(start, pos_ - start).c_str(),
+                             nullptr)
+               : 0.0;
+        if (!ok || !std::isfinite(v)) {
             pos_ = start;
             return fail("malformed number");
         }
@@ -488,9 +502,14 @@ class Parser
                 if (pos_ >= text_.size() || text_[pos_] != '"') {
                     return fail("expected object key string");
                 }
+                const size_t key_start = pos_;
                 std::string key;
                 if (!parseString(key)) {
                     return false;
+                }
+                if (obj.find(key) != nullptr) {
+                    pos_ = key_start;
+                    return fail("duplicate key \"" + key + "\"");
                 }
                 skipWs();
                 if (pos_ >= text_.size() || text_[pos_] != ':') {

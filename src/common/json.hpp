@@ -11,21 +11,20 @@ namespace crisp
 {
 
 /**
- * Minimal JSON document: the value model behind crispd's line-delimited
- * protocol, the spooled job reports, and the scenario description files.
+ * Minimal JSON document: the value model behind the scenario description
+ * files.
  *
  * The simulator's output side already writes JSON by hand (Chrome
- * traces, bench result files); the job server and the scenario loader
- * must also *read* JSON — from untrusted clients and hand-edited files —
- * so parsing is strict and total: parse() either produces a
- * fully-validated document or a position-carrying error string, never a
- * partial value. Numbers are kept as doubles (every field the protocol
- * carries fits a double exactly; 64-bit cycle counts are capped far
- * below 2^53 by admission quotas).
+ * traces, bench result files); the scenario loader must also *read*
+ * JSON — from hand-edited, user-supplied files — so parsing is strict
+ * and total: parse() either produces a fully-validated document or a
+ * position-carrying error string, never a partial value. A key repeated
+ * within one object is an error, not a silent overwrite. Numbers are
+ * kept as doubles (every scenario field fits a double exactly).
  *
- * Input may span multiple lines (pretty-printed scenario files); the
- * compact dump() side still never emits raw newlines, so protocol lines
- * stay single-line.
+ * Input may span multiple lines (pretty-printed scenario files); dump()
+ * renders compactly on one line, escaping any newline inside a string,
+ * which is what Scenario::canonicalText relies on.
  */
 class Json
 {
@@ -47,7 +46,6 @@ class Json
     static Json null() { return Json(); }
     static Json boolean(bool b);
     static Json number(double v);
-    static Json number(uint64_t v);
     static Json str(std::string s);
     static Json array();
     static Json object();
@@ -83,14 +81,15 @@ class Json
     /** Append an array element; fatal on non-arrays. */
     Json &push(Json value);
 
-    /** Compact single-line rendering (protocol lines must not contain
-     *  raw newlines; dump() escapes any that appear in strings). */
+    /** Compact single-line rendering; newlines inside strings are
+     *  escaped, so the output never contains a raw newline. */
     std::string dump() const;
 
     /**
      * Parse one complete JSON document. Trailing non-whitespace, bad
-     * escapes, unterminated containers and non-UTF8-safe control bytes
-     * are all errors; @p err gets "offset N: what" on failure and @p out
+     * escapes, unterminated containers, numbers outside JSON's grammar,
+     * repeated object keys and non-UTF8-safe control bytes are all
+     * errors; @p err gets "offset N: what" on failure and @p out
      * is untouched.
      */
     static bool parse(const std::string &text, Json &out, std::string &err);

@@ -95,9 +95,9 @@ struct RunOptions
      * Cooperative cancellation token (optional; not owned). Checked at
      * tick granularity by the run loop: another thread storing true stops
      * the run before its next tick with RunResult::cancelled set and
-     * all counters coherent at a cycle boundary. This is how a job
-     * server's deadline monitor or a client disconnect stops a
-     * simulation promptly without tearing down the process.
+     * all counters coherent at a cycle boundary, so a wall-clock
+     * deadline or a user interrupt can stop a simulation promptly
+     * without tearing down the process.
      */
     const std::atomic<bool> *cancel = nullptr;
 };

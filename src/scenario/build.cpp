@@ -513,28 +513,11 @@ flattenable(const Scenario &sc, std::string &why)
     return true;
 }
 
-bool
-computeReadsFrame(const Scenario &sc)
+namespace
 {
-    if (!sc.graphics.present || !sc.compute.present) {
-        return false;
-    }
-    if (sc.compute.preset == "ATW") {
-        return true;
-    }
-    for (const KernelNode &kn : sc.compute.kernels) {
-        for (const LoadNode &ln : kn.loads) {
-            if (ln.buffer == "frame_color") {
-                return true;
-            }
-        }
-        if (kn.hasStore && kn.store.buffer == "frame_color") {
-            return true;
-        }
-    }
-    return false;
-}
 
+/** Functionally render every frame and collect the kernels with
+ *  cross-frame-adjusted dependency indices. */
 void
 flattenGraphicsSide(const Scenario &sc, AddressSpace &heap,
                     Materialized &out, std::vector<KernelInfo> &kernels,
@@ -553,6 +536,7 @@ flattenGraphicsSide(const Scenario &sc, AddressSpace &heap,
     }
 }
 
+/** The compute side's kernels and their launch dependencies. */
 void
 flattenComputeSide(const Scenario &sc, AddressSpace &heap,
                    RenderPipeline *pipeline,
@@ -576,6 +560,8 @@ flattenComputeSide(const Scenario &sc, AddressSpace &heap,
         }
     }
 }
+
+} // namespace
 
 bool
 flattenScenario(const Scenario &sc, AddressSpace &heap, Materialized &out,

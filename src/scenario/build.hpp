@@ -105,39 +105,10 @@ struct Flattened
 bool flattenable(const Scenario &sc, std::string &why);
 
 /**
- * Whether the compute side samples the rendered frame (the ATW preset
- * or a "frame_color" load with a graphics side present). Such sides
- * cannot be built without the graphics pipeline, so a cache cannot
- * treat the two sides as independent entries.
- */
-bool computeReadsFrame(const Scenario &sc);
-
-/**
- * Flatten only the graphics side: functionally render every frame and
- * collect the kernels with cross-frame-adjusted dependency indices.
- * Requires sc.graphics.present and flattenable().
- */
-void flattenGraphicsSide(const Scenario &sc, AddressSpace &heap,
-                         Materialized &out,
-                         std::vector<KernelInfo> &kernels,
-                         std::vector<int> &deps);
-
-/**
- * Flatten only the compute side. @p pipeline resolves frame_color/ATW
- * references (may be nullptr when computeReadsFrame() is false).
- * Requires sc.compute.present and flattenable(). Preset workloads get
- * the serial chain deps the live path's stream order implies.
- */
-void flattenComputeSide(const Scenario &sc, AddressSpace &heap,
-                        RenderPipeline *pipeline,
-                        std::vector<KernelInfo> &kernels,
-                        std::vector<int> &deps);
-
-/**
- * Flatten the whole scenario without a Gpu (trace packing, cache
- * population): graphics side first, then compute, matching the live
- * path's heap-allocation order. Returns false with @p why set when not
- * flattenable(); such scenarios still run live through submitScenario.
+ * Flatten the whole scenario without a Gpu (trace packing): graphics
+ * side first, then compute, matching the live path's heap-allocation
+ * order. Returns false with @p why set when not flattenable(); such
+ * scenarios still run live through submitScenario.
  */
 bool flattenScenario(const Scenario &sc, AddressSpace &heap,
                      Materialized &out, Flattened &flat, std::string &why);

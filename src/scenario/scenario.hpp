@@ -29,9 +29,9 @@ namespace crisp::scenario
  * preserved so diagnostics still point at the right byte).
  *
  * The same file drives every entry point: `crisp_sim --scenario`,
- * `trace_pack <file.json>`, `crisp_submit --scenario` and crispd's
- * `scenario` job kind, which also caches flattenable scenarios by their
- * canonicalized text (see Scenario::canonicalText).
+ * `trace_pack <file.json>` (which fingerprints a packed scenario trace
+ * by its canonicalized text, see Scenario::canonicalText) and the
+ * benches that load scenarios.
  */
 
 /**
@@ -255,7 +255,8 @@ struct Scenario
      * Canonical single-line rendering of the validated document
      * (comments stripped, whitespace normalized, key order preserved).
      * Two files describing the same scenario byte-for-byte after
-     * canonicalization share cache fingerprints in crispd.
+     * canonicalization get the same packed-trace fingerprint from
+     * trace_pack.
      */
     std::string canonicalText;
     /** Path (or caller label) the scenario was loaded from. */

@@ -61,20 +61,6 @@ std::vector<KernelInfo>
 TraceCache::loadOrBuild(const std::string &key, AddressSpace &heap,
                         const Builder &build, bool *hit_out)
 {
-    return loadOrBuildSubmission(
-               key, heap,
-               [&](AddressSpace &h) {
-                   return CachedSubmission{build(h), {}};
-               },
-               hit_out)
-        .kernels;
-}
-
-TraceCache::CachedSubmission
-TraceCache::loadOrBuildSubmission(const std::string &key, AddressSpace &heap,
-                                  const SubmissionBuilder &build,
-                                  bool *hit_out)
-{
     if (hit_out != nullptr) {
         *hit_out = false;
     }
@@ -98,11 +84,7 @@ TraceCache::loadOrBuildSubmission(const std::string &key, AddressSpace &heap,
                 if (hit_out != nullptr) {
                     *hit_out = true;
                 }
-                // Entries written through loadOrBuild carry no deps;
-                // pad so consumers can index dependsOn[i] regardless.
-                loaded.dependsOn.resize(loaded.kernels.size(), -1);
-                return {std::move(loaded.kernels),
-                        std::move(loaded.dependsOn)};
+                return std::move(loaded.kernels);
             }
             warn("trace cache: %s fingerprint mismatch (hash collision or "
                  "stale config); regenerating",
@@ -116,8 +98,7 @@ TraceCache::loadOrBuildSubmission(const std::string &key, AddressSpace &heap,
 
     ++stats_.misses;
     const Addr heap_before = heap.allocatedEnd();
-    CachedSubmission built = build(heap);
-    std::vector<KernelInfo> &kernels = built.kernels;
+    std::vector<KernelInfo> kernels = build(heap);
     const uint64_t heap_used = heap.allocatedEnd() - heap_before;
 
     // Populate via a temp file + atomic rename so concurrent readers
@@ -131,13 +112,13 @@ TraceCache::loadOrBuildSubmission(const std::string &key, AddressSpace &heap,
         std::to_string(std::hash<std::thread::id>{}(
             std::this_thread::get_id()));
     TraceError err;
-    if (!writeTrace(tmp, key, kernels, built.dependsOn, heap_used, err)) {
+    if (!writeTrace(tmp, key, kernels, {}, heap_used, err)) {
         warn("trace cache: cannot populate %s: %s", path.c_str(),
              err.render().c_str());
         std::error_code ec;
         std::filesystem::remove(tmp, ec);
         ++stats_.storeFailures;
-        return built;
+        return kernels;
     }
     std::error_code ec;
     std::filesystem::rename(tmp, path, ec);
@@ -156,7 +137,7 @@ TraceCache::loadOrBuildSubmission(const std::string &key, AddressSpace &heap,
             ++stats_.storeFailures;
         }
     }
-    return built;
+    return kernels;
 }
 
 } // namespace crisp::traceio

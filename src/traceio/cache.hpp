@@ -32,9 +32,9 @@ uint64_t keyHash(const std::string &key);
  * never to wrong simulation input.
  *
  * Safe under concurrent populates from multiple threads *and*
- * processes (a job server runs many simulations against one cache
- * directory): each writer stages through a unique pid+tid-suffixed
- * temp file before the atomic rename, so two writers never interleave
+ * processes (several simulator processes may share one cache
+ * directory): each writer stages through a unique pid+tid-suffixed temp
+ * file before the atomic rename, so two writers never interleave
  * bytes, and a writer that loses the rename race treats the other
  * writer's (identical-keyed) entry as the cache being populated — a
  * win, not an error. Counters are atomics for the same reason.
@@ -69,28 +69,6 @@ class TraceCache
                                         AddressSpace &heap,
                                         const Builder &build,
                                         bool *hit_out = nullptr);
-
-    /**
-     * A kernel list with launch dependencies (indices into the list,
-     * -1 = none) — the full submission shape the CRTR format records.
-     * loadOrBuild() keeps only the kernels; scenario- and scene-backed
-     * submissions carry intra-frame dependencies that must survive the
-     * cache round-trip, or a replayed frame serializes its drawcalls.
-     */
-    struct CachedSubmission
-    {
-        std::vector<KernelInfo> kernels;
-        std::vector<int> dependsOn;
-    };
-    using SubmissionBuilder =
-        std::function<CachedSubmission(AddressSpace &)>;
-
-    /** loadOrBuild, dependency-preserving: deps are packed on a miss and
-     *  replayed on a hit (sized to the kernels, -1-padded on old files). */
-    CachedSubmission loadOrBuildSubmission(const std::string &key,
-                                           AddressSpace &heap,
-                                           const SubmissionBuilder &build,
-                                           bool *hit_out = nullptr);
 
     struct Stats
     {

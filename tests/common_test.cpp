@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "common/json.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -298,6 +300,96 @@ TEST(DataClassTest, Names)
     EXPECT_STREQ(dataClassName(DataClass::Pipeline), "pipeline");
     EXPECT_STREQ(dataClassName(DataClass::Compute), "compute");
     EXPECT_STREQ(dataClassName(DataClass::Unknown), "unknown");
+}
+
+TEST(Json, DumpRoundTripsNestedDocumentOnOneLine)
+{
+    const std::string text = R"({
+        "name": "line1\nline2\t\"quoted\"",
+        "count": 123456789,
+        "ratio": 0.25,
+        "flag": true,
+        "none": null,
+        "items": [1, "two", {"deep": false}]
+    })";
+    Json doc;
+    std::string err;
+    ASSERT_TRUE(Json::parse(text, doc, err)) << err;
+
+    const std::string once = doc.dump();
+    // Strings carrying \n are escaped, so the dump is a single line.
+    EXPECT_EQ(once.find('\n'), std::string::npos);
+
+    Json back;
+    ASSERT_TRUE(Json::parse(once, back, err)) << err;
+    EXPECT_EQ(back.dump(), once);
+    EXPECT_EQ(back.at("name").asString(), "line1\nline2\t\"quoted\"");
+    EXPECT_EQ(back.at("count").asU64(), 123456789u);
+    EXPECT_DOUBLE_EQ(back.at("ratio").asDouble(), 0.25);
+    EXPECT_TRUE(back.at("flag").asBool());
+    EXPECT_TRUE(back.at("none").isNull());
+    ASSERT_EQ(back.at("items").items().size(), 3u);
+    EXPECT_EQ(back.at("items").items()[1].asString(), "two");
+    EXPECT_FALSE(back.at("items").items()[2].at("deep").asBool(true));
+}
+
+TEST(Json, MalformedInputsAreRejectedNotCrashes)
+{
+    const char *bad[] = {
+        "",
+        "{",
+        "}",
+        "{\"a\":}",
+        "{\"a\":1,}",
+        "[1,2",
+        "\"unterminated",
+        "{\"a\" 1}",
+        "nul",
+        "truex",
+        "{\"a\":1} trailing",
+        "\"bad escape \\q\"",
+        "{\"dup\":1 \"dup\":2}",
+        "{\"dup\":1,\"dup\":2}",
+        "01",
+        "- 1",
+        "1.",
+        "1.e5",
+        "\x01",
+    };
+    for (const char *text : bad) {
+        Json out;
+        std::string err;
+        EXPECT_FALSE(Json::parse(text, out, err))
+            << "accepted: " << text;
+        EXPECT_FALSE(err.empty());
+    }
+}
+
+TEST(Json, DuplicateKeyIsReportedAtTheKey)
+{
+    Json out;
+    std::string err;
+    // The same key in a sibling object is fine; a repeat in one object
+    // is an error pointing at the repeated key's opening quote.
+    ASSERT_FALSE(Json::parse(R"({"a":1, "b":{"a":2, "a":3}})", out, err));
+    EXPECT_EQ(err, "offset 20: duplicate key \"a\"");
+}
+
+TEST(Json, NumberAccessorsFallBackOnMismatch)
+{
+    Json doc;
+    std::string err;
+    ASSERT_TRUE(Json::parse(
+        R"({"neg":-4,"frac":1.5,"big":4294967296,"s":"7"})", doc, err))
+        << err;
+    // asU64 refuses negatives and non-integers, not just non-numbers.
+    EXPECT_EQ(doc.at("neg").asU64(99), 99u);
+    EXPECT_EQ(doc.at("frac").asU64(99), 99u);
+    EXPECT_EQ(doc.at("big").asU64(), 4294967296ull);
+    EXPECT_EQ(doc.at("s").asU64(99), 99u);
+    EXPECT_DOUBLE_EQ(doc.at("neg").asDouble(), -4.0);
+    EXPECT_EQ(doc.find("missing"), nullptr);
+    EXPECT_TRUE(doc.at("missing").isNull());
 }
 
 } // namespace

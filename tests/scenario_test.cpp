@@ -14,7 +14,6 @@
 #include "integrity/report.hpp"
 #include "scenario/build.hpp"
 #include "scenario/scenario.hpp"
-#include "traceio/cache.hpp"
 #include "traceio/reader.hpp"
 #include "traceio/replay.hpp"
 #include "traceio/writer.hpp"
@@ -201,6 +200,9 @@ TEST(ScenarioLoader, RejectsWithStructuredDiagnostics)
         {R"({"crisp_scenario":1,"name":"x",
              "compute":{"preset":"VIO","frames":900}})",
          "frames"},
+        {R"({"crisp_scenario":1,"name":"x","gpu":{"preset":"rtx3070",
+             "num_sms":4,"num_sms":0},"compute":{"preset":"VIO"}})",
+         "duplicate key \"num_sms\""},
     };
     for (const Case &c : cases) {
         Scenario sc;
@@ -429,11 +431,10 @@ TEST(ScenarioStress, BurstScheduleGatesKernelArrival)
 
 // The divergent-gather scenario saturates DRAM hard enough that a
 // single L1 miss can wait north of 60k cycles — far past the derived
-// mshrLeakAge — while still being live in a queue. Under the daemon's
-// watchdog options (crispd runs every scenario job with checkInterval
-// set) the run must complete, not be declared hung by the leak scan:
-// regression for the false positive where age alone branded starved
-// entries as leaks. The cycle count must also match an unwatched run
+// mshrLeakAge — while still being live in a queue. With the watchdog on
+// (checkInterval set) the run must complete, not be declared hung by the
+// leak scan: regression for the false positive where age alone branded
+// starved entries as leaks. The cycle count must also match an unwatched run
 // bit for bit (the watchdog observes, never perturbs).
 TEST(ScenarioStress, DramSaturationSurvivesTheWatchdog)
 {
@@ -446,7 +447,7 @@ TEST(ScenarioStress, DramSaturationSurvivesTheWatchdog)
         scenario::submitScenario(sc, watched, heap, mat);
 
     integrity::RunOptions opts;
-    opts.checkInterval = 1024;   // crispd's default watchdog cadence
+    opts.checkInterval = 1024;   // scans many times inside one long wait
     opts.onHang = integrity::RunOptions::OnHang::Report;
     const auto wr = watched.run(8'000'000'000ull, opts);
     ASSERT_TRUE(wr.completed)
@@ -463,7 +464,7 @@ TEST(ScenarioStress, DramSaturationSurvivesTheWatchdog)
                                plain.stats().stream(sr.cmp));
 }
 
-// --- Flattening: packed traces and the split cache -------------------------
+// --- Flattening: packed traces ---------------------------------------------
 
 TEST(ScenarioFlatten, ArrivalSchedulesDoNotFlatten)
 {
@@ -475,12 +476,6 @@ TEST(ScenarioFlatten, ArrivalSchedulesDoNotFlatten)
     const Scenario rays = loadFileOrDie("ray_traversal.json");
     why.clear();
     EXPECT_TRUE(scenario::flattenable(rays, why)) << why;
-    EXPECT_FALSE(scenario::computeReadsFrame(rays));
-
-    // ATW samples the rendered frame: flattenable as one trace, but the
-    // two sides can never be cached independently.
-    const Scenario atw = loadFileOrDie("pistol_atw.json");
-    EXPECT_TRUE(scenario::computeReadsFrame(atw));
 
     AddressSpace heap;
     scenario::Materialized mat;
@@ -536,69 +531,11 @@ TEST(ScenarioFlatten, PackedTraceReplaysByteIdenticalToLive)
                                replay.stats().stream(rs));
 }
 
-TEST(ScenarioFlatten, SplitCacheHitReproducesTheMissBuild)
-{
-    const Scenario sc = loadFileOrDie("ray_traversal.json");
-    const std::string dir =
-        std::string(::testing::TempDir()) + "/scenario-cache";
-    std::filesystem::remove_all(dir);
-    traceio::TraceCache cache(dir);
-    ASSERT_TRUE(cache.enabled());
-
-    const auto builder = [&sc](AddressSpace &h) {
-        traceio::TraceCache::CachedSubmission out;
-        scenario::flattenComputeSide(sc, h, nullptr, out.kernels,
-                                     out.dependsOn);
-        return out;
-    };
-    const std::string key =
-        "crisp-scenario/r1/heap=0/" + sc.canonicalText + "#cmp";
-
-    AddressSpace heap_miss;
-    bool hit = true;
-    const auto built =
-        cache.loadOrBuildSubmission(key, heap_miss, builder, &hit);
-    EXPECT_FALSE(hit);
-    AddressSpace heap_hit;
-    const auto replayed =
-        cache.loadOrBuildSubmission(key, heap_hit, builder, &hit);
-    EXPECT_TRUE(hit);
-
-    // Same dependency graph, same heap footprint, identical replay.
-    EXPECT_EQ(built.dependsOn, replayed.dependsOn);
-    ASSERT_EQ(built.kernels.size(), replayed.kernels.size());
-    EXPECT_EQ(heap_miss.allocatedEnd(), heap_hit.allocatedEnd());
-
-    uint64_t cycles[2] = {0, 0};
-    const traceio::TraceCache::CachedSubmission *subs[2] = {&built,
-                                                            &replayed};
-    StreamStats stats[2];
-    for (int i = 0; i < 2; ++i) {
-        Gpu gpu(scenario::gpuConfigFor(sc));
-        const StreamId s = gpu.createStream("compute");
-        std::vector<KernelId> ids;
-        for (size_t k = 0; k < subs[i]->kernels.size(); ++k) {
-            KernelInfo info = subs[i]->kernels[k];
-            const int dep = subs[i]->dependsOn[k];
-            ids.push_back(gpu.enqueueKernelAfter(
-                s, std::move(info),
-                dep < 0 ? Gpu::kNoDependency
-                        : ids[static_cast<size_t>(dep)]));
-        }
-        const auto run = gpu.run(8'000'000'000ull);
-        ASSERT_TRUE(run.completed);
-        cycles[i] = run.cycles;
-        stats[i] = gpu.stats().stream(s);
-    }
-    EXPECT_EQ(cycles[0], cycles[1]);
-    expectStreamStatsIdentical(stats[0], stats[1]);
-}
-
 // --- Schema fuzzing --------------------------------------------------------
 //
-// These run under the sanitize CI job: a scenario file is attacker-shaped
-// input (crisp_submit sends it over a socket), so the loader must reject
-// arbitrary corruption with a structured error — never UB, never fatal().
+// These run under the sanitize CI job: a scenario file is user-supplied
+// input, often hand-edited, so the loader must reject arbitrary
+// corruption with a structured error — never UB, never fatal().
 
 TEST(ScenarioFuzz, TruncationAtEveryByteOffset)
 {
