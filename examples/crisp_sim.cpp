@@ -2,27 +2,23 @@
  * @file
  * crisp_sim: the command-line simulator driver.
  *
- * Composes any rendering scene with any compute workload on either GPU
- * preset under any partitioning method, runs the cycle-level simulation
- * and prints (optionally CSV-dumps) per-stream statistics — the front
- * door a user points their own experiments at. One GPU and a multi-GPU
- * scenario run through the same run loop, which always jumps over
- * cycles in which nothing anywhere in the machine can happen.
+ * Runs one scenario file — any rendering scene with any compute workload
+ * on one GPU preset, or on several GPUs joined by an inter-GPU fabric —
+ * through the cycle-level simulation and prints (optionally CSV-dumps)
+ * per-stream statistics: the front door a user points their own
+ * experiments at. One GPU and many run through the same run loop, which
+ * always jumps over cycles in which nothing anywhere in the machine can
+ * happen.
  *
  * Usage:
- *   crisp_sim [options]
- *     --scenario FILE   drive the run from a scenario JSON file; the
- *                       file's graphics/compute/gpu sections replace
- *                       --scene/--compute/--gpu/--width/--height/--lod/
- *                       --frames (partitioning flags still apply)
- *     --scene NAME      SPL|SPH|PT|IT|PL|MT|none        (default SPL)
- *     --compute NAME    VIO|HOLO|NN|ATW|none            (default none)
- *     --gpu NAME        rtx3070|orin                    (default rtx3070)
+ *   crisp_sim --scenario FILE [options]
+ *     --scenario FILE   the workload: a scenario JSON file (required;
+ *                       see scenarios/ and "Scenario files" in
+ *                       docs/ARCHITECTURE.md)
  *     --policy NAME     exhaustive|mps|mig|fg|fg-slicer|mps-tap
- *     --width N --height N                              (default 640x360)
+ *                       (default exhaustive; one-GPU scenarios only, a
+ *                       multi-GPU scenario's placement decides)
  *     --share F         graphics resource share under fg (default 0.5)
- *     --lod 0|1         mipmapped texturing              (default 1)
- *     --frames N        frames to render                 (default 1)
  *     --image FILE      dump the rendered frame as PPM
  *     --csv FILE        dump per-stream stats as CSV
  *     --kernels         print the per-kernel execution log
@@ -31,6 +27,7 @@
  *                       run that did not drain is reported, not fatal
  *     --sample N        sample counters every N cycles (see --timeline)
  *     --timeline FILE   dump the sampled counter time-series as CSV
+ *                       (FILE.gpu<d> per device on a multi-GPU machine)
  *     --profile         print the simulator's wall-clock self-profile
  *     --threads N       worker threads stepping SM shards    (default 1)
  *     --quiet           suppress the banner
@@ -38,25 +35,21 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/logging.hpp"
 #include "common/table.hpp"
 #include "gpu/gpu.hpp"
+#include "gpu/machine.hpp"
 #include "mgpu/multi_gpu.hpp"
-#include "telemetry/chrome_trace.hpp"
-#include "telemetry/sink.hpp"
-#include "graphics/pipeline.hpp"
 #include "partition/tap.hpp"
 #include "partition/warped_slicer.hpp"
 #include "scenario/build.hpp"
 #include "scenario/scenario.hpp"
-#include "workloads/compute.hpp"
-#include "workloads/scenes.hpp"
-#include "workloads/submit.hpp"
+#include "telemetry/chrome_trace.hpp"
+#include "telemetry/sink.hpp"
 
 using namespace crisp;
 
@@ -66,15 +59,9 @@ namespace
 struct Options
 {
     std::string scenario;
-    std::string scene = "SPL";
-    std::string compute = "none";
-    std::string gpu = "rtx3070";
     std::string policy = "exhaustive";
-    uint32_t width = 640;
-    uint32_t height = 360;
     double share = 0.5;
-    bool lod = true;
-    uint32_t frames = 1;
+    bool partitionSet = false;  ///< --policy or --share given.
     std::string image;
     std::string csv;
     bool kernels = false;
@@ -100,24 +87,12 @@ parseArgs(int argc, char **argv)
         const std::string a = argv[i];
         if (a == "--scenario") {
             opt.scenario = need(i);
-        } else if (a == "--scene") {
-            opt.scene = need(i);
-        } else if (a == "--compute") {
-            opt.compute = need(i);
-        } else if (a == "--gpu") {
-            opt.gpu = need(i);
         } else if (a == "--policy") {
             opt.policy = need(i);
-        } else if (a == "--width") {
-            opt.width = static_cast<uint32_t>(std::atoi(need(i)));
-        } else if (a == "--height") {
-            opt.height = static_cast<uint32_t>(std::atoi(need(i)));
+            opt.partitionSet = true;
         } else if (a == "--share") {
             opt.share = std::atof(need(i));
-        } else if (a == "--lod") {
-            opt.lod = std::atoi(need(i)) != 0;
-        } else if (a == "--frames") {
-            opt.frames = static_cast<uint32_t>(std::atoi(need(i)));
+            opt.partitionSet = true;
         } else if (a == "--image") {
             opt.image = need(i);
         } else if (a == "--csv") {
@@ -146,82 +121,146 @@ parseArgs(int argc, char **argv)
             fatal("unknown option %s", a.c_str());
         }
     }
-    if (!opt.scenario.empty()) {
-        // The scenario file owns the workload description.
-        opt.scene = "none";
-        opt.compute = "none";
-    }
-    fatal_if(opt.scenario.empty() && opt.scene == "none" &&
-                 opt.compute == "none",
-             "nothing to simulate: pass --scenario, --scene and/or "
-             "--compute");
+    fatal_if(opt.scenario.empty(),
+             "nothing to simulate: pass --scenario FILE (see scenarios/)");
     return opt;
 }
 
+/** Controllers a --policy attaches; they must outlive the run. */
+struct PolicyControllers
+{
+    std::unique_ptr<WarpedSlicer> slicer;
+    std::unique_ptr<TapController> tap;
+};
+
+/** Partition a one-GPU machine between @p gfx and @p cmp per --policy. */
+void
+applyPolicy(const Options &opt, Gpu &gpu, StreamId gfx, StreamId cmp,
+            PolicyControllers &controllers)
+{
+    PartitionConfig part;
+    if (opt.policy == "exhaustive") {
+        part.policy = PartitionPolicy::Exhaustive;
+    } else if (opt.policy == "mps" || opt.policy == "mps-tap") {
+        part.policy = PartitionPolicy::Mps;
+    } else if (opt.policy == "mig") {
+        part.policy = PartitionPolicy::Mig;
+    } else if (opt.policy == "fg" || opt.policy == "fg-slicer") {
+        part.policy = PartitionPolicy::FineGrained;
+        if (gfx != kInvalidStream) {
+            part.share[gfx] = opt.share;
+            part.priorityStream = gfx;
+        }
+    } else {
+        fatal("unknown policy %s", opt.policy.c_str());
+    }
+    gpu.setPartition(part);
+    if (gfx == kInvalidStream || cmp == kInvalidStream) {
+        return;
+    }
+    if (opt.policy == "fg-slicer") {
+        WarpedSlicerConfig wc;
+        wc.streamA = gfx;
+        wc.streamB = cmp;
+        controllers.slicer = std::make_unique<WarpedSlicer>(wc);
+        gpu.addController(controllers.slicer.get());
+    }
+    if (opt.policy == "mps-tap") {
+        TapConfig tc;
+        tc.gfxStream = gfx;
+        tc.computeStream = cmp;
+        controllers.tap = std::make_unique<TapController>(tc, gpu);
+        gpu.addController(controllers.tap.get());
+    }
+}
+
+const char *
+placementName(scenario::Placement p)
+{
+    return p == scenario::Placement::Split       ? "split"
+           : p == scenario::Placement::Colocated ? "colocated"
+                                                 : "mig";
+}
+
 /**
- * Multi-GPU scenarios (gpu.num_gpus > 1) run here: one Gpu per device
- * plus the inter-GPU fabric, with the scenario's placement deciding the
- * per-device partitioning — the --policy/--share flags do not apply.
+ * Build the scenario's machine, run it and report. One GPU and many
+ * differ only in how the devices are built and the work submitted: a
+ * lone Gpu partitioned by --policy, or a MultiGpu whose scenario
+ * placement decides the partitioning.
  */
 int
-runMultiGpu(const Options &opt, const scenario::Scenario &scn)
+simulate(const Options &opt, const scenario::Scenario &scn)
 {
-    mgpu::MultiGpuConfig mcfg;
-    mcfg.numGpus = scn.gpu.numGpus;
-    mcfg.gpu = scenario::gpuConfigFor(scn);
-    mgpu::MultiGpu machine(mcfg);
-    {
-        engine::EngineConfig ec;
-        ec.threads = opt.threads;
-        machine.setEngine(ec);
-    }
+    const uint32_t num_gpus = scn.gpu.numGpus;
+    fatal_if(num_gpus > 1 && opt.partitionSet,
+             "--policy/--share do not apply to a multi-GPU scenario: its "
+             "gpu.placement decides partitioning");
+    GpuConfig cfg = scenario::gpuConfigFor(scn);
+    cfg.engine.threads = opt.threads;
 
-    // One telemetry sink per device; the Chrome trace merges them into
-    // labelled "gpu<d>" process groups, the timeline CSV gets one file
-    // per device (path.gpu<d>).
-    std::vector<std::unique_ptr<telemetry::TelemetrySink>> sinks;
-    const bool wants_telemetry = !opt.trace.empty() || opt.sample != 0 ||
-        !opt.timeline.empty() || opt.profile;
-    if (wants_telemetry) {
-        for (uint32_t d = 0; d < mcfg.numGpus; ++d) {
-            telemetry::TelemetryConfig tc;
-            tc.eventCapacity = 1 << 20;
-            tc.sampleInterval = opt.sample;
-            if (!opt.timeline.empty() && tc.sampleInterval == 0) {
-                tc.sampleInterval = 1000;
-            }
-            tc.selfProfile = opt.profile && d == 0;
-            sinks.push_back(
-                std::make_unique<telemetry::TelemetrySink>(tc));
-            machine.device(d).setTelemetry(sinks.back().get());
+    std::unique_ptr<Gpu> lone;
+    std::unique_ptr<mgpu::MultiGpu> multi;
+    std::vector<Gpu *> devices;
+    if (num_gpus == 1) {
+        lone = std::make_unique<Gpu>(cfg);
+        devices.push_back(lone.get());
+    } else {
+        mgpu::MultiGpuConfig mcfg;
+        mcfg.numGpus = num_gpus;
+        mcfg.gpu = cfg;
+        multi = std::make_unique<mgpu::MultiGpu>(mcfg);
+        for (uint32_t d = 0; d < num_gpus; ++d) {
+            devices.push_back(&multi->device(d));
         }
     }
 
+    // One telemetry sink per device serves --trace, --sample/--timeline
+    // and --profile (device 0 self-profiles). Attached before any frame
+    // is submitted so the self-profiler also sees the functional
+    // rasterization work.
+    std::vector<std::unique_ptr<telemetry::TelemetrySink>> sinks;
+    const bool wants_telemetry = !opt.trace.empty() || opt.sample != 0 ||
+        !opt.timeline.empty() || opt.profile;
+    for (size_t d = 0; wants_telemetry && d < devices.size(); ++d) {
+        telemetry::TelemetryConfig tc;
+        tc.eventCapacity = 1 << 20;
+        tc.sampleInterval = opt.sample;
+        if (!opt.timeline.empty() && tc.sampleInterval == 0) {
+            tc.sampleInterval = 1000;
+        }
+        tc.selfProfile = opt.profile && d == 0;
+        sinks.push_back(std::make_unique<telemetry::TelemetrySink>(tc));
+        devices[d]->setTelemetry(sinks.back().get());
+    }
+
     scenario::Materialized mat;
-    const scenario::MultiSubmitResult sr =
-        scenario::submitScenarioMulti(scn, machine, mat);
-    if (!sinks.empty() && opt.profile && mat.pipeline) {
-        mat.pipeline->setProfiler(&sinks[0]->profiler());
+    scenario::MultiSubmitResult sr;
+    AddressSpace heap;
+    PolicyControllers controllers;
+    std::string machine_name = cfg.name;
+    std::string partition = "policy=" + opt.policy;
+    if (multi) {
+        sr = scenario::submitScenarioMulti(scn, *multi, mat);
+        machine_name = std::to_string(num_gpus) + " x " + cfg.name;
+        partition = std::string("placement=") +
+            placementName(scn.gpu.placement);
+    } else {
+        const scenario::SubmitResult one =
+            scenario::submitScenario(scn, *lone, heap, mat);
+        sr.gfx = one.gfx;
+        sr.cmp = one.cmp;
+        applyPolicy(opt, *lone, sr.gfx, sr.cmp, controllers);
     }
 
     if (!opt.quiet) {
-        const char *placement =
-            scn.gpu.placement == scenario::Placement::Split ? "split"
-            : scn.gpu.placement == scenario::Placement::Colocated
-                ? "colocated"
-                : "mig";
-        std::printf("crisp_sim: scenario=%s (\"%s\") gpus=%ux%s "
-                    "placement=%s\n",
-                    opt.scenario.c_str(), scn.name.c_str(), mcfg.numGpus,
-                    mcfg.gpu.name.c_str(), placement);
+        std::printf("crisp_sim: scenario=%s (\"%s\") gpu=%s %s\n",
+                    opt.scenario.c_str(), scn.name.c_str(),
+                    machine_name.c_str(), partition.c_str());
     }
 
-    const mgpu::MultiGpu::RunResult r = machine.run(opt.maxCycles);
-    for (const auto &v : r.violations) {
-        std::fprintf(stderr, "audit violation [%s] %s\n", v.check.c_str(),
-                     v.detail.c_str());
-    }
-    fatal_if(!r.violations.empty(), "multi-GPU audit failed");
+    const Gpu::RunResult r =
+        Machine(devices, multi ? &multi->fabric() : nullptr)
+            .run(opt.maxCycles, {});
     if (!r.completed && opt.maxCyclesSet) {
         std::printf("stopped at --max-cycles %llu before draining\n",
                     static_cast<unsigned long long>(opt.maxCycles));
@@ -230,52 +269,79 @@ runMultiGpu(const Options &opt, const scenario::Scenario &scn)
     }
 
     if (!sinks.empty() && !opt.trace.empty()) {
+        // One device keeps the unprefixed single-machine trace layout.
         std::vector<const telemetry::TelemetrySink *> views;
+        uint64_t emitted = 0;
+        uint64_t dropped = 0;
         for (const auto &s : sinks) {
             views.push_back(s.get());
+            emitted += s->emitted();
+            dropped += s->dropped();
         }
-        telemetry::writeChromeTrace(views, opt.trace);
-        std::printf("wrote %s (%u devices)\n", opt.trace.c_str(),
-                    mcfg.numGpus);
+        if (views.size() == 1) {
+            telemetry::writeChromeTrace(*views[0], opt.trace);
+        } else {
+            telemetry::writeChromeTrace(views, opt.trace);
+        }
+        std::printf("wrote %s (%llu events, %llu dropped)\n",
+                    opt.trace.c_str(),
+                    static_cast<unsigned long long>(emitted),
+                    static_cast<unsigned long long>(dropped));
     }
-    if (!sinks.empty() && !opt.timeline.empty()) {
-        for (uint32_t d = 0; d < mcfg.numGpus; ++d) {
-            const std::string path =
-                opt.timeline + ".gpu" + std::to_string(d);
-            sinks[d]->series().toTable().writeCsv(path);
-            std::printf("wrote %s (%zu samples)\n", path.c_str(),
-                        sinks[d]->series().rows());
-        }
+    for (size_t d = 0; d < sinks.size() && !opt.timeline.empty(); ++d) {
+        const std::string path = sinks.size() == 1
+            ? opt.timeline
+            : opt.timeline + ".gpu" + std::to_string(d);
+        sinks[d]->series().toTable().writeCsv(path);
+        std::printf("wrote %s (%zu samples)\n", path.c_str(),
+                    sinks[d]->series().rows());
     }
     if (!opt.image.empty() && mat.pipeline) {
         mat.pipeline->framebuffer().writePpm(opt.image);
     }
 
-    const mgpu::InterGpuFabric &fabric = machine.fabric();
-    std::printf("total: %llu cycles = %.4f ms on %u x %s (fabric: %llu "
-                "remote reqs, %llu migrations, %llu bytes)\n\n",
-                static_cast<unsigned long long>(r.cycles),
-                mcfg.gpu.cyclesToMs(r.cycles), mcfg.numGpus,
-                mcfg.gpu.name.c_str(),
-                static_cast<unsigned long long>(fabric.requestsAccepted()),
-                static_cast<unsigned long long>(fabric.pageMigrations()),
+    if (multi) {
+        const mgpu::InterGpuFabric &fabric = multi->fabric();
+        std::printf(
+            "total: %llu cycles = %.4f ms on %s (fabric: %llu remote "
+            "reqs, %llu migrations, %llu bytes)\n\n",
+            static_cast<unsigned long long>(r.cycles),
+            cfg.cyclesToMs(r.cycles), machine_name.c_str(),
+            static_cast<unsigned long long>(fabric.requestsAccepted()),
+            static_cast<unsigned long long>(fabric.pageMigrations()),
+            static_cast<unsigned long long>(fabric.bytesTransferred()));
+    } else {
+        std::printf("total: %llu cycles = %.4f ms on %s (L2 hit %.1f%%, "
+                    "DRAM busy %.1f%%)\n\n",
+                    static_cast<unsigned long long>(r.cycles),
+                    cfg.cyclesToMs(r.cycles), machine_name.c_str(),
+                    100.0 * lone->l2().hitRate(),
+                    100.0 * lone->l2().dramBusyCycles() / r.cycles);
+    }
+    // Every device of a machine jumps together; device 0 counts for all.
+    std::printf("fast-forward: %llu jumps skipped %llu idle cycles\n",
                 static_cast<unsigned long long>(
-                    fabric.bytesTransferred()));
+                    devices[0]->fastForwardJumps()),
+                static_cast<unsigned long long>(
+                    devices[0]->fastForwardCycles()));
 
     Table t({"stream", "device", "cycles(first..last)", "kernels",
-             "instructions", "IPC", "L2 hit%", "remote", "dram rd"});
+             "instructions", "IPC", "L1 hit%", "L2 hit%", "tex acc",
+             "remote", "dram rd"});
     auto add_stream = [&](const char *name, StreamId id, uint32_t dev) {
         if (id == kInvalidStream) {
             return;
         }
-        Gpu &gpu = machine.device(dev);
+        Gpu &gpu = *devices[dev];
         const StreamStats &st = gpu.stats().stream(id);
         t.addRow({name, std::to_string(dev),
                   std::to_string(st.firstCycle) + ".." +
                       std::to_string(gpu.streamFinishCycle(id)),
                   std::to_string(st.kernelsCompleted),
                   std::to_string(st.instructions), Table::num(st.ipc(), 2),
+                  Table::num(100 * st.l1HitRate(), 1),
                   Table::num(100 * st.l2HitRate(), 1),
+                  std::to_string(st.l1TexAccesses),
                   std::to_string(st.remoteAccesses),
                   std::to_string(st.dramReads)});
     };
@@ -290,8 +356,8 @@ runMultiGpu(const Options &opt, const scenario::Scenario &scn)
         std::printf("\nper-kernel execution log:\n");
         Table kt({"kernel", "device", "stream", "CTAs", "launch",
                   "complete", "cycles"});
-        for (uint32_t d = 0; d < mcfg.numGpus; ++d) {
-            for (const auto &rec : machine.device(d).kernelLog()) {
+        for (size_t d = 0; d < devices.size(); ++d) {
+            for (const auto &rec : devices[d]->kernelLog()) {
                 kt.addRow({rec.name, std::to_string(d),
                            rec.stream == sr.gfx ? "graphics" : "compute",
                            std::to_string(rec.ctas),
@@ -317,240 +383,10 @@ main(int argc, char **argv)
 {
     setVerbose(false);
     const Options opt = parseArgs(argc, argv);
-
     scenario::Scenario scn;
-    if (!opt.scenario.empty()) {
-        scenario::ScenarioError serr;
-        if (!scenario::loadScenarioFile(opt.scenario, scn, serr)) {
-            fatal("%s", serr.str().c_str());
-        }
-        if (scn.gpu.numGpus > 1) {
-            return runMultiGpu(opt, scn);
-        }
+    scenario::ScenarioError serr;
+    if (!scenario::loadScenarioFile(opt.scenario, scn, serr)) {
+        fatal("%s", serr.str().c_str());
     }
-
-    const GpuConfig gpu_cfg = !opt.scenario.empty()
-        ? scenario::gpuConfigFor(scn)
-        : opt.gpu == "orin" ? GpuConfig::jetsonOrin()
-        : opt.gpu == "rtx3070"
-        ? GpuConfig::rtx3070()
-        : (fatal("unknown gpu %s", opt.gpu.c_str()), GpuConfig{});
-
-    Gpu gpu(gpu_cfg);
-    {
-        engine::EngineConfig ec;
-        ec.threads = opt.threads;
-        gpu.setEngine(ec);
-    }
-    AddressSpace heap;
-    std::unique_ptr<Scene> scene;
-    std::unique_ptr<RenderPipeline> pipeline;
-    RenderSubmission frame;
-    StreamId gfx = kInvalidStream;
-    StreamId cmp = kInvalidStream;
-
-    if (opt.scene != "none") {
-        scene = std::make_unique<Scene>(buildSceneByName(opt.scene, heap));
-        PipelineConfig pc;
-        pc.width = opt.width;
-        pc.height = opt.height;
-        pc.lodEnabled = opt.lod;
-        pipeline = std::make_unique<RenderPipeline>(pc, heap);
-        gfx = gpu.createStream("graphics");
-    }
-    if (opt.compute != "none") {
-        cmp = gpu.createStream("compute");
-    }
-
-    // Telemetry: one sink serves --trace, --sample/--timeline, --profile.
-    // Attached before any frame is submitted so the self-profiler also
-    // sees the functional rasterization work.
-    std::unique_ptr<telemetry::TelemetrySink> sink;
-    const bool wants_telemetry = !opt.trace.empty() || opt.sample != 0 ||
-        !opt.timeline.empty() || opt.profile;
-    if (wants_telemetry) {
-        telemetry::TelemetryConfig tc;
-        tc.eventCapacity = 1 << 20;
-        tc.sampleInterval = opt.sample;
-        if (!opt.timeline.empty() && tc.sampleInterval == 0) {
-            tc.sampleInterval = 1000;
-        }
-        tc.selfProfile = opt.profile;
-        sink = std::make_unique<telemetry::TelemetrySink>(tc);
-        gpu.setTelemetry(sink.get());
-        if (opt.profile && pipeline) {
-            pipeline->setProfiler(&sink->profiler());
-        }
-    }
-
-    // Queue the work.
-    scenario::Materialized mat;
-    if (!opt.scenario.empty()) {
-        const scenario::SubmitResult sr =
-            scenario::submitScenario(scn, gpu, heap, mat);
-        gfx = sr.gfx;
-        cmp = sr.cmp;
-        if (sink && opt.profile && mat.pipeline) {
-            mat.pipeline->setProfiler(&sink->profiler());
-        }
-    }
-    std::vector<RenderSubmission> frames;
-    for (uint32_t f = 0; f < opt.frames && pipeline; ++f) {
-        frames.push_back(pipeline->submit(*scene));
-        submitFrame(gpu, gfx, frames.back());
-    }
-    if (cmp != kInvalidStream && opt.scenario.empty()) {
-        std::vector<KernelInfo> kernels;
-        if (opt.compute == "VIO") {
-            kernels = buildVio(heap, opt.frames);
-        } else if (opt.compute == "HOLO") {
-            kernels = buildHolo(heap);
-        } else if (opt.compute == "NN") {
-            kernels = buildNn(heap);
-        } else if (opt.compute == "ATW") {
-            const Addr color = pipeline
-                ? pipeline->framebuffer().colorAddr(0, 0)
-                : heap.alloc(4ull * opt.width * opt.height);
-            kernels = buildTimewarp(heap, color, opt.width, opt.height);
-        } else {
-            fatal("unknown compute workload %s", opt.compute.c_str());
-        }
-        for (const KernelInfo &k : kernels) {
-            gpu.enqueueKernel(cmp, k);
-        }
-    }
-
-    // Partitioning.
-    PartitionConfig part;
-    std::unique_ptr<WarpedSlicer> slicer;
-    std::unique_ptr<TapController> tap;
-    if (opt.policy == "exhaustive") {
-        part.policy = PartitionPolicy::Exhaustive;
-    } else if (opt.policy == "mps" || opt.policy == "mps-tap") {
-        part.policy = PartitionPolicy::Mps;
-    } else if (opt.policy == "mig") {
-        part.policy = PartitionPolicy::Mig;
-    } else if (opt.policy == "fg" || opt.policy == "fg-slicer") {
-        part.policy = PartitionPolicy::FineGrained;
-        if (gfx != kInvalidStream) {
-            part.share[gfx] = opt.share;
-            part.priorityStream = gfx;
-        }
-    } else {
-        fatal("unknown policy %s", opt.policy.c_str());
-    }
-    gpu.setPartition(part);
-    if (opt.policy == "fg-slicer" && gfx != kInvalidStream &&
-        cmp != kInvalidStream) {
-        WarpedSlicerConfig wc;
-        wc.streamA = gfx;
-        wc.streamB = cmp;
-        slicer = std::make_unique<WarpedSlicer>(wc);
-        gpu.addController(slicer.get());
-    }
-    if (opt.policy == "mps-tap" && gfx != kInvalidStream &&
-        cmp != kInvalidStream) {
-        TapConfig tc;
-        tc.gfxStream = gfx;
-        tc.computeStream = cmp;
-        tap = std::make_unique<TapController>(tc, gpu);
-        gpu.addController(tap.get());
-    }
-
-    if (!opt.quiet) {
-        if (!opt.scenario.empty()) {
-            std::printf("crisp_sim: scenario=%s (\"%s\") gpu=%s "
-                        "policy=%s\n",
-                        opt.scenario.c_str(), scn.name.c_str(),
-                        gpu_cfg.name.c_str(), opt.policy.c_str());
-        } else {
-            std::printf("crisp_sim: scene=%s compute=%s gpu=%s policy=%s "
-                        "%ux%u lod=%d frames=%u\n",
-                        opt.scene.c_str(), opt.compute.c_str(),
-                        gpu_cfg.name.c_str(), opt.policy.c_str(),
-                        opt.width, opt.height, opt.lod ? 1 : 0,
-                        opt.frames);
-        }
-    }
-
-    const auto r = gpu.run(opt.maxCycles);
-    if (!r.completed && opt.maxCyclesSet) {
-        std::printf("stopped at --max-cycles %llu before draining\n",
-                    static_cast<unsigned long long>(opt.maxCycles));
-    } else {
-        fatal_if(!r.completed, "simulation did not drain");
-    }
-
-    if (sink && !opt.trace.empty()) {
-        telemetry::writeChromeTrace(*sink, opt.trace);
-        std::printf("wrote %s (%llu events, %llu dropped)\n",
-                    opt.trace.c_str(),
-                    static_cast<unsigned long long>(sink->emitted()),
-                    static_cast<unsigned long long>(sink->dropped()));
-    }
-    if (sink && !opt.timeline.empty()) {
-        sink->series().toTable().writeCsv(opt.timeline);
-        std::printf("wrote %s (%zu samples)\n", opt.timeline.c_str(),
-                    sink->series().rows());
-    }
-
-    RenderPipeline *fb_pipeline =
-        pipeline ? pipeline.get() : mat.pipeline.get();
-    if (!opt.image.empty() && fb_pipeline) {
-        fb_pipeline->framebuffer().writePpm(opt.image);
-    }
-
-    Table t({"stream", "cycles(first..last)", "kernels", "instructions",
-             "IPC", "L1 hit%", "L2 hit%", "tex acc", "dram rd"});
-    auto add_stream = [&](const char *name, StreamId id) {
-        if (id == kInvalidStream) {
-            return;
-        }
-        const StreamStats &st = gpu.stats().stream(id);
-        t.addRow({name,
-                  std::to_string(st.firstCycle) + ".." +
-                      std::to_string(gpu.streamFinishCycle(id)),
-                  std::to_string(st.kernelsCompleted),
-                  std::to_string(st.instructions), Table::num(st.ipc(), 2),
-                  Table::num(100 * st.l1HitRate(), 1),
-                  Table::num(100 * st.l2HitRate(), 1),
-                  std::to_string(st.l1TexAccesses),
-                  std::to_string(st.dramReads)});
-    };
-    add_stream("graphics", gfx);
-    add_stream("compute", cmp);
-    std::printf("total: %llu cycles = %.4f ms on %s (L2 hit %.1f%%, DRAM "
-                "busy %.1f%%)\n\n",
-                static_cast<unsigned long long>(r.cycles),
-                gpu_cfg.cyclesToMs(r.cycles), gpu_cfg.name.c_str(),
-                100.0 * gpu.l2().hitRate(),
-                100.0 * gpu.l2().dramBusyCycles() / r.cycles);
-    std::printf("fast-forward: %llu jumps skipped %llu idle cycles\n",
-                static_cast<unsigned long long>(gpu.fastForwardJumps()),
-                static_cast<unsigned long long>(gpu.fastForwardCycles()));
-    std::printf("%s", t.toText().c_str());
-    if (!opt.csv.empty()) {
-        t.writeCsv(opt.csv);
-        std::printf("wrote %s\n", opt.csv.c_str());
-    }
-    if (opt.kernels) {
-        std::printf("\nper-kernel execution log:\n");
-        Table kt({"kernel", "stream", "CTAs", "launch", "complete",
-                  "cycles"});
-        for (const auto &rec : gpu.kernelLog()) {
-            kt.addRow({rec.name,
-                       rec.stream == gfx ? "graphics" : "compute",
-                       std::to_string(rec.ctas),
-                       std::to_string(rec.launchCycle),
-                       std::to_string(rec.completeCycle),
-                       std::to_string(rec.completeCycle -
-                                      rec.launchCycle)});
-        }
-        std::printf("%s", kt.toText().c_str());
-    }
-    if (sink && opt.profile) {
-        std::printf("\nsimulator self-profile (wall clock):\n%s",
-                    sink->profiler().render(r.cycles).c_str());
-    }
-    return 0;
+    return simulate(opt, scn);
 }

@@ -3,9 +3,11 @@
 #include <cmath>
 #include <functional>
 #include <map>
+#include <span>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
+#include "telemetry/sink.hpp"
 #include "workloads/compute.hpp"
 #include "workloads/scenes.hpp"
 #include "workloads/submit.hpp"
@@ -143,7 +145,7 @@ buildExplicitScene(const Scenario &sc, AddressSpace &heap, GfxBuild &gb)
     return scene;
 }
 
-/** Scene + pipeline, in crisp_sim's order (scene first, then pipeline). */
+/** Scene + pipeline, in that order (the scene allocates first). */
 GfxBuild
 prepareGraphics(const Scenario &sc, AddressSpace &heap, Materialized &out)
 {
@@ -230,7 +232,7 @@ buildPresetCompute(const ComputeDesc &cd, AddressSpace &heap,
 
 /** One KernelInfo per explicit kernel node, buffers resolved to heap.
  *  @p buffer_heap (when set) picks a per-buffer heap instead of @p heap —
- *  the multi-GPU path homing "device"-tagged buffers in other windows. */
+ *  the live path homing "device"-tagged buffers in other windows. */
 std::vector<KernelInfo>
 buildExplicitKernels(const ComputeDesc &cd, AddressSpace &heap,
                      RenderPipeline *pipeline,
@@ -322,6 +324,66 @@ enqueueExplicit(Gpu &gpu, StreamId cmp, const ComputeDesc &cd,
     }
 }
 
+/**
+ * The submission sequence both public entry points share: scene and
+ * pipeline, graphics stream, compute stream, every frame, then the
+ * compute work. The graphics side lands on devices[r.gfxDevice] and
+ * allocates from heaps[r.gfxDevice], the compute side likewise on
+ * r.cmpDevice; a buffer's own "device" field homes it in that device's
+ * heap instead. Fills r.gfx and r.cmp.
+ */
+void
+submitOn(const Scenario &sc, const std::vector<Gpu *> &devices,
+         std::span<AddressSpace> heaps, MultiSubmitResult &r,
+         Materialized &out)
+{
+    Gpu &ggpu = *devices[r.gfxDevice];
+    AddressSpace &gheap = heaps[r.gfxDevice];
+    GfxBuild gb;
+    if (sc.graphics.present) {
+        gb = prepareGraphics(sc, gheap, out);
+        // Frames render functionally right here, at submit time, so the
+        // graphics device's self-profiler must see the pipeline now.
+        telemetry::TelemetrySink *sink = ggpu.telemetry();
+        if (sink && sink->config().selfProfile) {
+            out.pipeline->setProfiler(&sink->profiler());
+        }
+        r.gfx = ggpu.createStream("graphics");
+    }
+    Gpu &cgpu = *devices[r.cmpDevice];
+    if (sc.compute.present) {
+        r.cmp = cgpu.createStream("compute");
+    }
+    for (uint32_t f = 0; sc.graphics.present && f < sc.graphics.frames;
+         ++f) {
+        out.frames.push_back(
+            renderFrame(sc, gb, f, gheap, *out.pipeline));
+        submitFrame(ggpu, r.gfx, out.frames.back(),
+                    sc.graphics.fixedFunctionDelay);
+    }
+    if (r.cmp == kInvalidStream) {
+        return;
+    }
+    const ComputeDesc &cd = sc.compute;
+    AddressSpace &cheap = heaps[r.cmpDevice];
+    if (!cd.preset.empty()) {
+        // Preset workloads serialize in stream order.
+        for (const KernelInfo &k :
+             buildPresetCompute(cd, cheap, out.pipeline.get())) {
+            cgpu.enqueueKernel(r.cmp, k);
+        }
+        return;
+    }
+    const std::function<AddressSpace &(const BufferNode &)> buffer_heap =
+        [&](const BufferNode &b) -> AddressSpace & {
+        return heaps[b.device >= 0 ? static_cast<uint32_t>(b.device)
+                                   : r.cmpDevice];
+    };
+    enqueueExplicit(cgpu, r.cmp, cd,
+                    buildExplicitKernels(cd, cheap, out.pipeline.get(),
+                                         buffer_heap));
+}
+
 } // namespace
 
 std::vector<Cycle>
@@ -352,38 +414,9 @@ SubmitResult
 submitScenario(const Scenario &sc, Gpu &gpu, AddressSpace &heap,
                Materialized &out)
 {
-    SubmitResult r;
-    GfxBuild gb;
-    if (sc.graphics.present) {
-        gb = prepareGraphics(sc, heap, out);
-        r.gfx = gpu.createStream("graphics");
-    }
-    if (sc.compute.present) {
-        r.cmp = gpu.createStream("compute");
-    }
-    for (uint32_t f = 0; sc.graphics.present && f < sc.graphics.frames;
-         ++f) {
-        out.frames.push_back(
-            renderFrame(sc, gb, f, heap, *out.pipeline));
-        submitFrame(gpu, r.gfx, out.frames.back(),
-                    sc.graphics.fixedFunctionDelay);
-    }
-    if (r.cmp != kInvalidStream) {
-        const ComputeDesc &cd = sc.compute;
-        if (!cd.preset.empty()) {
-            // Preset workloads serialize in stream order, exactly as
-            // crisp_sim's hand path enqueues them.
-            for (const KernelInfo &k :
-                 buildPresetCompute(cd, heap, out.pipeline.get())) {
-                gpu.enqueueKernel(r.cmp, k);
-            }
-        } else {
-            enqueueExplicit(gpu, r.cmp, cd,
-                            buildExplicitKernels(cd, heap,
-                                                 out.pipeline.get()));
-        }
-    }
-    return r;
+    MultiSubmitResult r;
+    submitOn(sc, {&gpu}, std::span<AddressSpace>(&heap, 1), r, out);
+    return {r.gfx, r.cmp};
 }
 
 MultiSubmitResult
@@ -417,48 +450,14 @@ submitScenarioMulti(const Scenario &sc, mgpu::MultiGpu &mgpu,
     // One heap per device, each at the single-GPU layout's local base
     // offset into that device's address window — addresses outlive the
     // allocators, which only exist for the duration of the build.
+    std::vector<Gpu *> devices;
     std::vector<AddressSpace> heaps;
     heaps.reserve(n);
     for (uint32_t d = 0; d < n; ++d) {
+        devices.push_back(&mgpu.device(d));
         heaps.push_back(mgpu.heapFor(d));
     }
-
-    GfxBuild gb;
-    if (sc.graphics.present) {
-        gb = prepareGraphics(sc, heaps[r.gfxDevice], out);
-        r.gfx = mgpu.device(r.gfxDevice).createStream("graphics");
-    }
-    if (sc.compute.present) {
-        r.cmp = mgpu.device(r.cmpDevice).createStream("compute");
-    }
-    for (uint32_t f = 0; sc.graphics.present && f < sc.graphics.frames;
-         ++f) {
-        out.frames.push_back(renderFrame(sc, gb, f, heaps[r.gfxDevice],
-                                         *out.pipeline));
-        submitFrame(mgpu.device(r.gfxDevice), r.gfx, out.frames.back(),
-                    sc.graphics.fixedFunctionDelay);
-    }
-    if (r.cmp != kInvalidStream) {
-        const ComputeDesc &cd = sc.compute;
-        Gpu &cgpu = mgpu.device(r.cmpDevice);
-        if (!cd.preset.empty()) {
-            for (const KernelInfo &k : buildPresetCompute(
-                     cd, heaps[r.cmpDevice], out.pipeline.get())) {
-                cgpu.enqueueKernel(r.cmp, k);
-            }
-        } else {
-            const std::function<AddressSpace &(const BufferNode &)>
-                buffer_heap = [&](const BufferNode &b) -> AddressSpace & {
-                return heaps[b.device >= 0
-                                 ? static_cast<uint32_t>(b.device)
-                                 : r.cmpDevice];
-            };
-            enqueueExplicit(cgpu, r.cmp, cd,
-                            buildExplicitKernels(cd, heaps[r.cmpDevice],
-                                                 out.pipeline.get(),
-                                                 buffer_heap));
-        }
-    }
+    submitOn(sc, devices, heaps, r, out);
 
     // Placement implies partitioning when both streams share a device:
     // colocated = MPS (even SM split), mig = MiG (SM split + L2 bank

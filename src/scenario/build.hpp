@@ -38,11 +38,15 @@ struct SubmitResult
 /**
  * Materialize the scenario and enqueue all of its work on @p gpu.
  *
- * The call sequence mirrors crisp_sim's hand-built path exactly — scene,
- * pipeline, graphics stream, compute stream, per-frame submission,
- * compute enqueue — in the same order with the same heap-allocation
- * pattern, so a preset-backed scenario file replays bit-identically to
- * the equivalent crisp_sim command line.
+ * The call sequence is the library's own — scene, pipeline, graphics
+ * stream, compute stream, per-frame submission, compute enqueue — in
+ * that order with that heap-allocation pattern, so a preset-backed
+ * scenario file replays bit-identically to the same calls made by hand
+ * (the ScenarioParity tests pin this for every preset pairing).
+ *
+ * When @p gpu carries a self-profiling telemetry sink, the pipeline's
+ * functional rendering is timed on it (Component::Raster); attach the
+ * sink before calling this.
  *
  * Partitioning is not part of the scenario (callers pick the policy);
  * call Gpu::setPartition after this returns.
@@ -70,7 +74,9 @@ struct MultiSubmitResult
  * from the graphics device's heap window, compute buffers from the
  * compute device's, and a buffer's own "device" field overrides that;
  * a buffer homed away from the stream that touches it makes every L1
- * miss a remote access over the inter-GPU fabric.
+ * miss a remote access over the inter-GPU fabric. The submission
+ * sequence, and the raster self-profile on the graphics device, are
+ * submitScenario's.
  */
 MultiSubmitResult submitScenarioMulti(const Scenario &sc,
                                       mgpu::MultiGpu &mgpu,

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "integrity/report.hpp"
 #include "scenario/build.hpp"
 #include "scenario/scenario.hpp"
+#include "telemetry/sink.hpp"
 #include "traceio/reader.hpp"
 #include "traceio/replay.hpp"
 #include "traceio/writer.hpp"
@@ -246,11 +249,35 @@ TEST(ScenarioLoader, EveryCheckedInScenarioLoads)
     EXPECT_GE(count, 7u);
 }
 
-// --- Parity against the hand-built path ------------------------------------
+// --- Parity against the library-call sequence ----------------------------
 
-TEST(ScenarioParity, SponzaVioMatchesHandBuiltPathExactly)
+/** A preset-backed scenario file and the library calls it stands for. */
+struct ParityCase
 {
-    const Scenario sc = loadFileOrDie("sponza_vio.json");
+    const char *file;
+    GpuConfig (*gpu)();
+    const char *scene;
+    uint32_t width;
+    uint32_t height;
+    uint32_t frames;
+    std::vector<KernelInfo> (*compute)(AddressSpace &heap,
+                                       const RenderPipeline &pipeline);
+};
+
+void
+PrintTo(const ParityCase &c, std::ostream *os)
+{
+    *os << c.file;
+}
+
+class ScenarioParity : public ::testing::TestWithParam<ParityCase>
+{
+};
+
+TEST_P(ScenarioParity, MatchesLibraryCallSequenceExactly)
+{
+    const ParityCase &pc_case = GetParam();
+    const Scenario sc = loadFileOrDie(pc_case.file);
 
     // Scenario path.
     Gpu a(scenario::gpuConfigFor(sc));
@@ -264,24 +291,25 @@ TEST(ScenarioParity, SponzaVioMatchesHandBuiltPathExactly)
     const auto run_a = a.run(8'000'000'000ull);
     ASSERT_TRUE(run_a.completed);
 
-    // Hand-built path, exactly as crisp_sim assembles it:
-    //   --scene SPL --compute VIO --width 640 --height 360 --frames 2
-    Gpu b(GpuConfig::rtx3070());
+    // The same work assembled by hand: scene, pipeline, graphics and
+    // compute streams, every frame, then the compute kernels in stream
+    // order.
+    Gpu b(pc_case.gpu());
     AddressSpace heap_b;
-    Scene scene = buildSceneByName("SPL", heap_b);
+    Scene scene = buildSceneByName(pc_case.scene, heap_b);
     PipelineConfig pc;
-    pc.width = 640;
-    pc.height = 360;
+    pc.width = pc_case.width;
+    pc.height = pc_case.height;
     pc.lodEnabled = true;
     RenderPipeline pipeline(pc, heap_b);
     const StreamId gfx = b.createStream("graphics");
     const StreamId cmp = b.createStream("compute");
     std::vector<RenderSubmission> frames;
-    for (uint32_t f = 0; f < 2; ++f) {
+    for (uint32_t f = 0; f < pc_case.frames; ++f) {
         frames.push_back(pipeline.submit(scene));
         submitFrame(b, gfx, frames.back());
     }
-    for (const KernelInfo &k : buildVio(heap_b, 2)) {
+    for (const KernelInfo &k : pc_case.compute(heap_b, pipeline)) {
         b.enqueueKernel(cmp, k);
     }
     b.setPartition(PartitionConfig{});
@@ -299,6 +327,54 @@ TEST(ScenarioParity, SponzaVioMatchesHandBuiltPathExactly)
                                b.stats().stream(gfx));
     expectStreamStatsIdentical(a.stats().stream(sr.cmp),
                                b.stats().stream(cmp));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PresetPairings, ScenarioParity,
+    ::testing::Values(
+        ParityCase{"sponza_vio.json", GpuConfig::rtx3070, "SPL", 640, 360,
+                   2,
+                   [](AddressSpace &heap, const RenderPipeline &) {
+                       return buildVio(heap, 2);
+                   }},
+        // Frame-coupled: the timewarp samples the rendered color buffer.
+        ParityCase{"pistol_atw.json", GpuConfig::rtx3070, "PT", 480, 270, 1,
+                   [](AddressSpace &heap, const RenderPipeline &p) {
+                       return buildTimewarp(
+                           heap, p.framebuffer().colorAddr(0, 0), 480, 270);
+                   }},
+        ParityCase{"planets_nn.json", GpuConfig::jetsonOrin, "IT", 480, 270,
+                   1,
+                   [](AddressSpace &heap, const RenderPipeline &) {
+                       return buildNn(heap, 3);
+                   }},
+        ParityCase{"sponza_pbr_holo.json", GpuConfig::rtx3070, "SPH", 480,
+                   270, 1,
+                   [](AddressSpace &heap, const RenderPipeline &) {
+                       return buildHolo(heap, 3);
+                   }}),
+    [](const ::testing::TestParamInfo<ParityCase> &info) {
+        const std::string file = info.param.file;
+        std::string name = file.substr(0, file.find('.'));
+        name.erase(std::remove(name.begin(), name.end(), '_'), name.end());
+        return name;
+    });
+
+// --- Self-profile -----------------------------------------------------------
+
+TEST(ScenarioProfile, SubmitTimesRasterOnTheGraphicsDeviceSink)
+{
+    const Scenario sc = loadFileOrDie("sponza_vio.json");
+    telemetry::TelemetryConfig tc;
+    tc.selfProfile = true;
+    telemetry::TelemetrySink sink(tc);
+    Gpu gpu(scenario::gpuConfigFor(sc));
+    gpu.setTelemetry(&sink);
+    AddressSpace heap;
+    scenario::Materialized mat;
+    scenario::submitScenario(sc, gpu, heap, mat);
+    // Frames rasterize functionally at submit time, before any run.
+    EXPECT_GT(sink.profiler().nanos(telemetry::Component::Raster), 0.0);
 }
 
 // --- Behaviour of the new stress scenarios ---------------------------------

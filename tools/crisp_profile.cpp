@@ -81,6 +81,8 @@ loadScenario(Gpu &gpu, AddressSpace &heap, ScenarioState &state,
         pc.width = 640;
         pc.height = 360;
         state.pipe = std::make_unique<RenderPipeline>(pc, state.fbHeap);
+        // The frame rasterizes functionally inside submit(): time it.
+        state.pipe->setProfiler(&gpu.telemetry()->profiler());
         const StreamId gfx = gpu.createStream("graphics");
         submitFrame(gpu, gfx, state.pipe->submit(state.scene));
     }

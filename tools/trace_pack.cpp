@@ -1,193 +1,74 @@
 /**
  * @file
- * trace_pack: generate a workload and pack it into a CRTR trace file.
+ * trace_pack: pack a scenario file's workload into a CRTR trace file.
  *
- * Compute workloads (the paper's §V-B generators):
- *   trace_pack --out vio.crtr --workload VIO [--frames N] [--width W]
- *              [--height H]
- *   trace_pack --out holo.crtr --workload HOLO [--points N]
- *   trace_pack --out nn.crtr --workload NN [--layers N]
- *
- * Rendering scenes (packs the frame's vertex/fragment kernels plus the
- * drawcall dependency graph the submission carries):
- *   trace_pack --out spl.crtr --scene SPL [--width W] [--height H]
- *
- * Scenario files (packs both sides, graphics frames first then compute,
- * with every dependency; arrival-schedule scenarios — bursts, "at",
- * delays — have no packed representation and are rejected):
  *   trace_pack --out run.crtr --scenario scenarios/file.json
+ *
+ * Packs both sides of the scenario, graphics frames first then compute,
+ * with every dependency: a preset compute workload chains each kernel on
+ * the one before it, as the live stream order does, and a rendered
+ * frame carries its drawcall dependency graph. Arrival-schedule
+ * scenarios (bursts, "at", delays) and multi-GPU machines have no packed
+ * representation and are rejected by name.
  *
  * The packed file replays through traceio::submitLoaded with
  * byte-identical StreamStats to live generation.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/logging.hpp"
-#include "graphics/pipeline.hpp"
 #include "scenario/build.hpp"
 #include "scenario/scenario.hpp"
 #include "traceio/writer.hpp"
-#include "workloads/compute.hpp"
-#include "workloads/scenes.hpp"
 
 using namespace crisp;
-
-namespace
-{
-
-void
-usage()
-{
-    fatal("usage: trace_pack --out FILE (--workload VIO|HOLO|NN|TIMEWARP "
-          "[--frames N] [--points N] [--layers N] | --scene "
-          "SPL|SPH|PT|IT|PL|MT | --scenario FILE) [--width W] "
-          "[--height H]");
-}
-
-uint32_t
-parseU32(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(value, &end, 10);
-    fatal_if(end == value || *end != '\0' || v == 0 || v > 0xffffffffull,
-             "%s needs a positive integer, got '%s'", flag, value);
-    return static_cast<uint32_t>(v);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
+    const char *usage = "usage: trace_pack --out FILE --scenario FILE";
     std::string out;
-    std::string workload;
-    std::string scene_name;
     std::string scenario_path;
-    uint32_t frames = 2;
-    uint32_t points = 3;
-    uint32_t layers = 4;
-    uint32_t width = 0;
-    uint32_t height = 0;
-
     for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        auto next = [&]() -> const char * {
-            fatal_if(i + 1 >= argc, "%s needs a value", arg);
-            return argv[++i];
-        };
-        if (std::strcmp(arg, "--out") == 0) {
-            out = next();
-        } else if (std::strcmp(arg, "--workload") == 0) {
-            workload = next();
-        } else if (std::strcmp(arg, "--scene") == 0) {
-            scene_name = next();
-        } else if (std::strcmp(arg, "--scenario") == 0) {
-            scenario_path = next();
-        } else if (std::strcmp(arg, "--frames") == 0) {
-            frames = parseU32(arg, next());
-        } else if (std::strcmp(arg, "--points") == 0) {
-            points = parseU32(arg, next());
-        } else if (std::strcmp(arg, "--layers") == 0) {
-            layers = parseU32(arg, next());
-        } else if (std::strcmp(arg, "--width") == 0) {
-            width = parseU32(arg, next());
-        } else if (std::strcmp(arg, "--height") == 0) {
-            height = parseU32(arg, next());
-        } else {
-            usage();
-        }
+        const std::string arg = argv[i];
+        fatal_if(arg != "--out" && arg != "--scenario", "%s", usage);
+        fatal_if(i + 1 >= argc, "%s needs a value", arg.c_str());
+        (arg == "--out" ? out : scenario_path) = argv[++i];
     }
-    const int payloads = (workload.empty() ? 0 : 1) +
-        (scene_name.empty() ? 0 : 1) + (scenario_path.empty() ? 0 : 1);
-    if (out.empty() || payloads != 1) {
-        usage();
-    }
+    fatal_if(out.empty() || scenario_path.empty(), "%s", usage);
 
-    std::vector<KernelInfo> kernels;
-    std::vector<int> depends_on;
-    std::string fingerprint;
+    scenario::Scenario sc;
+    scenario::ScenarioError serr;
+    if (!scenario::loadScenarioFile(scenario_path, sc, serr)) {
+        fatal("%s", serr.str().c_str());
+    }
     AddressSpace heap(0x8000'0000ull);
     const Addr heap_base = heap.allocatedEnd();
-
-    // The Scene/submission must outlive packing: trace generators
-    // reference their textures while the writer streams CTAs out.
-    Scene scene;
+    // The materialized scene must outlive packing: trace generators
+    // reference its textures while the writer streams CTAs out.
     scenario::Materialized mat;
-    if (!scenario_path.empty()) {
-        scenario::Scenario sc;
-        scenario::ScenarioError serr;
-        if (!scenario::loadScenarioFile(scenario_path, sc, serr)) {
-            fatal("%s", serr.str().c_str());
-        }
-        scenario::Flattened flat;
-        std::string why;
-        if (!scenario::flattenScenario(sc, heap, mat, flat, why)) {
-            fatal("cannot pack %s: %s", scenario_path.c_str(),
-                  why.c_str());
-        }
-        // One trace, graphics frames first then compute, dependency
-        // indices re-based onto the concatenated list. A trace replays
-        // on a single stream, whose FIFO order already serializes the
-        // two sides the way the indices allow.
-        kernels = std::move(flat.gfxKernels);
-        depends_on = std::move(flat.gfxDependsOn);
-        const int offset = static_cast<int>(kernels.size());
-        for (size_t i = 0; i < flat.cmpKernels.size(); ++i) {
-            kernels.push_back(std::move(flat.cmpKernels[i]));
-            const int dep = flat.cmpDependsOn[i];
-            depends_on.push_back(dep < 0 ? -1 : dep + offset);
-        }
-        fingerprint = "trace_pack/scenario/" + sc.canonicalText;
-    } else if (!workload.empty()) {
-        char desc[128];
-        if (workload == "VIO") {
-            const uint32_t w = width != 0 ? width : 320;
-            const uint32_t h = height != 0 ? height : 240;
-            kernels = buildVio(heap, frames, w, h);
-            std::snprintf(desc, sizeof(desc),
-                          "trace_pack/vio/frames=%u/w=%u/h=%u", frames, w, h);
-        } else if (workload == "HOLO") {
-            kernels = buildHolo(heap, points);
-            std::snprintf(desc, sizeof(desc), "trace_pack/holo/points=%u",
-                          points);
-        } else if (workload == "NN") {
-            kernels = buildNn(heap, layers);
-            std::snprintf(desc, sizeof(desc), "trace_pack/nn/layers=%u",
-                          layers);
-        } else if (workload == "TIMEWARP") {
-            const uint32_t w = width != 0 ? width : 640;
-            const uint32_t h = height != 0 ? height : 360;
-            const Addr frame_color = heap.alloc(
-                static_cast<uint64_t>(w) * h * 4);
-            kernels = buildTimewarp(heap, frame_color, w, h);
-            std::snprintf(desc, sizeof(desc),
-                          "trace_pack/timewarp/w=%u/h=%u", w, h);
-        } else {
-            fatal("unknown workload '%s' (VIO, HOLO, NN, TIMEWARP)",
-                  workload.c_str());
-        }
-        fingerprint = desc;
-    } else {
-        const uint32_t w = width != 0 ? width : 480;
-        const uint32_t h = height != 0 ? height : 270;
-        scene = buildSceneByName(scene_name, heap);
-        PipelineConfig pc;
-        pc.width = w;
-        pc.height = h;
-        AddressSpace fb_heap(0x4000'0000ull);
-        RenderPipeline pipe(pc, fb_heap);
-        RenderSubmission sub = pipe.submit(scene);
-        kernels = std::move(sub.kernels);
-        depends_on = std::move(sub.dependsOn);
-        char desc[128];
-        std::snprintf(desc, sizeof(desc), "trace_pack/scene=%s/w=%u/h=%u",
-                      scene_name.c_str(), w, h);
-        fingerprint = desc;
+    scenario::Flattened flat;
+    std::string why;
+    if (!scenario::flattenScenario(sc, heap, mat, flat, why)) {
+        fatal("cannot pack %s: %s", scenario_path.c_str(), why.c_str());
     }
+    // One trace, graphics frames first then compute, dependency indices
+    // re-based onto the concatenated list. A trace replays on a single
+    // stream, whose FIFO order already serializes the two sides the way
+    // the indices allow.
+    std::vector<KernelInfo> kernels = std::move(flat.gfxKernels);
+    std::vector<int> depends_on = std::move(flat.gfxDependsOn);
+    const int offset = static_cast<int>(kernels.size());
+    for (size_t i = 0; i < flat.cmpKernels.size(); ++i) {
+        kernels.push_back(std::move(flat.cmpKernels[i]));
+        const int dep = flat.cmpDependsOn[i];
+        depends_on.push_back(dep < 0 ? -1 : dep + offset);
+    }
+    const std::string fingerprint =
+        "trace_pack/scenario/" + sc.canonicalText;
 
     traceio::TraceError err;
     if (!traceio::writeTrace(out, fingerprint, kernels, depends_on,
