@@ -67,6 +67,8 @@ Sm::priorityOf(StreamId stream) const
 void
 Sm::refreshPriorityCaches()
 {
+    // Priorities reorder issue and move the LDST limits.
+    wakeCycle_ = 0;
     for (WarpState &warp : warps_) {
         if (!warp.live) {
             continue;
@@ -270,6 +272,13 @@ Sm::launchCta(const KernelInfo &kernel, KernelId kernel_id,
             qit->second.maxSmemBytes);
     }
 
+    // Cycles slept through before this launch count against the warps
+    // the SM already had; step(now) counts the launch cycle itself.
+    if (now > 0) {
+        settleCycles(now - 1);
+    }
+    wakeCycle_ = 0;
+
     auto &st = stats_->stream(kernel.stream);
     st.ctasLaunched++;
     if (st.firstCycle == 0) {
@@ -404,6 +413,7 @@ Sm::scheduleWriteback(uint32_t slot, uint8_t reg, Cycle when)
                              (static_cast<uint64_t>(slot) << 8) | reg);
     std::push_heap(writebackHeap_.begin(), writebackHeap_.end(),
                    std::greater<uint64_t>());
+    wakeCycle_ = std::min(wakeCycle_, when);
 }
 
 void
@@ -553,8 +563,12 @@ Sm::issueMemory(WarpState &warp, const TraceInstr &instr, Cycle now)
 }
 
 bool
-Sm::tryIssue(WarpState &warp, Cycle now)
+Sm::tryIssue(WarpState &warp, Cycle now, Cycle &wake)
 {
+    // A refused warp lowers @p wake to the cycle its blocker clears when
+    // that cycle is known here: an execution unit or the smem port
+    // freeing up. Warps at a barrier, on the scoreboard or behind a full
+    // LDST queue are woken by an issue, a writeback or an LDST grant.
     if (!warp.live || warp.atBarrier || warp.pc >= warp.trace.instrs.size()) {
         return false;
     }
@@ -583,6 +597,7 @@ Sm::tryIssue(WarpState &warp, Cycle now)
         // Cached pool minimum: a busy pool (the common rejection) is one
         // compare instead of a scan.
         if (unitMinFree_[static_cast<size_t>(cls)] > now) {
+            wake = std::min(wake, unitMinFree_[static_cast<size_t>(cls)]);
             return false;
         }
         auto &pool = unitFreeAt_[static_cast<size_t>(cls)];
@@ -599,6 +614,7 @@ Sm::tryIssue(WarpState &warp, Cycle now)
       }
       case OpClass::MemShared: {
         if (smemPortFreeAt_ > now) {
+            wake = std::min(wake, smemPortFreeAt_);
             return false;
         }
         const uint32_t serial = smemConflictCycles(instr);
@@ -798,6 +814,9 @@ Sm::stepLdstOne(Cycle now)
     if (entry.lines.empty()) {
         recycleLines(std::move(entry.lines));
         ldstQueue_.pop_front();
+        // Queue room may unblock a warp's memory instruction. (An L1 hit
+        // that completes a load wakes the SM through its writeback.)
+        wakeCycle_ = 0;
     }
     return LdstOutcome::Progress;
 }
@@ -1027,17 +1046,20 @@ Sm::step(Cycle now)
         ++workCount_;
     }
 
-    // Count active cycles per stream (streams with live warps this cycle).
-    for (const auto &[stream, live] : liveWarpsByStream_) {
-        if (live > 0) {
-            streamStats(stream).cycles++;
-        }
-    }
+    // Count active cycles per stream (streams with live warps this
+    // cycle), plus any cycles the SM slept through.
+    settleCycles(now);
+
+    // A step that issues nothing sleeps until the next writeback or the
+    // earliest cycle a refused warp's blocker clears.
+    Cycle wake = writebackHeap_.empty() ? kNeverCycle
+                                        : writebackHeap_.front() >> 24;
 
     // Fault injection: a frozen issue stage stops dead while writebacks
     // and in-flight memory continue, so the SM quietly stops committing —
     // the hang class the forward-progress watchdog exists to diagnose.
     if (issueFrozen_) {
+        wakeCycle_ = wake;
         stepping_ = false;
         return;
     }
@@ -1052,6 +1074,7 @@ Sm::step(Cycle now)
     // (prio, age), so the old gather-and-sort becomes a walk: the single
     // greedy slot is tried when the walk first reaches its priority
     // group, which reproduces the (prio, greedy, age) sort order exactly.
+    bool issued = false;
     for (uint32_t sched = 0; sched < cfg_.numSchedulers; ++sched) {
         if (cfg_.scheduler == SchedulerPolicy::Gto) {
             const auto &order = schedOrder_[sched];
@@ -1066,20 +1089,22 @@ Sm::step(Cycle now)
                 const uint32_t slot = order[i];
                 if (greedy_pending && warps_[slot].prio == greedy_prio) {
                     greedy_pending = false;
-                    if (tryIssue(warps_[greedy], now)) {
+                    if (tryIssue(warps_[greedy], now, wake)) {
                         greedySlot_[sched] = warps_[greedy].live
                             ? greedy
                             : kNoSlotIndex;
+                        issued = true;
                         break;
                     }
                 }
                 if (slot == greedy) {
                     continue;
                 }
-                if (tryIssue(warps_[slot], now)) {
+                if (tryIssue(warps_[slot], now, wake)) {
                     greedySlot_[sched] = warps_[slot].live
                         ? slot
                         : kNoSlotIndex;
+                    issued = true;
                     break;
                 }
             }
@@ -1105,15 +1130,20 @@ Sm::step(Cycle now)
                              });
             for (size_t i = 0; i < candScratch_.size(); ++i) {
                 const uint32_t slot = candScratch_[i];
-                if (tryIssue(warps_[slot], now)) {
+                if (tryIssue(warps_[slot], now, wake)) {
                     greedySlot_[sched] = warps_[slot].live
                         ? slot
                         : kNoSlotIndex;
+                    issued = true;
                     break;
                 }
             }
         }
     }
+    // An issue may have unblocked more; otherwise every live warp was
+    // refused, and nothing changes until the wake cycle or an outside
+    // event.
+    wakeCycle_ = issued ? now + 1 : wake;
     stepping_ = false;
 }
 
@@ -1164,81 +1194,17 @@ Sm::flushShadowProfiler()
     }
 }
 
-Cycle
-Sm::nextWorkCycle(Cycle now) const
-{
-    // Anything queued SM-side makes next cycle productive: the LDST unit
-    // retries every cycle and the retry queue re-probes the fabric. (A
-    // blocked LDST head could in principle be analyzed more sharply, but
-    // conservative-early answers only shrink the jump.)
-    if (!ldstQueue_.empty() || !fabricRetry_.empty()) {
-        return now + 1;
-    }
-
-    Cycle wake = kNeverCycle;
-    auto consider = [&](Cycle at) {
-        wake = std::min(wake, std::max(at, now + 1));
-    };
-
-    if (!writebackHeap_.empty()) {
-        consider(writebackHeap_.front() >> 24);
-    }
-
-    if (activeWarps_ == 0 || issueFrozen_) {
-        return wake;
-    }
-
-    // A warp whose next instruction waits only on an execution resource
-    // wakes up when that resource frees; one blocked on the scoreboard
-    // wakes with the writeback already considered above; one blocked on
-    // memory wakes with the L2 response (owned by the L2 side).
-    for (const auto &warp : warps_) {
-        if (!warp.live || warp.atBarrier) {
-            continue;
-        }
-        if (warp.pc >= warp.trace.instrs.size()) {
-            return now + 1;   // Retires at its next issue opportunity.
-        }
-        const TraceInstr &instr = warp.trace.instrs[warp.pc];
-        bool hazard = instr.hasDst() && warp.pendingWrites.test(instr.dst);
-        for (uint8_t src : instr.srcs) {
-            hazard = hazard ||
-                     (src != kNoReg && warp.pendingWrites.test(src));
-        }
-        if (hazard) {
-            continue;   // Wakes via a writeback (or a memory response).
-        }
-        const OpClass cls = opcodeClass(instr.opcode);
-        switch (cls) {
-          case OpClass::FP32:
-          case OpClass::INT:
-          case OpClass::SFU:
-          case OpClass::Tensor: {
-            const auto &pool = unitFreeAt_[static_cast<size_t>(cls)];
-            consider(*std::min_element(pool.begin(), pool.end()));
-            break;
-          }
-          case OpClass::MemShared:
-            consider(smemPortFreeAt_);
-            break;
-          default:
-            // Issuable right now (memory ops with queue room, barriers,
-            // control, const loads): the very next cycle does work.
-            return now + 1;
-        }
-    }
-    return wake;
-}
-
 void
-Sm::creditIdleCycles(uint64_t count)
+Sm::settleCycles(Cycle now)
 {
-    // Mirrors the per-cycle counting in step(): every stream with a live
-    // warp is "active" for each skipped cycle. Main thread only, so the
-    // global registry is written directly.
+    if (now <= countedThrough_) {
+        return;
+    }
+    const uint64_t count = now - countedThrough_;
+    countedThrough_ = now;
     for (const auto &[stream, live] : liveWarpsByStream_) {
         if (live > 0) {
-            stats_->stream(stream).cycles += count;
+            streamStats(stream).cycles += count;
         }
     }
 }

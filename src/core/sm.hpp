@@ -1,6 +1,7 @@
 #ifndef CRISP_CORE_SM_HPP
 #define CRISP_CORE_SM_HPP
 
+#include <algorithm>
 #include <bitset>
 #include <deque>
 #include <functional>
@@ -81,8 +82,34 @@ class Sm
     void launchCta(const KernelInfo &kernel, KernelId kernel_id,
                    uint32_t cta_index, Cycle now);
 
-    /** Advance the SM by one cycle. */
+    /**
+     * Advance the SM by one cycle. A step that issues nothing puts the
+     * SM to sleep until its wake cycle (see due()); stepping an SM that
+     * is not due is harmless, only wasted work.
+     */
     void step(Cycle now);
+
+    /**
+     * True when step(@p now) can do anything. After a step that issued
+     * nothing the SM sleeps until the earliest cycle it could issue
+     * again: a due writeback, or an execution unit or the shared-memory
+     * port coming free for a refused warp (a warp with an issuable
+     * barrier, control, const or memory instruction would not have been
+     * refused). Every outside event that can change what issues wakes
+     * it: launchCta, a writeback scheduled by memResponse or an L1 hit,
+     * an LDST grant that retires a queue entry (freeing room), an
+     * issue-priority change and a change in setIssueFrozen.
+     */
+    bool due(Cycle now) const { return wakeCycle_ <= now; }
+
+    /**
+     * Credit the per-stream active cycles up to and including @p now
+     * that the SM has not counted yet: every stream with a live warp is
+     * active in each cycle the SM slept through, exactly as stepping
+     * every cycle would have counted it. step() and launchCta() settle
+     * on their own; a run settles every SM when it returns.
+     */
+    void settleCycles(Cycle now);
 
     /**
      * Attach the telemetry self-profiler (not owned; nullptr detaches).
@@ -167,7 +194,13 @@ class Sm
     bool auditAccounting(std::string *detail) const;
 
     /** Fault injection: freeze or thaw this SM's issue stage. */
-    void setIssueFrozen(bool frozen) { issueFrozen_ = frozen; }
+    void setIssueFrozen(bool frozen)
+    {
+        if (frozen != issueFrozen_) {
+            issueFrozen_ = frozen;
+            wakeCycle_ = 0;
+        }
+    }
     bool issueFrozen() const { return issueFrozen_; }
 
     /**
@@ -326,21 +359,16 @@ class Sm
 
     /**
      * Earliest future cycle (> @p now) at which this SM can do work on
-     * its own: a due writeback, an execution unit or the shared-memory
-     * port freeing up for a waiting warp, or an issuable warp next
-     * cycle. Returns kNeverCycle when every path is blocked on memory
-     * responses (the L2 side owns those wake-ups). Conservative answers
-     * (too early) are always safe; the fast-forward logic takes the
+     * its own: the next cycle while the retry queue or the LDST unit has
+     * work or an outside event has woken it, otherwise the wake cycle its
+     * last step computed (kNeverCycle when every warp waits on memory;
+     * the L2 side owns those wake-ups). Idle fast-forward takes the
      * minimum across all components.
      */
-    Cycle nextWorkCycle(Cycle now) const;
-
-    /**
-     * Fast-forward bookkeeping: credit @p count skipped idle cycles to
-     * the per-stream active-cycle counters, exactly as ticking through
-     * them would have (streams with live warps count every cycle).
-     */
-    void creditIdleCycles(uint64_t count);
+    Cycle nextWorkCycle(Cycle now) const
+    {
+        return hasMemPhaseWork() ? now + 1 : std::max(wakeCycle_, now + 1);
+    }
 
   private:
     struct WarpState
@@ -396,7 +424,7 @@ class Sm
         std::vector<Addr> lines;    ///< Remaining lines to inject.
     };
 
-    bool tryIssue(WarpState &warp, Cycle now);
+    bool tryIssue(WarpState &warp, Cycle now, Cycle &wake);
     void issueMemory(WarpState &warp, const TraceInstr &instr, Cycle now);
     size_t ldstLimitFor(StreamId stream) const;
     int priorityOf(StreamId stream) const;
@@ -418,6 +446,7 @@ class Sm
         return stepping_ ? shadowStats_.stream(stream)
                          : stats_->stream(stream);
     }
+    /** Also wakes the SM by @p when, so the writeback commits on time. */
     void scheduleWriteback(uint32_t slot, uint8_t reg, Cycle when);
     void finishWarp(WarpState &warp, Cycle now);
     void releaseBarrier(CtaState &cta);
@@ -449,6 +478,10 @@ class Sm
     uint64_t warpAgeCounter_ = 0;
     uint32_t activeWarps_ = 0;
     bool issueFrozen_ = false;
+    /** First cycle at which step() may do work again (0 = due now). */
+    Cycle wakeCycle_ = 0;
+    /** Last cycle whose per-stream active cycles have been credited. */
+    Cycle countedThrough_ = 0;
     /** First quota breach observed at CTA launch (sticky; "" = none). */
     std::string quotaBreach_;
 

@@ -12,11 +12,13 @@ namespace engine
  * Cycle-engine configuration: how the per-cycle work of a machine (one
  * GPU or a MultiGpu) is scheduled onto host threads.
  *
- * The default (one thread, no staging) is the bit-exact legacy path: SMs
- * step serially and talk to the L2 fabric directly. Raising `threads`
- * shards SM stepping across one persistent worker pool per machine with
- * deterministic merge points, so simulation outputs are identical for
- * any thread count (see docs/ARCHITECTURE.md, "Parallel cycle engine").
+ * The default (one thread, no staging) steps the due SMs serially on the
+ * calling thread, their stats and CTA completions landing directly; the
+ * fabric-facing memory phase runs under the GPU's arbiter ahead of every
+ * step on any engine. Raising `threads` shards SM stepping across one
+ * persistent worker pool per machine with deterministic merge points, so
+ * simulation outputs are identical for any thread count (see
+ * docs/ARCHITECTURE.md, "The parallel cycle engine").
  * Idle fast-forward is not a setting: the run loop always jumps over
  * cycles in which nothing anywhere in the machine can happen.
  */

@@ -52,6 +52,7 @@ Gpu::Gpu(const GpuConfig &cfg) : cfg_(cfg)
         allSms_.push_back(i);
     }
     memPhaseScratch_.reserve(cfg_.numSms);
+    dueSms_.reserve(cfg_.numSms);
     setEngine(cfg_.engine);
 }
 
@@ -545,8 +546,13 @@ Gpu::tick()
         if (engine_.staged()) {
             stepSmsStaged();
         } else {
+            // Only due SMs step. Due-ness is read as the loop reaches
+            // each SM: a CTA-done callback of an earlier SM may wake a
+            // later one within this cycle.
             for (auto &sm : sms_) {
-                sm->step(cycle_);
+                if (sm->due(cycle_)) {
+                    sm->step(cycle_);
+                }
             }
         }
     }
@@ -579,16 +585,14 @@ Gpu::memoryPhase()
     memPhaseScratch_.clear();
     const size_t n = sms_.size();
     const size_t start = static_cast<size_t>(cycle_ % n);
-    bool any_work = false;
     for (size_t i = 0; i < n; ++i) {
         Sm *sm = sms_[(start + i) % n].get();
-        sm->beginMemPhase(cycle_);
         if (sm->hasMemPhaseWork()) {
+            sm->beginMemPhase(cycle_);
             memPhaseScratch_.push_back(sm);
-            any_work = true;
         }
     }
-    if (!any_work) {
+    if (memPhaseScratch_.empty()) {
         return;
     }
     telemetry::SelfProfiler::Scope prof_scope(
@@ -628,6 +632,16 @@ Gpu::stepSmsStaged()
     // memoryPhase(), serially on the main thread, so workers below never
     // touch the fabric.
 
+    // Only due SMs step. Nothing a staged step does reaches another SM
+    // (CTA completions wait for the merge), so the due list is fixed
+    // before any SM steps.
+    dueSms_.clear();
+    for (auto &sm : sms_) {
+        if (sm->due(cycle_)) {
+            dueSms_.push_back(sm.get());
+        }
+    }
+
     // Sharded SM stepping over the SM-private stages (writebacks, issue,
     // execute). Workers touch only their own SM's state: stats and
     // profiler deltas land in per-SM shadows, CTA-done callbacks in
@@ -639,21 +653,22 @@ Gpu::stepSmsStaged()
         // small-buffer storage, so the per-cycle dispatch never allocates.
         pool_->run([this](uint32_t lane) {
             const uint32_t lanes = pool_->lanes();
-            const size_t count = sms_.size();
+            const size_t count = dueSms_.size();
             for (size_t i = lane; i < count; i += lanes) {
-                sms_[i]->step(cycle_);
+                dueSms_[i]->step(cycle_);
             }
         });
     } else {
         // Staged semantics at one thread: the determinism baseline.
-        for (auto &sm : sms_) {
+        for (Sm *sm : dueSms_) {
             sm->step(cycle_);
         }
     }
 
     // Post-barrier merge, main thread, SM-id order — the same order the
     // serial loop delivered CTA completions and accumulated stats in.
-    for (auto &sm : sms_) {
+    // An SM that did not step has nothing staged.
+    for (Sm *sm : dueSms_) {
         sm->flushStagedCtaDones();
         sm->flushShadowStats();
         sm->flushShadowProfiler();
@@ -824,15 +839,19 @@ Gpu::fastForwardTo(Cycle target)
 {
     // Every skipped cycle is a proven zero-work tick: the only per-cycle
     // state it would have advanced is the per-stream active-cycle
-    // counters, credited here so counters and timestamps match the
-    // ticked-through run exactly.
-    const uint64_t skipped = target - cycle_;
-    for (auto &sm : sms_) {
-        sm->creditIdleCycles(skipped);
-    }
+    // counters, which each SM credits lazily for the cycles it slept
+    // through, skipped ones included.
+    ffCyclesSkipped_ += target - cycle_;
     cycle_ = target;
     ++ffJumps_;
-    ffCyclesSkipped_ += skipped;
+}
+
+void
+Gpu::settleCycles()
+{
+    for (auto &sm : sms_) {
+        sm->settleCycles(cycle_);
+    }
 }
 
 bool

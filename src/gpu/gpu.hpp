@@ -285,7 +285,12 @@ class Gpu : public MemFabricPort
     uint64_t fastForwardJumps() const { return ffJumps_; }
     uint64_t fastForwardCycles() const { return ffCyclesSkipped_; }
 
-    /** Advance one core cycle. */
+    /**
+     * Advance one core cycle, stepping only the SMs that are due (see
+     * Sm::due). Sleeping SMs credit their per-stream active cycles
+     * lazily: run() settles them when it returns, and a drained machine
+     * owes none, so a tick() loop run to done() reads exact counters.
+     */
     void tick();
 
     /** Run until everything drains or @p max_cycles elapse. */
@@ -451,6 +456,8 @@ class Gpu : public MemFabricPort
     uint64_t totalWorkCount() const;
     Cycle nextWakeCycle() const;
     void fastForwardTo(Cycle target);
+    /** Credit every SM's sleeping cycles through now (run return). */
+    void settleCycles();
 
     // Integrity-layer internals (watchdog state lives in Machine::run).
     uint64_t progressSignature() const;
@@ -472,6 +479,8 @@ class Gpu : public MemFabricPort
     std::vector<uint8_t> issueLaunchedScratch_;
     /** Arbitration rotation scratch for memoryPhase(), reused per tick. */
     std::vector<Sm *> memPhaseScratch_;
+    /** SMs due this cycle, in SM-id order (staged stepping scratch). */
+    std::vector<Sm *> dueSms_;
     std::vector<GpuController *> controllers_;
     integrity::FaultInjector *faultInjector_ = nullptr;
     PartitionConfig partition_;

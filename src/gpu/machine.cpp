@@ -348,6 +348,11 @@ Machine::run(Cycle max_cycles, const integrity::RunOptions &opts)
             break;
         }
     }
+    // Sleeping SMs credit their active cycles lazily: settle them so the
+    // counters are exact however the run ended.
+    for (Gpu *gpu : devices_) {
+        gpu->settleCycles();
+    }
     // Audit the final state too, so a drained, capped or cancelled run
     // ends on a checked cycle boundary.
     if (audit_interval != 0 && !result.hang) {

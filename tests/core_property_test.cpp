@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/sm.hpp"
 #include "isa/trace_builder.hpp"
@@ -333,6 +336,260 @@ INSTANTIATE_TEST_SUITE_P(Policies, SchedulerSweep,
                                  ? "Gto"
                                  : "Lrr";
                          });
+
+// ---------------------------------------------------------------------
+// Due stepping: an SM stepped only when due() (its memory phase still
+// runs whenever it has work) is indistinguishable from one stepped
+// every cycle — same per-stream stats, drain cycle and work count.
+// ---------------------------------------------------------------------
+
+enum class DueWorkload
+{
+    Mixed,      ///< Misses, L1 hits, smem, SFU, const, stores, LDST floods.
+    Priority,   ///< Priority stream beside a flood; priorities cleared.
+    Barrier     ///< Staggered warps, two barriers, smem port contention.
+};
+
+struct DueCase
+{
+    SchedulerPolicy policy;
+    DueWorkload workload;
+    const char *name;
+};
+
+void
+PrintTo(const DueCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+struct TimedLaunch
+{
+    Cycle at;
+    KernelInfo kernel;
+};
+
+KernelInfo
+ctaKernel(std::vector<WarpTrace> warps, StreamId stream, const char *name)
+{
+    KernelInfo k;
+    k.name = name;
+    k.stream = stream;
+    k.grid = {1, 1, 1};
+    k.cta = {static_cast<uint32_t>(warps.size()) * 32, 1, 1};
+    k.regsPerThread = 16;
+    CtaTrace cta;
+    cta.warps = std::move(warps);
+    k.source = std::make_shared<VectorCtaSource>(
+        std::vector<CtaTrace>{std::move(cta)});
+    return k;
+}
+
+/** A warp that misses, re-reads the same lines as L1 hits (its consumer
+ *  waits on the hit's writeback), then floods the LDST queue. */
+WarpTrace
+mixedWarp(uint32_t w)
+{
+    const Addr base = 0x100000 + 0x10000 * w;
+    TraceBuilder tb(32);
+    tb.memStrided(Opcode::LDG, 4, base, 4, 4, DataClass::Compute);
+    tb.aluChain(Opcode::FFMA, 5, 4, 3);
+    tb.memStrided(Opcode::LDG, 6, base, 4, 4, DataClass::Compute);
+    tb.alu(Opcode::FFMA, 7, 6, 6);
+    tb.memStrided(Opcode::LDS, 8, 0x40 * w, 128, 4, DataClass::Compute);
+    tb.alu(Opcode::MUFU_SIN, 9, 8);
+    tb.memUniform(Opcode::LDC, 10, 0x200, 4, DataClass::Compute);
+    tb.alu(Opcode::BRA, kNoReg, 10);
+    tb.memStrided(Opcode::STG, kNoReg, base + 0x8000, 4, 4,
+                  DataClass::Compute);
+    for (uint32_t i = 0; i < 6; ++i) {
+        tb.memStrided(Opcode::LDG, static_cast<uint8_t>(12 + i),
+                      base + 0x1000 * (i + 1), kLineBytes, 4,
+                      DataClass::Compute);
+    }
+    tb.alu(Opcode::IADD, 20, 12, 17);
+    tb.exit();
+    return tb.take();
+}
+
+std::vector<TimedLaunch>
+dueLaunches(DueWorkload workload)
+{
+    std::vector<TimedLaunch> launches;
+    switch (workload) {
+      case DueWorkload::Mixed: {
+        std::vector<WarpTrace> warps;
+        for (uint32_t w = 0; w < 6; ++w) {
+            warps.push_back(mixedWarp(w));
+        }
+        launches.push_back({1, ctaKernel(std::move(warps), 0, "mixed")});
+        // A second CTA lands on a busy SM mid-run.
+        launches.push_back({90, ctaKernel({mixedWarp(7), mixedWarp(8)}, 0,
+                                          "mixed2")});
+        break;
+      }
+      case DueWorkload::Priority: {
+        std::vector<WarpTrace> flood;
+        for (uint32_t w = 0; w < 8; ++w) {
+            flood.push_back(mixedWarp(w));
+        }
+        launches.push_back({1, ctaKernel(std::move(flood), 0, "flood")});
+        launches.push_back({40, ctaKernel({mixedWarp(9)}, 1, "prio")});
+        break;
+      }
+      case DueWorkload::Barrier: {
+        std::vector<WarpTrace> warps;
+        for (uint32_t w = 0; w < 8; ++w) {
+            TraceBuilder tb(32);
+            tb.aluChain(Opcode::FFMA, 5, 2, 2 * w + 1);
+            tb.bar();
+            // Every warp leaves the barrier for the one smem port, each
+            // access serialized 32 ways: the SM wakes as the port frees.
+            tb.memStrided(Opcode::LDS, 8, 0x40 * w, 128, 4,
+                          DataClass::Compute);
+            tb.memStrided(Opcode::LDG, 4, 0x300000 + 0x1000 * w, 4, 4,
+                          DataClass::Compute);
+            tb.alu(Opcode::FFMA, 6, 4, 5);
+            tb.bar();
+            tb.alu(Opcode::MUFU_SIN, 7, 6, 8);
+            tb.exit();
+            warps.push_back(tb.take());
+        }
+        launches.push_back({1, ctaKernel(std::move(warps), 0, "bar")});
+        break;
+      }
+    }
+    return launches;
+}
+
+std::string
+streamStatsDump(const StatsRegistry &stats)
+{
+    std::ostringstream os;
+    for (const auto &[id, st] : stats.allStreams()) {
+        os << id << ':' << st.cycles << ',' << st.instructions << ','
+           << st.warpsLaunched << ',' << st.ctasLaunched << ','
+           << st.l1Accesses << ',' << st.l1Hits << ',' << st.l1MshrMerges
+           << ',' << st.smemAccesses << ',' << st.smemBankConflicts << ','
+           << st.firstCycle << ',' << st.lastCycle << '\n';
+    }
+    return os.str();
+}
+
+struct DueRun
+{
+    Cycle drained = 0;
+    std::string stats;
+    uint64_t work = 0;
+    uint64_t slept = 0;          ///< Cycles the SM was not due.
+    uint64_t ldstBlocked = 0;    ///< Cycles some warp waited on LDST room.
+    uint64_t l1Hits = 0;
+};
+
+DueRun
+driveSm(const DueCase &c, bool due_only)
+{
+    SmConfig cfg;
+    cfg.scheduler = c.policy;
+    // A shallow, one-port LDST unit so issue regularly blocks on a full
+    // queue and each line takes its own grant. In the priority case a
+    // one-entry queue leaves the lower-priority stream no room at all
+    // (its limit is half the depth) until the priorities are cleared.
+    cfg.ldstQueueDepth = c.workload == DueWorkload::Priority ? 1 : 4;
+    cfg.l1PortsPerCycle = 1;
+    DelayFabric fabric(150);
+    StatsRegistry stats;
+    Sm sm(0, cfg, &fabric, &stats);
+    if (c.workload == DueWorkload::Priority) {
+        sm.setIssuePriority(1, -1);
+    }
+
+    std::vector<TimedLaunch> launches = dueLaunches(c.workload);
+    size_t next = 0;
+    bool cleared = false;
+    DueRun run;
+    Cycle now = 0;
+    while ((next < launches.size() || !sm.idle()) && now < 100000) {
+        ++now;
+        while (next < launches.size() && launches[next].at == now) {
+            EXPECT_TRUE(sm.canAccept(launches[next].kernel));
+            sm.launchCta(launches[next].kernel, next + 1, 0, now);
+            ++next;
+        }
+        if (c.workload == DueWorkload::Priority && !cleared &&
+            now >= 100 && !sm.hasMemPhaseWork() &&
+            sm.probe(now).waitLdst > 0) {
+            // The flood waits for LDST room with the unit idle: only the
+            // priority change itself can wake the SM.
+            sm.clearIssuePriorities();
+            cleared = true;
+        }
+        if (!due_only) {
+            stepSm(sm, now);
+        } else {
+            if (sm.hasMemPhaseWork()) {
+                sm.beginMemPhase(now);
+                while (sm.memPhaseGrantRetry(now) ||
+                       sm.memPhaseGrantLdst(now)) {
+                }
+            }
+            if (sm.due(now)) {
+                sm.step(now);
+            } else {
+                ++run.slept;
+            }
+        }
+        if (sm.probe(now).waitLdst > 0) {
+            ++run.ldstBlocked;
+        }
+        fabric.step(sm, now);
+    }
+    EXPECT_TRUE(sm.idle());
+    EXPECT_EQ(cleared, c.workload == DueWorkload::Priority);
+    // A drained SM has no live warp left to owe cycles to: no settle.
+    run.drained = now;
+    run.stats = streamStatsDump(stats);
+    run.work = sm.workCount();
+    for (const auto &[id, st] : stats.allStreams()) {
+        run.l1Hits += st.l1Hits;
+    }
+    return run;
+}
+
+class DueStepping : public ::testing::TestWithParam<DueCase>
+{
+};
+
+TEST_P(DueStepping, MatchesSteppingEveryCycle)
+{
+    const DueRun every = driveSm(GetParam(), false);
+    const DueRun due = driveSm(GetParam(), true);
+    EXPECT_EQ(due.drained, every.drained);
+    EXPECT_EQ(due.stats, every.stats);
+    EXPECT_EQ(due.work, every.work);
+    EXPECT_EQ(every.slept, 0u);
+    // The due run really slept, and through the states it must wake from.
+    EXPECT_GT(due.slept, due.drained / 4) << "slept " << due.slept;
+    if (GetParam().workload != DueWorkload::Barrier) {
+        EXPECT_GT(due.ldstBlocked, 0u);
+        // Re-read lines hit in the L1; their consumers wake on the hit's
+        // writeback, not on a response.
+        EXPECT_GT(due.l1Hits, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, DueStepping,
+    ::testing::Values(
+        DueCase{SchedulerPolicy::Gto, DueWorkload::Mixed, "GtoMixed"},
+        DueCase{SchedulerPolicy::Lrr, DueWorkload::Mixed, "LrrMixed"},
+        DueCase{SchedulerPolicy::Gto, DueWorkload::Priority, "GtoPriority"},
+        DueCase{SchedulerPolicy::Lrr, DueWorkload::Priority, "LrrPriority"},
+        DueCase{SchedulerPolicy::Gto, DueWorkload::Barrier, "GtoBarrier"},
+        DueCase{SchedulerPolicy::Lrr, DueWorkload::Barrier, "LrrBarrier"}),
+    [](const ::testing::TestParamInfo<DueCase> &info) {
+        return info.param.name;
+    });
 
 // ---------------------------------------------------------------------
 // Determinism: the same kernel replayed twice takes identical cycles.

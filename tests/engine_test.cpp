@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -218,6 +219,10 @@ struct RunOutputs
     std::string trace;
     uint64_t ffJumps = 0;
     uint64_t ffCycles = 0;
+    /** The stream's active cycles (summed over SMs). */
+    uint64_t activeCycles = 0;
+    /** Tick loop only: SM-cycles with a live warp, counted from outside. */
+    uint64_t liveSmCycles = 0;
 };
 
 RunOutputs
@@ -330,9 +335,20 @@ runIdleHeavy(bool ticked)
 
     RunOutputs out;
     if (ticked) {
-        // The cycle-by-cycle reference.
+        // The cycle-by-cycle reference. An SM has a live warp in a cycle
+        // if it has one after the tick, or had one before it and lost it
+        // in the tick (warps retire while their SM steps; no CTA of this
+        // kernel launches and retires within one cycle).
+        std::vector<bool> was_live(gpu.numSms(), false);
         while (!gpu.done()) {
             gpu.tick();
+            for (uint32_t i = 0; i < gpu.numSms(); ++i) {
+                const bool live = gpu.sm(i).activeWarps() > 0;
+                if (live || was_live[i]) {
+                    ++out.liveSmCycles;
+                }
+                was_live[i] = live;
+            }
         }
         out.cycles = gpu.now();
     } else {
@@ -345,6 +361,7 @@ runIdleHeavy(bool ticked)
     out.trace = telemetry::chromeTraceJson(sink);
     out.ffJumps = gpu.fastForwardJumps();
     out.ffCycles = gpu.fastForwardCycles();
+    out.activeCycles = gpu.stats().stream(s).cycles;
     return out;
 }
 
@@ -361,6 +378,13 @@ TEST(FastForward, IdleJumpPreservesOutputs)
     EXPECT_EQ(jumped.stats, ticked.stats);
     EXPECT_EQ(jumped.timelineCsv, ticked.timelineCsv);
     EXPECT_EQ(jumped.trace, ticked.trace);
+
+    // Active cycles are credited lazily by sleeping SMs, in the tick loop
+    // and across jumps alike: both count exactly the SM-cycles that had
+    // a live warp.
+    EXPECT_GT(ticked.activeCycles, 0u);
+    EXPECT_EQ(ticked.activeCycles, ticked.liveSmCycles);
+    EXPECT_EQ(jumped.activeCycles, ticked.activeCycles);
 }
 
 TEST(FastForward, WorksUnderTheWatchdog)
@@ -397,6 +421,111 @@ TEST(FastForward, WorksUnderTheWatchdog)
     EXPECT_GT(gpu.fastForwardJumps(), 0u);
     EXPECT_EQ(r.cycles, ticked.cycles);
     EXPECT_EQ(statsDump(gpu.stats()), ticked.stats);
+}
+
+// ---------------------------------------------------------------------
+// Exact counters on an early stop: a run capped or cancelled while its
+// only SM sleeps on DRAM misses settles the sleeping cycles, so the
+// stream's active cycles are exactly the cycles it had a live warp.
+// ---------------------------------------------------------------------
+
+class CancelAt : public GpuController
+{
+  public:
+    CancelAt(std::atomic<bool> &token, Cycle at) : token_(token), at_(at) {}
+
+    void
+    onCycle(Gpu &gpu, Cycle now) override
+    {
+        (void)gpu;
+        if (now == at_) {
+            token_.store(true, std::memory_order_relaxed);
+        }
+    }
+
+  private:
+    std::atomic<bool> &token_;
+    Cycle at_;
+};
+
+/** One CTA of four warps, each missing on one line before a dependent
+ *  FFMA: after issue the SM sleeps for a whole DRAM round trip. */
+KernelInfo
+dramWaitKernel()
+{
+    CtaTrace cta;
+    for (uint32_t w = 0; w < 4; ++w) {
+        TraceBuilder tb(32);
+        tb.memStrided(Opcode::LDG, 4, 0x40000 + 0x10000 * w, 4, 4,
+                      DataClass::Compute);
+        tb.alu(Opcode::FFMA, 5, 4, 4);
+        tb.exit();
+        cta.warps.push_back(tb.take());
+    }
+    KernelInfo k;
+    k.name = "dram-wait";
+    k.grid = {1, 1, 1};
+    k.cta = {128, 1, 1};
+    k.regsPerThread = 32;
+    k.source = std::make_shared<VectorCtaSource>(
+        std::vector<CtaTrace>{std::move(cta)});
+    return k;
+}
+
+GpuConfig
+oneSmGpu()
+{
+    GpuConfig cfg = smallGpu();
+    cfg.numSms = 1;
+    cfg.finalize();
+    return cfg;
+}
+
+TEST(EarlyStop, CappedAndCancelledRunsCountSleepingCyclesExactly)
+{
+    Gpu full(oneSmGpu());
+    full.enqueueKernel(full.createStream("compute"), dramWaitKernel());
+    ASSERT_TRUE(full.run().completed);
+    const Cycle launch = full.stats().stream(0).firstCycle;
+    ASSERT_GT(launch, 0u);
+    // Stop well inside the DRAM wait.
+    const Cycle stop_at = launch + 150;
+    ASSERT_LT(stop_at, full.stats().stream(0).lastCycle);
+
+    auto check_stopped = [&](Gpu &gpu, const Gpu::RunResult &r) {
+        ASSERT_FALSE(r.completed);
+        ASSERT_EQ(r.cycles, stop_at);
+        // The SM slept through the stop: it had nothing to issue.
+        EXPECT_GT(gpu.sm(0).activeWarps(), 0u);
+        EXPECT_FALSE(gpu.sm(0).due(stop_at + 1));
+        // Live from the launch cycle through the stop cycle.
+        EXPECT_EQ(gpu.stats().stream(0).cycles, stop_at - launch + 1);
+        // Resuming finishes exactly as the uninterrupted run did.
+        ASSERT_TRUE(gpu.run().completed);
+        EXPECT_EQ(gpu.now(), full.now());
+        EXPECT_EQ(statsDump(gpu.stats()), statsDump(full.stats()));
+    };
+
+    Gpu capped(oneSmGpu());
+    capped.enqueueKernel(capped.createStream("compute"), dramWaitKernel());
+    const Gpu::RunResult rc = capped.run(stop_at);
+    // The capped run also jumped over cycles its warps were live in (the
+    // cancelling controller keeps the other run from jumping at all).
+    EXPECT_GT(capped.fastForwardCycles(), 0u);
+    check_stopped(capped, rc);
+
+    Gpu cancelled(oneSmGpu());
+    cancelled.enqueueKernel(cancelled.createStream("compute"),
+                            dramWaitKernel());
+    std::atomic<bool> cancel{false};
+    CancelAt controller(cancel, stop_at);
+    cancelled.addController(&controller);
+    integrity::RunOptions opts;
+    opts.cancel = &cancel;
+    const Gpu::RunResult rx = cancelled.run(~0ull, opts);
+    EXPECT_TRUE(rx.cancelled);
+    cancel.store(false);
+    check_stopped(cancelled, rx);
 }
 
 // ---------------------------------------------------------------------

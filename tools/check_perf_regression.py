@@ -5,7 +5,10 @@ Usage:
     tools/check_perf_regression.py BENCH_engine.json BENCH_engine_throughput.json
 
 Compares the fresh run's threads=1 cycles_per_sec (per num_sms config)
-against the most recent entry of the checked-in trajectory. Fails (exit 1)
+against the newest trajectory entry recorded on a host with the same
+host_cores as the fresh run, so a 4-core runner is never gated against
+1-core numbers. When no entry matches it warns and falls back to the
+newest entry. It prints the label of the entry it used. Fails (exit 1)
 if any config regressed by more than the tolerance (default 15%, override
 with CRISP_PERF_TOLERANCE=0.25 etc.).
 
@@ -32,6 +35,17 @@ def single_thread_rates(configs):
     return rates
 
 
+def pick_reference(trajectory, host_cores):
+    """Newest entry whose host_cores equals @host_cores, else the newest
+    entry with a warning on stderr."""
+    for entry in reversed(trajectory):
+        if host_cores is not None and entry.get("host_cores") == host_cores:
+            return entry
+    print(f"warning: no trajectory entry has host_cores={host_cores}; "
+          f"falling back to the newest entry", file=sys.stderr)
+    return trajectory[-1]
+
+
 def main():
     if len(sys.argv) != 3:
         print(__doc__.strip(), file=sys.stderr)
@@ -45,7 +59,7 @@ def main():
     if not trajectory:
         print(f"{sys.argv[1]}: no trajectory entries", file=sys.stderr)
         return 2
-    reference = trajectory[-1]
+    reference = pick_reference(trajectory, fresh_doc.get("host_cores"))
     ref_rates = single_thread_rates(reference.get("configs", []))
     new_rates = single_thread_rates(fresh_doc.get("configs", []))
     if not ref_rates or not new_rates:
@@ -55,6 +69,8 @@ def main():
 
     tolerance = float(os.environ.get("CRISP_PERF_TOLERANCE", "0.15"))
     label = reference.get("label", "latest")
+    print(f"reference: trajectory entry '{label}' "
+          f"(host_cores={reference.get('host_cores')})")
     failed = False
     for num_sms, ref in sorted(ref_rates.items()):
         new = new_rates.get(num_sms)
