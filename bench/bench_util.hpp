@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,8 +14,7 @@
 #include "common/table.hpp"
 #include "gpu/gpu.hpp"
 #include "graphics/pipeline.hpp"
-#include "partition/tap.hpp"
-#include "partition/warped_slicer.hpp"
+#include "partition/scheme.hpp"
 #include "telemetry/sink.hpp"
 #include "traceio/cache.hpp"
 #include "workloads/cached.hpp"
@@ -189,29 +187,6 @@ buildComputeByName(const std::string &name, AddressSpace &heap)
     fatal("unknown compute workload %s", name.c_str());
 }
 
-/** Partitioning scheme for a rendering+compute pair run. */
-enum class PairScheme
-{
-    MpsEven,          ///< Inter-SM split, shared L2 (baseline).
-    MigEven,          ///< Inter-SM split + bank-partitioned L2.
-    FgEven,           ///< Intra-SM static even quotas ("EVEN").
-    FgWarpedSlicer,   ///< Intra-SM with Warped-Slicer dynamic quotas.
-    MpsTap,           ///< MPS + TAP set-partitioned L2.
-};
-
-inline const char *
-pairSchemeName(PairScheme s)
-{
-    switch (s) {
-      case PairScheme::MpsEven: return "MPS";
-      case PairScheme::MigEven: return "MiG";
-      case PairScheme::FgEven: return "EVEN";
-      case PairScheme::FgWarpedSlicer: return "Dynamic";
-      case PairScheme::MpsTap: return "TAP";
-      default: return "?";
-    }
-}
-
 /** Outcome of one concurrent rendering+compute run. */
 struct PairResult
 {
@@ -250,11 +225,11 @@ runGraphicsAlone(const std::string &scene_name, const GpuConfig &gpu_cfg,
 /**
  * Run one rendering scene concurrently with one compute workload under a
  * partitioning scheme and return the makespan and per-stream stats.
- * Optional controllers (samplers) are attached before the run.
+ * Optional controllers (samplers) are attached after the scheme's own.
  */
 inline PairResult
 runPair(const std::string &scene_name, const std::string &compute_name,
-        const GpuConfig &gpu_cfg, PairScheme scheme, uint32_t width,
+        const GpuConfig &gpu_cfg, PartitionScheme scheme, uint32_t width,
         uint32_t height,
         const std::function<void(Gpu &, StreamId, StreamId)> &attach = {})
 {
@@ -279,39 +254,8 @@ runPair(const std::string &scene_name, const std::string &compute_name,
         gpu.enqueueKernel(cmp, k);
     }
 
-    PartitionConfig part;
-    switch (scheme) {
-      case PairScheme::MpsEven:
-      case PairScheme::MpsTap:
-        part.policy = PartitionPolicy::Mps;
-        break;
-      case PairScheme::MigEven:
-        part.policy = PartitionPolicy::Mig;
-        break;
-      case PairScheme::FgEven:
-      case PairScheme::FgWarpedSlicer:
-        part.policy = PartitionPolicy::FineGrained;
-        part.priorityStream = gfx;
-        break;
-    }
-    gpu.setPartition(part);
-
-    std::unique_ptr<WarpedSlicer> slicer;
-    if (scheme == PairScheme::FgWarpedSlicer) {
-        WarpedSlicerConfig wc;
-        wc.streamA = gfx;
-        wc.streamB = cmp;
-        slicer = std::make_unique<WarpedSlicer>(wc);
-        gpu.addController(slicer.get());
-    }
-    std::unique_ptr<TapController> tap;
-    if (scheme == PairScheme::MpsTap) {
-        TapConfig tc;
-        tc.gfxStream = gfx;
-        tc.computeStream = cmp;
-        tap = std::make_unique<TapController>(tc, gpu);
-        gpu.addController(tap.get());
-    }
+    const SchemeControllers controllers =
+        applyPartitionScheme(gpu, scheme, gfx, cmp);
     if (attach) {
         attach(gpu, gfx, cmp);
     }
@@ -319,7 +263,7 @@ runPair(const std::string &scene_name, const std::string &compute_name,
     const auto r = runAudited(gpu, 4'000'000'000ull);
     fatal_if(!r.completed, "pair %s+%s under %s did not drain",
              scene_name.c_str(), compute_name.c_str(),
-             pairSchemeName(scheme));
+             partitionSchemeName(scheme));
     PairResult out;
     out.makespan = r.cycles;
     out.gfxFinish = gpu.streamFinishCycle(gfx);

@@ -27,9 +27,9 @@ main()
     const uint32_t h = 360;
     const std::vector<std::string> scenes = {"SPH", "PL", "MT"};
     const std::vector<std::string> computes = {"VIO", "HOLO", "NN"};
-    const std::vector<PairScheme> schemes = {
-        PairScheme::MpsEven, PairScheme::FgEven,
-        PairScheme::FgWarpedSlicer};
+    const std::vector<PartitionScheme> schemes = {
+        PartitionScheme::Mps, PartitionScheme::Fg,
+        PartitionScheme::FgSlicer};
 
     // Alone-run baselines for the STP metric.
     std::map<std::string, double> gfx_alone;
@@ -55,14 +55,14 @@ main()
 
     for (const auto &scene : scenes) {
         for (const auto &cmp : computes) {
-            std::map<PairScheme, double> stp;
+            std::map<PartitionScheme, double> stp;
             double even_makespan = 0.0;
-            for (PairScheme scheme : schemes) {
+            for (PartitionScheme scheme : schemes) {
                 // Trace the Dynamic runs: the slicer emits a Repartition
                 // event per quota change, giving a cheap sanity count of
                 // how often the sampled optimum actually moved.
                 telemetry::TelemetrySink sink;
-                const bool traced = scheme == PairScheme::FgWarpedSlicer;
+                const bool traced = scheme == PartitionScheme::FgSlicer;
                 const PairResult r = runPair(
                     scene, cmp, gpu_cfg, scheme, w, h,
                     [&](Gpu &gpu, StreamId, StreamId) {
@@ -77,7 +77,7 @@ main()
                 stp[scheme] =
                     gfx_alone[scene] / static_cast<double>(r.gfxFinish) +
                     cmp_alone[cmp] / static_cast<double>(r.cmpFinish);
-                if (scheme == PairScheme::FgEven) {
+                if (scheme == PartitionScheme::Fg) {
                     even_makespan = static_cast<double>(r.makespan);
                 }
             }
@@ -85,19 +85,19 @@ main()
             const double serial_speedup =
                 (gfx_alone[scene] + cmp_alone[cmp]) / even_makespan;
             const double even_speed =
-                stp[PairScheme::FgEven] / stp[PairScheme::MpsEven];
+                stp[PartitionScheme::Fg] / stp[PartitionScheme::Mps];
             const double dyn_speed =
-                stp[PairScheme::FgWarpedSlicer] /
-                stp[PairScheme::MpsEven];
+                stp[PartitionScheme::FgSlicer] /
+                stp[PartitionScheme::Mps];
             even_rel.push_back(even_speed);
             dyn_rel.push_back(dyn_speed);
             even_by_compute[cmp] += even_speed;
             serial_by_compute[cmp] += serial_speedup;
             count_by_compute[cmp]++;
             t.addRow({scene + "+" + cmp,
-                      Table::num(stp[PairScheme::MpsEven], 2),
-                      Table::num(stp[PairScheme::FgEven], 2),
-                      Table::num(stp[PairScheme::FgWarpedSlicer], 2),
+                      Table::num(stp[PartitionScheme::Mps], 2),
+                      Table::num(stp[PartitionScheme::Fg], 2),
+                      Table::num(stp[PartitionScheme::FgSlicer], 2),
                       Table::num(even_speed, 2),
                       Table::num(dyn_speed, 2),
                       Table::num(serial_speedup, 2)});

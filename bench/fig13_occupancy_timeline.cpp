@@ -22,7 +22,7 @@ main()
 
     telemetry::TelemetrySink sink = makeSamplingSink(500);
     const PairResult result = runPair(
-        "PT", "VIO", GpuConfig::jetsonOrin(), PairScheme::FgWarpedSlicer,
+        "PT", "VIO", GpuConfig::jetsonOrin(), PartitionScheme::FgSlicer,
         480, 270,
         [&](Gpu &gpu, StreamId, StreamId) {
             gpu.setTelemetry(&sink);

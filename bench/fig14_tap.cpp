@@ -30,16 +30,16 @@ main()
     for (const auto &scene : scenes) {
         for (const auto &cmp : computes) {
             const Cycle mps =
-                runPair(scene, cmp, gpu_cfg, PairScheme::MpsEven, 480, 270)
+                runPair(scene, cmp, gpu_cfg, PartitionScheme::Mps, 480, 270)
                     .makespan;
             const Cycle mig =
-                runPair(scene, cmp, gpu_cfg, PairScheme::MigEven, 480, 270)
+                runPair(scene, cmp, gpu_cfg, PartitionScheme::Mig, 480, 270)
                     .makespan;
             // Trace the TAP runs: the controller emits a TapWindow event
             // per window boundary where it re-evaluates the set split.
             telemetry::TelemetrySink sink;
             const Cycle tap =
-                runPair(scene, cmp, gpu_cfg, PairScheme::MpsTap, 480, 270,
+                runPair(scene, cmp, gpu_cfg, PartitionScheme::MpsTap, 480, 270,
                         [&](Gpu &gpu, StreamId, StreamId) {
                             gpu.setTelemetry(&sink);
                         })

@@ -20,7 +20,7 @@ main()
 
     telemetry::TelemetrySink sink = makeSamplingSink(2000);
     const PairResult result = runPair(
-        "SPH", "HOLO", GpuConfig::rtx3070(), PairScheme::MpsTap, 480, 270,
+        "SPH", "HOLO", GpuConfig::rtx3070(), PartitionScheme::MpsTap, 480, 270,
         [&](Gpu &gpu, StreamId, StreamId) {
             gpu.setTelemetry(&sink);
         });

@@ -6,19 +6,16 @@
  * on one GPU preset, or on several GPUs joined by an inter-GPU fabric —
  * through the cycle-level simulation and prints (optionally CSV-dumps)
  * per-stream statistics: the front door a user points their own
- * experiments at. One GPU and many run through the same run loop, which
- * always jumps over cycles in which nothing anywhere in the machine can
- * happen.
+ * experiments at. The file states the whole experiment, partitioning
+ * included (gpu.partition on one GPU, gpu.placement on several). One
+ * GPU and many run through the same run loop, which always jumps over
+ * cycles in which nothing anywhere in the machine can happen.
  *
  * Usage:
  *   crisp_sim --scenario FILE [options]
  *     --scenario FILE   the workload: a scenario JSON file (required;
  *                       see scenarios/ and "Scenario files" in
  *                       docs/ARCHITECTURE.md)
- *     --policy NAME     exhaustive|mps|mig|fg|fg-slicer|mps-tap
- *                       (default exhaustive; one-GPU scenarios only, a
- *                       multi-GPU scenario's placement decides)
- *     --share F         graphics resource share under fg (default 0.5)
  *     --image FILE      dump the rendered frame as PPM
  *     --csv FILE        dump per-stream stats as CSV
  *     --kernels         print the per-kernel execution log
@@ -31,10 +28,15 @@
  *     --profile         print the simulator's wall-clock self-profile
  *     --threads N       worker threads stepping SM shards    (default 1)
  *     --quiet           suppress the banner
+ *
+ * Every N is a whole decimal number; anything else ("1e6", "-1", "4k")
+ * is rejected with the flag's name.
  */
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,8 +46,6 @@
 #include "gpu/gpu.hpp"
 #include "gpu/machine.hpp"
 #include "mgpu/multi_gpu.hpp"
-#include "partition/tap.hpp"
-#include "partition/warped_slicer.hpp"
 #include "scenario/build.hpp"
 #include "scenario/scenario.hpp"
 #include "telemetry/chrome_trace.hpp"
@@ -59,9 +59,6 @@ namespace
 struct Options
 {
     std::string scenario;
-    std::string policy = "exhaustive";
-    double share = 0.5;
-    bool partitionSet = false;  ///< --policy or --share given.
     std::string image;
     std::string csv;
     bool kernels = false;
@@ -75,6 +72,19 @@ struct Options
     bool quiet = false;
 };
 
+/** @p text as a whole decimal number; anything else is fatal. */
+template <typename T>
+T
+wholeNumber(const char *flag, const char *text)
+{
+    T value = 0;
+    const char *end = text + std::strlen(text);
+    const auto [stop, ec] = std::from_chars(text, end, value);
+    fatal_if(ec != std::errc() || stop != end,
+             "%s needs a whole decimal number, got \"%s\"", flag, text);
+    return value;
+}
+
 Options
 parseArgs(int argc, char **argv)
 {
@@ -87,12 +97,6 @@ parseArgs(int argc, char **argv)
         const std::string a = argv[i];
         if (a == "--scenario") {
             opt.scenario = need(i);
-        } else if (a == "--policy") {
-            opt.policy = need(i);
-            opt.partitionSet = true;
-        } else if (a == "--share") {
-            opt.share = std::atof(need(i));
-            opt.partitionSet = true;
         } else if (a == "--image") {
             opt.image = need(i);
         } else if (a == "--csv") {
@@ -102,16 +106,16 @@ parseArgs(int argc, char **argv)
         } else if (a == "--trace") {
             opt.trace = need(i);
         } else if (a == "--max-cycles") {
-            opt.maxCycles = static_cast<Cycle>(std::atoll(need(i)));
+            opt.maxCycles = wholeNumber<Cycle>("--max-cycles", need(i));
             opt.maxCyclesSet = true;
         } else if (a == "--sample") {
-            opt.sample = static_cast<Cycle>(std::atoll(need(i)));
+            opt.sample = wholeNumber<Cycle>("--sample", need(i));
         } else if (a == "--timeline") {
             opt.timeline = need(i);
         } else if (a == "--profile") {
             opt.profile = true;
         } else if (a == "--threads") {
-            opt.threads = static_cast<uint32_t>(std::atoi(need(i)));
+            opt.threads = wholeNumber<uint32_t>("--threads", need(i));
         } else if (a == "--quiet") {
             opt.quiet = true;
         } else if (a == "--help" || a == "-h") {
@@ -126,54 +130,6 @@ parseArgs(int argc, char **argv)
     return opt;
 }
 
-/** Controllers a --policy attaches; they must outlive the run. */
-struct PolicyControllers
-{
-    std::unique_ptr<WarpedSlicer> slicer;
-    std::unique_ptr<TapController> tap;
-};
-
-/** Partition a one-GPU machine between @p gfx and @p cmp per --policy. */
-void
-applyPolicy(const Options &opt, Gpu &gpu, StreamId gfx, StreamId cmp,
-            PolicyControllers &controllers)
-{
-    PartitionConfig part;
-    if (opt.policy == "exhaustive") {
-        part.policy = PartitionPolicy::Exhaustive;
-    } else if (opt.policy == "mps" || opt.policy == "mps-tap") {
-        part.policy = PartitionPolicy::Mps;
-    } else if (opt.policy == "mig") {
-        part.policy = PartitionPolicy::Mig;
-    } else if (opt.policy == "fg" || opt.policy == "fg-slicer") {
-        part.policy = PartitionPolicy::FineGrained;
-        if (gfx != kInvalidStream) {
-            part.share[gfx] = opt.share;
-            part.priorityStream = gfx;
-        }
-    } else {
-        fatal("unknown policy %s", opt.policy.c_str());
-    }
-    gpu.setPartition(part);
-    if (gfx == kInvalidStream || cmp == kInvalidStream) {
-        return;
-    }
-    if (opt.policy == "fg-slicer") {
-        WarpedSlicerConfig wc;
-        wc.streamA = gfx;
-        wc.streamB = cmp;
-        controllers.slicer = std::make_unique<WarpedSlicer>(wc);
-        gpu.addController(controllers.slicer.get());
-    }
-    if (opt.policy == "mps-tap") {
-        TapConfig tc;
-        tc.gfxStream = gfx;
-        tc.computeStream = cmp;
-        controllers.tap = std::make_unique<TapController>(tc, gpu);
-        gpu.addController(controllers.tap.get());
-    }
-}
-
 const char *
 placementName(scenario::Placement p)
 {
@@ -185,16 +141,13 @@ placementName(scenario::Placement p)
 /**
  * Build the scenario's machine, run it and report. One GPU and many
  * differ only in how the devices are built and the work submitted: a
- * lone Gpu partitioned by --policy, or a MultiGpu whose scenario
- * placement decides the partitioning.
+ * lone Gpu partitioned by gpu.partition, or a MultiGpu partitioned by
+ * gpu.placement.
  */
 int
 simulate(const Options &opt, const scenario::Scenario &scn)
 {
     const uint32_t num_gpus = scn.gpu.numGpus;
-    fatal_if(num_gpus > 1 && opt.partitionSet,
-             "--policy/--share do not apply to a multi-GPU scenario: its "
-             "gpu.placement decides partitioning");
     GpuConfig cfg = scenario::gpuConfigFor(scn);
     cfg.engine.threads = opt.threads;
 
@@ -236,9 +189,9 @@ simulate(const Options &opt, const scenario::Scenario &scn)
     scenario::Materialized mat;
     scenario::MultiSubmitResult sr;
     AddressSpace heap;
-    PolicyControllers controllers;
     std::string machine_name = cfg.name;
-    std::string partition = "policy=" + opt.policy;
+    std::string partition =
+        std::string("partition=") + partitionSchemeName(scn.gpu.partition);
     if (multi) {
         sr = scenario::submitScenarioMulti(scn, *multi, mat);
         machine_name = std::to_string(num_gpus) + " x " + cfg.name;
@@ -249,7 +202,6 @@ simulate(const Options &opt, const scenario::Scenario &scn)
             scenario::submitScenario(scn, *lone, heap, mat);
         sr.gfx = one.gfx;
         sr.cmp = one.cmp;
-        applyPolicy(opt, *lone, sr.gfx, sr.cmp, controllers);
     }
 
     if (!opt.quiet) {

@@ -326,16 +326,17 @@ enqueueExplicit(Gpu &gpu, StreamId cmp, const ComputeDesc &cd,
 
 /**
  * The submission sequence both public entry points share: scene and
- * pipeline, graphics stream, compute stream, every frame, then the
- * compute work. The graphics side lands on devices[r.gfxDevice] and
- * allocates from heaps[r.gfxDevice], the compute side likewise on
- * r.cmpDevice; a buffer's own "device" field homes it in that device's
- * heap instead. Fills r.gfx and r.cmp.
+ * pipeline, graphics stream, compute stream, every frame, the compute
+ * work, then @p scheme on the device both streams share (if they do).
+ * The graphics side lands on devices[r.gfxDevice] and allocates from
+ * heaps[r.gfxDevice], the compute side likewise on r.cmpDevice; a
+ * buffer's own "device" field homes it in that device's heap instead.
+ * Fills r.gfx and r.cmp.
  */
 void
 submitOn(const Scenario &sc, const std::vector<Gpu *> &devices,
-         std::span<AddressSpace> heaps, MultiSubmitResult &r,
-         Materialized &out)
+         std::span<AddressSpace> heaps, PartitionScheme scheme,
+         MultiSubmitResult &r, Materialized &out)
 {
     Gpu &ggpu = *devices[r.gfxDevice];
     AddressSpace &gheap = heaps[r.gfxDevice];
@@ -361,27 +362,28 @@ submitOn(const Scenario &sc, const std::vector<Gpu *> &devices,
         submitFrame(ggpu, r.gfx, out.frames.back(),
                     sc.graphics.fixedFunctionDelay);
     }
-    if (r.cmp == kInvalidStream) {
-        return;
-    }
     const ComputeDesc &cd = sc.compute;
     AddressSpace &cheap = heaps[r.cmpDevice];
-    if (!cd.preset.empty()) {
+    if (r.cmp != kInvalidStream && !cd.preset.empty()) {
         // Preset workloads serialize in stream order.
         for (const KernelInfo &k :
              buildPresetCompute(cd, cheap, out.pipeline.get())) {
             cgpu.enqueueKernel(r.cmp, k);
         }
-        return;
+    } else if (r.cmp != kInvalidStream) {
+        const std::function<AddressSpace &(const BufferNode &)>
+            buffer_heap = [&](const BufferNode &b) -> AddressSpace & {
+            return heaps[b.device >= 0 ? static_cast<uint32_t>(b.device)
+                                       : r.cmpDevice];
+        };
+        enqueueExplicit(cgpu, r.cmp, cd,
+                        buildExplicitKernels(cd, cheap, out.pipeline.get(),
+                                             buffer_heap));
     }
-    const std::function<AddressSpace &(const BufferNode &)> buffer_heap =
-        [&](const BufferNode &b) -> AddressSpace & {
-        return heaps[b.device >= 0 ? static_cast<uint32_t>(b.device)
-                                   : r.cmpDevice];
-    };
-    enqueueExplicit(cgpu, r.cmp, cd,
-                    buildExplicitKernels(cd, cheap, out.pipeline.get(),
-                                         buffer_heap));
+    if (r.gfxDevice == r.cmpDevice) {
+        out.controllers =
+            applyPartitionScheme(cgpu, scheme, r.gfx, r.cmp);
+    }
 }
 
 } // namespace
@@ -415,7 +417,8 @@ submitScenario(const Scenario &sc, Gpu &gpu, AddressSpace &heap,
                Materialized &out)
 {
     MultiSubmitResult r;
-    submitOn(sc, {&gpu}, std::span<AddressSpace>(&heap, 1), r, out);
+    submitOn(sc, {&gpu}, std::span<AddressSpace>(&heap, 1),
+             sc.gpu.partition, r, out);
     return {r.gfx, r.cmp};
 }
 
@@ -425,17 +428,17 @@ submitScenarioMulti(const Scenario &sc, mgpu::MultiGpu &mgpu,
 {
     const uint32_t n = mgpu.config().numGpus;
     MultiSubmitResult r;
-    PartitionPolicy policy = PartitionPolicy::Exhaustive;
+    PartitionScheme scheme = PartitionScheme::Exhaustive;
     switch (sc.gpu.placement) {
     case Placement::Split:
         r.gfxDevice = 0;
         r.cmpDevice = 1;
         break;
     case Placement::Colocated:
-        policy = PartitionPolicy::Mps;
+        scheme = PartitionScheme::Mps;
         break;
     case Placement::Mig:
-        policy = PartitionPolicy::Mig;
+        scheme = PartitionScheme::Mig;
         break;
     }
     if (sc.graphics.device >= 0) {
@@ -446,6 +449,13 @@ submitScenarioMulti(const Scenario &sc, mgpu::MultiGpu &mgpu,
     }
     fatal_if(r.gfxDevice >= n || r.cmpDevice >= n,
              "scenario stream device out of range");
+    // Placement implies partitioning when both streams share a device:
+    // colocated = mps (even SM split), mig = mig (SM split + L2 bank
+    // masks). A lone stream, or streams on split devices, keep the
+    // whole device.
+    if (!sc.graphics.present || !sc.compute.present) {
+        scheme = PartitionScheme::Exhaustive;
+    }
 
     // One heap per device, each at the single-GPU layout's local base
     // offset into that device's address window — addresses outlive the
@@ -457,19 +467,7 @@ submitScenarioMulti(const Scenario &sc, mgpu::MultiGpu &mgpu,
         devices.push_back(&mgpu.device(d));
         heaps.push_back(mgpu.heapFor(d));
     }
-    submitOn(sc, devices, heaps, r, out);
-
-    // Placement implies partitioning when both streams share a device:
-    // colocated = MPS (even SM split), mig = MiG (SM split + L2 bank
-    // masks). Split devices keep the Exhaustive default — each stream
-    // owns its device outright.
-    if (policy != PartitionPolicy::Exhaustive &&
-        r.gfxDevice == r.cmpDevice && r.gfx != kInvalidStream &&
-        r.cmp != kInvalidStream) {
-        PartitionConfig part;
-        part.policy = policy;
-        mgpu.device(r.gfxDevice).setPartition(part);
-    }
+    submitOn(sc, devices, heaps, scheme, r, out);
     return r;
 }
 

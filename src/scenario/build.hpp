@@ -8,6 +8,7 @@
 #include "gpu/gpu.hpp"
 #include "graphics/pipeline.hpp"
 #include "mgpu/multi_gpu.hpp"
+#include "partition/scheme.hpp"
 #include "scenario/scenario.hpp"
 
 namespace crisp::scenario
@@ -19,13 +20,15 @@ GpuConfig gpuConfigFor(const Scenario &sc);
 /**
  * Everything the enqueued kernels reference — the scene (trace generators
  * sample its textures at replay time), the pipeline and the functional
- * frame reports. Must outlive the Gpu::run that replays the kernels.
+ * frame reports — plus the controllers the partition scheme attached.
+ * Must outlive the Gpu::run that replays the kernels.
  */
 struct Materialized
 {
     std::vector<std::unique_ptr<Scene>> scenes;
     std::unique_ptr<RenderPipeline> pipeline;
     std::vector<RenderSubmission> frames;
+    SchemeControllers controllers;
 };
 
 /** Stream ids the scenario's work landed on (kInvalidStream = no side). */
@@ -48,8 +51,9 @@ struct SubmitResult
  * functional rendering is timed on it (Component::Raster); attach the
  * sink before calling this.
  *
- * Partitioning is not part of the scenario (callers pick the policy);
- * call Gpu::setPartition after this returns.
+ * Once the work is enqueued, gpu.partition is applied through
+ * applyPartitionScheme (exhaustive included); its controllers live in
+ * @p out.
  */
 SubmitResult submitScenario(const Scenario &sc, Gpu &gpu,
                             AddressSpace &heap, Materialized &out);
@@ -69,14 +73,14 @@ struct MultiSubmitResult
  *
  * The gpu.placement knob resolves each stream to a device — split puts
  * graphics on device 0 and compute on device 1, colocated/mig put both
- * on device 0 (with the matching MPS/MiG partition applied) — and
- * per-stream "device" fields override it. Graphics resources allocate
- * from the graphics device's heap window, compute buffers from the
- * compute device's, and a buffer's own "device" field overrides that;
- * a buffer homed away from the stream that touches it makes every L1
- * miss a remote access over the inter-GPU fabric. The submission
- * sequence, and the raster self-profile on the graphics device, are
- * submitScenario's.
+ * on device 0 (partitioned by the mps/mig scheme when both streams
+ * exist) — and per-stream "device" fields override it. Graphics
+ * resources allocate from the graphics device's heap window, compute
+ * buffers from the compute device's, and a buffer's own "device" field
+ * overrides that; a buffer homed away from the stream that touches it
+ * makes every L1 miss a remote access over the inter-GPU fabric. The
+ * submission sequence, and the raster self-profile on the graphics
+ * device, are submitScenario's.
  */
 MultiSubmitResult submitScenarioMulti(const Scenario &sc,
                                       mgpu::MultiGpu &mgpu,

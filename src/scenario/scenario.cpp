@@ -879,11 +879,13 @@ loadScenarioText(const std::string &text, const std::string &file_label,
     if (c.ok && out.name.empty()) {
         return c.fail(doc, "scenario needs a non-empty \"name\"");
     }
+    const Json *partition = nullptr;
     if (const Json *gpu = doc.find("gpu")) {
         if (!gpu->isObject()) {
             return c.fail(*gpu, "\"gpu\" must be an object");
         }
-        c.checkKeys(*gpu, {"preset", "num_sms", "num_gpus", "placement"});
+        c.checkKeys(*gpu, {"preset", "num_sms", "num_gpus", "placement",
+                           "partition"});
         if (gpu->find("preset")) {
             c.getChoice(*gpu, "preset", out.gpu.preset,
                         {"rtx3070", "orin"});
@@ -906,6 +908,21 @@ loadScenarioText(const std::string &text, const std::string &file_label,
                                            ? Placement::Colocated
                                            : Placement::Mig);
         }
+        if ((partition = gpu->find("partition"))) {
+            if (out.gpu.numGpus > 1) {
+                return c.fail(*partition,
+                              "\"partition\" needs num_gpus == 1 (a "
+                              "multi-GPU scenario's placement decides)");
+            }
+            std::string name;
+            c.getString(*gpu, "partition", name);
+            if (c.ok && !parsePartitionScheme(name, out.gpu.partition)) {
+                return c.fail(*partition,
+                              "partition must be one of " +
+                                  partitionSchemeNames() + ", got \"" +
+                                  name + "\"");
+            }
+        }
         if (!c.ok) {
             return false;
         }
@@ -924,6 +941,14 @@ loadScenarioText(const std::string &text, const std::string &file_label,
     if (!out.graphics.present && !out.compute.present) {
         return c.fail(doc, "scenario needs a \"graphics\" and/or "
                            "\"compute\" section");
+    }
+    if (out.gpu.partition != PartitionScheme::Exhaustive &&
+        !(out.graphics.present && out.compute.present)) {
+        return c.fail(*partition,
+                      std::string("partition \"") +
+                          partitionSchemeName(out.gpu.partition) +
+                          "\" needs both a \"graphics\" and a "
+                          "\"compute\" section");
     }
     if (!c.ok) {
         return false;

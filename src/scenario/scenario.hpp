@@ -7,6 +7,7 @@
 
 #include "common/types.hpp"
 #include "graphics/vec.hpp"
+#include "partition/scheme.hpp"
 
 namespace crisp::scenario
 {
@@ -242,6 +243,9 @@ struct GpuDesc
     uint32_t numGpus = 1;
     /** Stream dispatch across devices (num_gpus > 1 only). */
     Placement placement = Placement::Split;
+    /** How graphics and compute share the device (num_gpus == 1 only;
+     *  any scheme but exhaustive needs both sides). */
+    PartitionScheme partition = PartitionScheme::Exhaustive;
 };
 
 struct Scenario

@@ -14,6 +14,8 @@
 #include "graphics/mesh.hpp"
 #include "graphics/pipeline.hpp"
 #include "integrity/report.hpp"
+#include "partition/tap.hpp"
+#include "partition/warped_slicer.hpp"
 #include "scenario/build.hpp"
 #include "scenario/scenario.hpp"
 #include "telemetry/sink.hpp"
@@ -206,6 +208,20 @@ TEST(ScenarioLoader, RejectsWithStructuredDiagnostics)
         {R"({"crisp_scenario":1,"name":"x","gpu":{"preset":"rtx3070",
              "num_sms":4,"num_sms":0},"compute":{"preset":"VIO"}})",
          "duplicate key \"num_sms\""},
+        {R"({"crisp_scenario":1,"name":"x","gpu":{"partition":"tap"},
+             "graphics":{"preset":"SPL"},"compute":{"preset":"VIO"}})",
+         "partition must be one of exhaustive|mps|mig|fg|fg-slicer|"
+         "mps-tap"},
+        {R"({"crisp_scenario":1,"name":"x","gpu":{"num_gpus":2,
+             "partition":"mps"},"graphics":{"preset":"SPL"},
+             "compute":{"preset":"VIO"}})",
+         "\"partition\" needs num_gpus == 1"},
+        {R"({"crisp_scenario":1,"name":"x","gpu":{"partition":"fg-slicer"},
+             "compute":{"preset":"VIO"}})",
+         "partition \"fg-slicer\" needs both"},
+        {R"({"crisp_scenario":1,"name":"x","gpu":{"partition":"mps-tap"},
+             "graphics":{"preset":"SPL"}})",
+         "partition \"mps-tap\" needs both"},
     };
     for (const Case &c : cases) {
         Scenario sc;
@@ -357,6 +373,95 @@ INSTANTIATE_TEST_SUITE_P(
         const std::string file = info.param.file;
         std::string name = file.substr(0, file.find('.'));
         name.erase(std::remove(name.begin(), name.end(), '_'), name.end());
+        return name;
+    });
+
+// --- Partitioning from the scenario file -----------------------------------
+
+/** A small rendering+compute pair on four SMs, long enough (~56k
+ *  cycles) to cross TAP's first 50k-cycle epoch; @p gpu_extra is
+ *  spliced into the "gpu" object. */
+std::string
+smallPairText(const std::string &gpu_extra)
+{
+    return R"({"crisp_scenario":1,"name":"small-pair",
+        "gpu":{"preset":"rtx3070","num_sms":4)" +
+           gpu_extra + R"(},
+        "graphics":{"preset":"SPL","width":128,"height":72},
+        "compute":{"preset":"VIO","frames":2,"width":160,"height":120}})";
+}
+
+class ScenarioPartition : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(ScenarioPartition, MatchesTheHandAttachedPartition)
+{
+    const std::string name = GetParam();
+
+    // gpu.partition names the scheme.
+    const Scenario with =
+        loadTextOrDie(smallPairText(R"(,"partition":")" + name + "\""));
+    Gpu a(scenario::gpuConfigFor(with));
+    AddressSpace heap_a;
+    scenario::Materialized mat_a;
+    const scenario::SubmitResult sa =
+        scenario::submitScenario(with, a, heap_a, mat_a);
+    const auto run_a = a.run(8'000'000'000ull);
+    ASSERT_TRUE(run_a.completed);
+
+    // The same work, partitioned and controlled by hand.
+    const Scenario without = loadTextOrDie(smallPairText(""));
+    Gpu b(scenario::gpuConfigFor(without));
+    AddressSpace heap_b;
+    scenario::Materialized mat_b;
+    const scenario::SubmitResult sb =
+        scenario::submitScenario(without, b, heap_b, mat_b);
+    PartitionConfig part;
+    if (name == "mps" || name == "mps-tap") {
+        part.policy = PartitionPolicy::Mps;
+    } else if (name == "mig") {
+        part.policy = PartitionPolicy::Mig;
+    } else if (name == "fg" || name == "fg-slicer") {
+        part.policy = PartitionPolicy::FineGrained;
+        part.priorityStream = sb.gfx;
+    }
+    b.setPartition(part);
+    std::unique_ptr<WarpedSlicer> slicer;
+    if (name == "fg-slicer") {
+        WarpedSlicerConfig wc;
+        wc.streamA = sb.gfx;
+        wc.streamB = sb.cmp;
+        slicer = std::make_unique<WarpedSlicer>(wc);
+        b.addController(slicer.get());
+    }
+    std::unique_ptr<TapController> tap;
+    if (name == "mps-tap") {
+        TapConfig tc;
+        tc.gfxStream = sb.gfx;
+        tc.computeStream = sb.cmp;
+        tap = std::make_unique<TapController>(tc, b);
+        b.addController(tap.get());
+    }
+    const auto run_b = b.run(8'000'000'000ull);
+    ASSERT_TRUE(run_b.completed);
+
+    EXPECT_EQ(run_a.cycles, run_b.cycles);
+    expectStreamStatsIdentical(a.stats().stream(sa.gfx),
+                               b.stats().stream(sb.gfx));
+    expectStreamStatsIdentical(a.stats().stream(sa.cmp),
+                               b.stats().stream(sb.cmp));
+    EXPECT_EQ(mat_a.controllers.slicer != nullptr, slicer != nullptr);
+    EXPECT_EQ(mat_a.controllers.tap != nullptr, tap != nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, ScenarioPartition,
+    ::testing::Values("exhaustive", "mps", "mig", "fg", "fg-slicer",
+                      "mps-tap"),
+    [](const ::testing::TestParamInfo<const char *> &info) {
+        std::string name = info.param;
+        name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
         return name;
     });
 
