@@ -31,6 +31,9 @@ Sm::Sm(uint32_t sm_id, const SmConfig &cfg, MemFabricPort *fabric,
 {
     panic_if(fabric_ == nullptr || stats_ == nullptr,
              "SM requires a fabric port and stats registry");
+    fatal_if(cfg_.maxWarps > 64,
+             "maxWarps %u exceeds the 64 warp slots the park masks hold",
+             cfg_.maxWarps);
     fatal_if(cfg_.maxFabricRetriesPerCycle == 0,
              "maxFabricRetriesPerCycle must be at least 1: an unbounded "
              "retry drain lets one SM's backlog starve fresh requests");
@@ -69,6 +72,7 @@ Sm::refreshPriorityCaches()
 {
     // Priorities reorder issue and move the LDST limits.
     wakeCycle_ = 0;
+    ldstRoomParked_ = 0;
     for (WarpState &warp : warps_) {
         if (!warp.live) {
             continue;
@@ -556,6 +560,11 @@ Sm::issueMemory(WarpState &warp, const TraceInstr &instr, Cycle now)
             }
             ++pos;
         }
+        if (pos == ldstQueue_.begin()) {
+            // A new head: whatever parked the old one says nothing
+            // about this entry.
+            ldstParked_ = false;
+        }
         ldstQueue_.insert(pos, std::move(entry));
     } else {
         ldstQueue_.push_back(std::move(entry));
@@ -563,12 +572,23 @@ Sm::issueMemory(WarpState &warp, const TraceInstr &instr, Cycle now)
 }
 
 bool
+Sm::scoreboardHazard(const WarpState &warp, const TraceInstr &instr)
+{
+    if (instr.hasDst() && warp.pendingWrites.test(instr.dst)) {
+        return true;
+    }
+    for (uint8_t src : instr.srcs) {
+        if (src != kNoReg && warp.pendingWrites.test(src)) {
+            return true;
+        }
+    }
+    return false;
+}
+
+bool
 Sm::tryIssue(WarpState &warp, Cycle now, Cycle &wake)
 {
-    // A refused warp lowers @p wake to the cycle its blocker clears when
-    // that cycle is known here: an execution unit or the smem port
-    // freeing up. Warps at a barrier, on the scoreboard or behind a full
-    // LDST queue are woken by an issue, a writeback or an LDST grant.
+    // Warps at a barrier are woken by another warp's issue.
     if (!warp.live || warp.atBarrier || warp.pc >= warp.trace.instrs.size()) {
         return false;
     }
@@ -577,15 +597,9 @@ Sm::tryIssue(WarpState &warp, Cycle now, Cycle &wake)
     // Register scoreboard: stall on RAW and WAW hazards. Most warps have
     // no pending writes at all; one bitset sweep skips the per-operand
     // tests in that common case.
-    if (warp.pendingWrites.any()) {
-        if (instr.hasDst() && warp.pendingWrites.test(instr.dst)) {
-            return false;
-        }
-        for (uint8_t src : instr.srcs) {
-            if (src != kNoReg && warp.pendingWrites.test(src)) {
-                return false;
-            }
-        }
+    if (warp.pendingWrites.any() && scoreboardHazard(warp, instr)) {
+        scoreboardParked_ |= slotBit(warp.slot);
+        return false;
     }
 
     const OpClass cls = opcodeClass(instr.opcode);
@@ -641,6 +655,7 @@ Sm::tryIssue(WarpState &warp, Cycle now, Cycle &wake)
         // doing it here against the warp's cached limit keeps the
         // (overwhelmingly common) full-queue rejection to two loads.
         if (ldstQueue_.size() >= warp.ldstLimit) {
+            ldstRoomParked_ |= slotBit(warp.slot);
             return false;
         }
         issueMemory(warp, instr, now);
@@ -756,22 +771,21 @@ Sm::stepLdstOne(Cycle now)
         // never counts, so a parked store cannot inflate either counter.
         l1_.access(line, true, entry.stream, entry.cls, false);
         st.l1Accesses++;
+    } else if (loadRefused(line, entry.stream)) {
+        // The L1 refuses this load until memResponse or a new head.
+        ldstParked_ = true;
+        return LdstOutcome::Blocked;
     } else if (l1Mshr_.pending(line)) {
         // Load path through the unified L1: merge into a pending miss.
         const auto outcome = l1Mshr_.allocate(line, entry.tracker, now);
-        if (outcome == Mshr::Outcome::Stall) {
-            return LdstOutcome::Blocked;
-        }
+        panic_if(outcome != Mshr::Outcome::Merged,
+                 "L1 MSHR merge failed after capacity check");
         st.l1Accesses++;
         st.l1MshrMerges++;
         if (entry.texture) {
             st.l1TexAccesses++;
         }
     } else {
-        const bool would_miss = !l1_.probe(line, entry.stream);
-        if (would_miss && l1Mshr_.full()) {
-            return LdstOutcome::Blocked;
-        }
         auto res = l1_.access(line, false, entry.stream, entry.cls,
                               /*allocate_on_miss=*/false);
         st.l1Accesses++;
@@ -817,6 +831,7 @@ Sm::stepLdstOne(Cycle now)
         // Queue room may unblock a warp's memory instruction. (An L1 hit
         // that completes a load wakes the SM through its writeback.)
         wakeCycle_ = 0;
+        ldstRoomParked_ = 0;
     }
     return LdstOutcome::Progress;
 }
@@ -827,7 +842,9 @@ Sm::memResponse(const MemRequest &resp, Cycle now)
     // Fill the unified L1 (reads only; write-through stores never respond).
     // fill(), not access(): the returning data is not a demand access, so
     // it must not count toward the L1's access/miss totals or steal LRU
-    // recency from resident lines.
+    // recency from resident lines. The fill and the freed MSHR entry are
+    // the only changes that can unblock a parked LDST head.
+    ldstParked_ = false;
     l1_.fill(resp.line, false, resp.stream, resp.dataClass);
     for (uint64_t key : l1Mshr_.fill(resp.line)) {
         LoadTracker *tracker = findTracker(key);
@@ -899,12 +916,7 @@ Sm::probe(Cycle now) const
             continue;
         }
         const TraceInstr &instr = warp.trace.instrs[warp.pc];
-        bool hazard = instr.hasDst() && warp.pendingWrites.test(instr.dst);
-        for (uint8_t src : instr.srcs) {
-            hazard = hazard ||
-                     (src != kNoReg && warp.pendingWrites.test(src));
-        }
-        if (hazard) {
+        if (scoreboardHazard(warp, instr)) {
             p.waitScoreboard++;
             continue;
         }
@@ -1018,6 +1030,48 @@ Sm::auditAccounting(std::string *detail) const
                 expect.registers, expect.smemBytes, expect.warps));
         }
     }
+
+    // Every park must still hold: a park whose refusal has cleared is a
+    // lost wakeup, and would quietly shift timing.
+    for (uint32_t slot = 0; slot < warps_.size(); ++slot) {
+        const bool on_scoreboard = (scoreboardParked_ & slotBit(slot)) != 0;
+        const bool on_ldst = (ldstRoomParked_ & slotBit(slot)) != 0;
+        if (!on_scoreboard && !on_ldst) {
+            continue;
+        }
+        const WarpState &warp = warps_[slot];
+        const TraceInstr *instr =
+            warp.live && !warp.atBarrier && warp.pc < warp.trace.instrs.size()
+            ? &warp.trace.instrs[warp.pc]
+            : nullptr;
+        const bool hazard = instr != nullptr && scoreboardHazard(warp, *instr);
+        if (on_scoreboard && !hazard) {
+            return fail(formatMessage(
+                "SM %u warp slot %u parked on the scoreboard with no "
+                "hazard left", smId_, slot));
+        }
+        const OpClass cls =
+            instr != nullptr ? opcodeClass(instr->opcode) : OpClass::Control;
+        if (on_ldst &&
+            (hazard ||
+             (cls != OpClass::MemGlobal && cls != OpClass::MemTexture) ||
+             ldstQueue_.size() < warp.ldstLimit)) {
+            return fail(formatMessage(
+                "SM %u warp slot %u parked on LDST room with %zu of %u "
+                "queue entries used", smId_, slot, ldstQueue_.size(),
+                warp.ldstLimit));
+        }
+    }
+    if (ldstParked_) {
+        const LdstEntry *head =
+            ldstQueue_.empty() ? nullptr : &ldstQueue_.front();
+        if (head == nullptr || head->write ||
+            !loadRefused(head->lines.back(), head->stream)) {
+            return fail(formatMessage(
+                "SM %u LDST head parked but no longer blocked on the L1 "
+                "MSHR", smId_));
+        }
+    }
     return true;
 }
 
@@ -1040,9 +1094,11 @@ Sm::step(Cycle now)
         const uint64_t packed = writebackHeap_.back();
         writebackHeap_.pop_back();
         const uint8_t reg = static_cast<uint8_t>(packed & 0xff);
+        const uint32_t slot = static_cast<uint32_t>((packed >> 8) & 0xffff);
         if (reg != kNoReg) {
-            warps_[(packed >> 8) & 0xffff].pendingWrites.reset(reg);
+            warps_[slot].pendingWrites.reset(reg);
         }
+        scoreboardParked_ &= ~slotBit(slot);
         ++workCount_;
     }
 
@@ -1074,7 +1130,13 @@ Sm::step(Cycle now)
     // (prio, age), so the old gather-and-sort becomes a walk: the single
     // greedy slot is tried when the walk first reaches its priority
     // group, which reproduces the (prio, greedy, age) sort order exactly.
+    //
+    // Parked warps are skipped: trying one would refuse with no side
+    // effect.
     bool issued = false;
+    auto is_parked = [this](uint32_t slot) {
+        return ((scoreboardParked_ | ldstRoomParked_) & slotBit(slot)) != 0;
+    };
     for (uint32_t sched = 0; sched < cfg_.numSchedulers; ++sched) {
         if (cfg_.scheduler == SchedulerPolicy::Gto) {
             const auto &order = schedOrder_[sched];
@@ -1089,7 +1151,8 @@ Sm::step(Cycle now)
                 const uint32_t slot = order[i];
                 if (greedy_pending && warps_[slot].prio == greedy_prio) {
                     greedy_pending = false;
-                    if (tryIssue(warps_[greedy], now, wake)) {
+                    if (!is_parked(greedy) &&
+                        tryIssue(warps_[greedy], now, wake)) {
                         greedySlot_[sched] = warps_[greedy].live
                             ? greedy
                             : kNoSlotIndex;
@@ -1097,7 +1160,7 @@ Sm::step(Cycle now)
                         break;
                     }
                 }
-                if (slot == greedy) {
+                if (slot == greedy || is_parked(slot)) {
                     continue;
                 }
                 if (tryIssue(warps_[slot], now, wake)) {
@@ -1128,9 +1191,10 @@ Sm::step(Cycle now)
                              [this](uint32_t a, uint32_t b) {
                                  return warps_[a].prio < warps_[b].prio;
                              });
+            // Parked warps stay in the list so the rotation is unchanged.
             for (size_t i = 0; i < candScratch_.size(); ++i) {
                 const uint32_t slot = candScratch_[i];
-                if (tryIssue(warps_[slot], now, wake)) {
+                if (!is_parked(slot) && tryIssue(warps_[slot], now, wake)) {
                     greedySlot_[sched] = warps_[slot].live
                         ? slot
                         : kNoSlotIndex;

@@ -292,11 +292,21 @@ class Sm
     // beginMemPhase() and the grants below before stepping the SMs;
     // step() itself never touches the fabric.
 
-    /** True while the retry queue or the LDST unit has work to submit. */
+    /**
+     * True while the retry queue or the LDST unit has work to submit. An
+     * LDST head parked on a merge stall or a full L1 MSHR is not work:
+     * re-probing it would refuse with no side effect until memResponse
+     * (the only change to the L1 or its MSHR) or a priority entry landing
+     * in front of it clears the park. A driver that grants regardless
+     * just re-probes the head.
+     */
     bool hasMemPhaseWork() const
     {
-        return !fabricRetry_.empty() || !ldstQueue_.empty();
+        return !fabricRetry_.empty() || hasLdstWork();
     }
+
+    /** The LDST half of hasMemPhaseWork(): a queued, unparked head. */
+    bool hasLdstWork() const { return !ldstQueue_.empty() && !ldstParked_; }
 
     /**
      * Open this SM's memory phase for cycle @p now: reload the per-cycle
@@ -359,11 +369,12 @@ class Sm
 
     /**
      * Earliest future cycle (> @p now) at which this SM can do work on
-     * its own: the next cycle while the retry queue or the LDST unit has
-     * work or an outside event has woken it, otherwise the wake cycle its
-     * last step computed (kNeverCycle when every warp waits on memory;
-     * the L2 side owns those wake-ups). Idle fast-forward takes the
-     * minimum across all components.
+     * its own: the next cycle while the SM has unparked memory-phase work
+     * (see hasMemPhaseWork) or an outside event has woken it, otherwise
+     * the wake cycle its last step computed (kNeverCycle when every warp
+     * waits on memory; the L2 side owns those wake-ups, and the response
+     * that unparks an LDST head). Idle fast-forward takes the minimum
+     * across all components.
      */
     Cycle nextWorkCycle(Cycle now) const
     {
@@ -424,7 +435,34 @@ class Sm
         std::vector<Addr> lines;    ///< Remaining lines to inject.
     };
 
+    /**
+     * Issue @p warp's next instruction, or refuse. A refusal has no side
+     * effect. One on the register scoreboard parks the warp until a
+     * writeback for its slot pops in step(); one on a full LDST queue
+     * parks it until the queue pops or refreshPriorityCaches() moves the
+     * limits. step() skips parked warps. Other refusals lower @p wake to
+     * the cycle a busy execution unit or the smem port frees, when that
+     * is known here.
+     */
     bool tryIssue(WarpState &warp, Cycle now, Cycle &wake);
+    /** True when @p instr reads or writes a register @p warp has a
+     *  write pending on (RAW/WAW). */
+    static bool scoreboardHazard(const WarpState &warp,
+                                 const TraceInstr &instr);
+    /** True when the L1 refuses a load of @p line for @p stream: a merge
+     *  into a pending miss whose targets are full, or a miss with every
+     *  MSHR entry taken. stepLdstOne parks the head on it; the audit
+     *  re-checks a parked head with it. */
+    bool loadRefused(Addr line, StreamId stream) const
+    {
+        return l1Mshr_.wouldStall(line) &&
+            (l1Mshr_.pending(line) || !l1_.probe(line, stream));
+    }
+    /** Mask bit of a warp slot in the park masks. */
+    static constexpr uint64_t slotBit(uint32_t slot)
+    {
+        return uint64_t{1} << slot;
+    }
     void issueMemory(WarpState &warp, const TraceInstr &instr, Cycle now);
     size_t ldstLimitFor(StreamId stream) const;
     int priorityOf(StreamId stream) const;
@@ -478,6 +516,10 @@ class Sm
     uint64_t warpAgeCounter_ = 0;
     uint32_t activeWarps_ = 0;
     bool issueFrozen_ = false;
+    // Parked warps (see tryIssue), one bit per slot: maxWarps <= 64.
+    // auditAccounting() re-derives every park.
+    uint64_t scoreboardParked_ = 0;
+    uint64_t ldstRoomParked_ = 0;
     /** First cycle at which step() may do work again (0 = due now). */
     Cycle wakeCycle_ = 0;
     /** Last cycle whose per-stream active cycles have been credited. */
@@ -540,6 +582,9 @@ class Sm
     uint32_t memRetriesLeft_ = 0;
     bool memRetryBlocked_ = false;
     bool memLdstBlocked_ = false;
+    /** The LDST head is a load refused on a merge stall or a full MSHR;
+     *  it stays refused until memResponse or a new head clears this. */
+    bool ldstParked_ = false;
     // Load trackers live in a generation-checked slot pool; ids encode
     // (generation, slot) so stale MSHR keys simply fail the lookup.
     std::vector<LoadTracker> trackerPool_;

@@ -51,7 +51,8 @@ Gpu::Gpu(const GpuConfig &cfg) : cfg_(cfg)
             });
         allSms_.push_back(i);
     }
-    memPhaseScratch_.reserve(cfg_.numSms);
+    retryPhaseScratch_.reserve(cfg_.numSms);
+    ldstPhaseScratch_.reserve(cfg_.numSms);
     dueSms_.reserve(cfg_.numSms);
     setEngine(cfg_.engine);
 }
@@ -582,17 +583,31 @@ Gpu::memoryPhase()
     // the arbiter between a ticked and a jumped run, and the serial and
     // staged engines share this exact phase: the request stream the L2
     // sees is identical for any thread count.
-    memPhaseScratch_.clear();
+    //
+    // One scan builds both rotations: the retry rounds cannot add LDST
+    // work, so an SM whose LDST unit is empty or parked sits out the
+    // LDST rounds, as one whose retry queue is empty sits out the retry
+    // rounds.
+    retryPhaseScratch_.clear();
+    ldstPhaseScratch_.clear();
     const size_t n = sms_.size();
     const size_t start = static_cast<size_t>(cycle_ % n);
     for (size_t i = 0; i < n; ++i) {
         Sm *sm = sms_[(start + i) % n].get();
-        if (sm->hasMemPhaseWork()) {
-            sm->beginMemPhase(cycle_);
-            memPhaseScratch_.push_back(sm);
+        const bool retry = sm->fabricRetryDepth() > 0;
+        const bool ldst = sm->hasLdstWork();
+        if (!retry && !ldst) {
+            continue;
+        }
+        sm->beginMemPhase(cycle_);
+        if (retry) {
+            retryPhaseScratch_.push_back(sm);
+        }
+        if (ldst) {
+            ldstPhaseScratch_.push_back(sm);
         }
     }
-    if (memPhaseScratch_.empty()) {
+    if (retryPhaseScratch_.empty() && ldstPhaseScratch_.empty()) {
         return;
     }
     telemetry::SelfProfiler::Scope prof_scope(
@@ -603,26 +618,20 @@ Gpu::memoryPhase()
     // SMs that can no longer make progress this cycle (out of work, out
     // of budget, or blocked on backpressure) are compacted out in
     // place; rotation order is preserved across rounds.
-    auto rounds = [this](bool (Sm::*grant)(Cycle)) {
-        while (!memPhaseScratch_.empty()) {
+    auto rounds = [this](std::vector<Sm *> &list,
+                         bool (Sm::*grant)(Cycle)) {
+        while (!list.empty()) {
             size_t kept = 0;
-            for (Sm *sm : memPhaseScratch_) {
+            for (Sm *sm : list) {
                 if ((sm->*grant)(cycle_)) {
-                    memPhaseScratch_[kept++] = sm;
+                    list[kept++] = sm;
                 }
             }
-            memPhaseScratch_.resize(kept);
+            list.resize(kept);
         }
     };
-    rounds(&Sm::memPhaseGrantRetry);
-    memPhaseScratch_.clear();
-    for (size_t i = 0; i < n; ++i) {
-        Sm *sm = sms_[(start + i) % n].get();
-        if (sm->hasMemPhaseWork()) {
-            memPhaseScratch_.push_back(sm);
-        }
-    }
-    rounds(&Sm::memPhaseGrantLdst);
+    rounds(retryPhaseScratch_, &Sm::memPhaseGrantRetry);
+    rounds(ldstPhaseScratch_, &Sm::memPhaseGrantLdst);
 }
 
 void

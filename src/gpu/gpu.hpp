@@ -477,8 +477,10 @@ class Gpu : public MemFabricPort
     /** Per-tick "SM accepted a CTA this cycle" scratch for issueCtas():
      *  reused so the per-cycle scheduler pass does not allocate. */
     std::vector<uint8_t> issueLaunchedScratch_;
-    /** Arbitration rotation scratch for memoryPhase(), reused per tick. */
-    std::vector<Sm *> memPhaseScratch_;
+    /** Arbitration rotations for memoryPhase()'s retry and LDST rounds,
+     *  reused per tick. */
+    std::vector<Sm *> retryPhaseScratch_;
+    std::vector<Sm *> ldstPhaseScratch_;
     /** SMs due this cycle, in SM-id order (staged stepping scratch). */
     std::vector<Sm *> dueSms_;
     std::vector<GpuController *> controllers_;

@@ -338,16 +338,19 @@ INSTANTIATE_TEST_SUITE_P(Policies, SchedulerSweep,
                          });
 
 // ---------------------------------------------------------------------
-// Due stepping: an SM stepped only when due() (its memory phase still
-// runs whenever it has work) is indistinguishable from one stepped
-// every cycle — same per-stream stats, drain cycle and work count.
+// Due stepping: an SM stepped only when due(), its memory phase run
+// only while it has unparked work, is indistinguishable from one stepped
+// and granted every cycle — same per-stream stats, drain cycle and work
+// count — and every park it holds passes the audit on every cycle.
 // ---------------------------------------------------------------------
 
 enum class DueWorkload
 {
     Mixed,      ///< Misses, L1 hits, smem, SFU, const, stores, LDST floods.
     Priority,   ///< Priority stream beside a flood; priorities cleared.
-    Barrier     ///< Staggered warps, two barriers, smem port contention.
+    Barrier,    ///< Staggered warps, two barriers, smem port contention.
+    MshrFull,   ///< Two L1 MSHR entries, two targets: the LDST head parks.
+    PriorityFront ///< Priority L1 hits land in front of a parked head.
 };
 
 struct DueCase
@@ -412,6 +415,39 @@ mixedWarp(uint32_t w)
     return tb.take();
 }
 
+/** A warp whose loads each span several lines, so a two-entry L1 MSHR
+ *  fills at once, then a line every warp shares (merges past a two-target
+ *  list stall). */
+WarpTrace
+missWarp(uint32_t w)
+{
+    const Addr base = 0x400000 + 0x10000 * w;
+    TraceBuilder tb(32);
+    tb.memStrided(Opcode::LDG, 4, base, 16, 4, DataClass::Compute);
+    tb.alu(Opcode::FFMA, 5, 4, 4);
+    tb.memStrided(Opcode::LDG, 6, base + 0x1000, 16, 4, DataClass::Compute);
+    tb.memUniform(Opcode::LDG, 7, 0x500000, 4, DataClass::Compute);
+    tb.alu(Opcode::IADD, 8, 6, 7);
+    tb.exit();
+    return tb.take();
+}
+
+/** A priority warp that misses on one line, then re-reads it as an L1
+ *  hit at a time the flood behind it keeps the MSHR full. */
+WarpTrace
+rereadWarp()
+{
+    TraceBuilder tb(32);
+    tb.memUniform(Opcode::LDG, 4, 0x600000, 4, DataClass::Compute);
+    tb.aluChain(Opcode::FFMA, 5, 4, 3);
+    tb.memUniform(Opcode::LDG, 6, 0x600000, 4, DataClass::Compute);
+    tb.aluChain(Opcode::FFMA, 7, 6, 3);
+    tb.memUniform(Opcode::LDG, 8, 0x600000, 4, DataClass::Compute);
+    tb.alu(Opcode::IADD, 9, 8, 7);
+    tb.exit();
+    return tb.take();
+}
+
 std::vector<TimedLaunch>
 dueLaunches(DueWorkload workload)
 {
@@ -458,6 +494,23 @@ dueLaunches(DueWorkload workload)
         launches.push_back({1, ctaKernel(std::move(warps), 0, "bar")});
         break;
       }
+      case DueWorkload::MshrFull: {
+        std::vector<WarpTrace> warps;
+        for (uint32_t w = 0; w < 8; ++w) {
+            warps.push_back(missWarp(w));
+        }
+        launches.push_back({1, ctaKernel(std::move(warps), 0, "miss")});
+        break;
+      }
+      case DueWorkload::PriorityFront: {
+        launches.push_back({1, ctaKernel({rereadWarp()}, 1, "reread")});
+        std::vector<WarpTrace> flood;
+        for (uint32_t w = 0; w < 8; ++w) {
+            flood.push_back(missWarp(w));
+        }
+        launches.push_back({2, ctaKernel(std::move(flood), 0, "flood")});
+        break;
+      }
     }
     return launches;
 }
@@ -484,6 +537,9 @@ struct DueRun
     uint64_t slept = 0;          ///< Cycles the SM was not due.
     uint64_t ldstBlocked = 0;    ///< Cycles some warp waited on LDST room.
     uint64_t l1Hits = 0;
+    /** Cycles the memory phase was skipped with a (parked) LDST head. */
+    uint64_t headParked = 0;
+    std::string auditFailure;    ///< First auditAccounting() failure.
 };
 
 DueRun
@@ -497,10 +553,17 @@ driveSm(const DueCase &c, bool due_only)
     // (its limit is half the depth) until the priorities are cleared.
     cfg.ldstQueueDepth = c.workload == DueWorkload::Priority ? 1 : 4;
     cfg.l1PortsPerCycle = 1;
+    const bool mshr_bound = c.workload == DueWorkload::MshrFull ||
+                            c.workload == DueWorkload::PriorityFront;
+    if (mshr_bound) {
+        cfg.l1MshrEntries = 2;
+        cfg.l1MshrTargets = 2;
+    }
     DelayFabric fabric(150);
     StatsRegistry stats;
     Sm sm(0, cfg, &fabric, &stats);
-    if (c.workload == DueWorkload::Priority) {
+    if (c.workload == DueWorkload::Priority ||
+        c.workload == DueWorkload::PriorityFront) {
         sm.setIssuePriority(1, -1);
     }
 
@@ -532,6 +595,8 @@ driveSm(const DueCase &c, bool due_only)
                 while (sm.memPhaseGrantRetry(now) ||
                        sm.memPhaseGrantLdst(now)) {
                 }
+            } else if (sm.probe(now).ldstQueueDepth > 0) {
+                ++run.headParked;
             }
             if (sm.due(now)) {
                 sm.step(now);
@@ -543,6 +608,10 @@ driveSm(const DueCase &c, bool due_only)
             ++run.ldstBlocked;
         }
         fabric.step(sm, now);
+        std::string detail;
+        if (!sm.auditAccounting(&detail) && run.auditFailure.empty()) {
+            run.auditFailure = "cycle " + std::to_string(now) + ": " + detail;
+        }
     }
     EXPECT_TRUE(sm.idle());
     EXPECT_EQ(cleared, c.workload == DueWorkload::Priority);
@@ -568,13 +637,25 @@ TEST_P(DueStepping, MatchesSteppingEveryCycle)
     EXPECT_EQ(due.stats, every.stats);
     EXPECT_EQ(due.work, every.work);
     EXPECT_EQ(every.slept, 0u);
+    // Every park held on every cycle of both runs.
+    EXPECT_EQ(every.auditFailure, "");
+    EXPECT_EQ(due.auditFailure, "");
     // The due run really slept, and through the states it must wake from.
     EXPECT_GT(due.slept, due.drained / 4) << "slept " << due.slept;
-    if (GetParam().workload != DueWorkload::Barrier) {
+    const DueWorkload workload = GetParam().workload;
+    if (workload != DueWorkload::Barrier) {
         EXPECT_GT(due.ldstBlocked, 0u);
         // Re-read lines hit in the L1; their consumers wake on the hit's
         // writeback, not on a response.
         EXPECT_GT(due.l1Hits, 0u);
+    }
+    EXPECT_EQ(every.headParked, 0u);
+    if (workload == DueWorkload::MshrFull ||
+        workload == DueWorkload::PriorityFront) {
+        // A head blocked on the full MSHR sat out memory phases until a
+        // response (or a new priority head) cleared its park.
+        EXPECT_GT(due.headParked, due.drained / 4)
+            << "parked " << due.headParked;
     }
 }
 
@@ -586,7 +667,13 @@ INSTANTIATE_TEST_SUITE_P(
         DueCase{SchedulerPolicy::Gto, DueWorkload::Priority, "GtoPriority"},
         DueCase{SchedulerPolicy::Lrr, DueWorkload::Priority, "LrrPriority"},
         DueCase{SchedulerPolicy::Gto, DueWorkload::Barrier, "GtoBarrier"},
-        DueCase{SchedulerPolicy::Lrr, DueWorkload::Barrier, "LrrBarrier"}),
+        DueCase{SchedulerPolicy::Lrr, DueWorkload::Barrier, "LrrBarrier"},
+        DueCase{SchedulerPolicy::Gto, DueWorkload::MshrFull, "GtoMshrFull"},
+        DueCase{SchedulerPolicy::Lrr, DueWorkload::MshrFull, "LrrMshrFull"},
+        DueCase{SchedulerPolicy::Gto, DueWorkload::PriorityFront,
+                "GtoPriorityFront"},
+        DueCase{SchedulerPolicy::Lrr, DueWorkload::PriorityFront,
+                "LrrPriorityFront"}),
     [](const ::testing::TestParamInfo<DueCase> &info) {
         return info.param.name;
     });
