@@ -56,6 +56,10 @@ Sm::Sm(uint32_t sm_id, const SmConfig &cfg, MemFabricPort *fabric,
         order.reserve(cfg_.maxWarps / cfg_.numSchedulers + 1);
     }
     greedySlot_.assign(cfg_.numSchedulers, kNoSlotIndex);
+    schedSlots_.assign(cfg_.numSchedulers, 0);
+    for (uint32_t s = 0; s < cfg_.maxWarps; ++s) {
+        schedSlots_[s % cfg_.numSchedulers] |= slotBit(s);
+    }
     smemBankScratch_.assign(cfg_.smemBanks, 0);
     smemSeenScratch_.reserve(kWarpSize);
 }
@@ -316,6 +320,7 @@ Sm::launchCta(const KernelInfo &kernel, KernelId kernel_id,
         cta.warpSlots.push_back(slot);
         cta.liveWarps++;
         activeWarps_++;
+        liveMask_ |= slotBit(slot);
         ++liveWarpsByStream_[kernel.stream];
         schedOrderInsert(warp);
         st.warpsLaunched++;
@@ -434,6 +439,7 @@ Sm::finishWarp(WarpState &warp, Cycle now)
 {
     warp.live = false;
     activeWarps_--;
+    liveMask_ &= ~slotBit(warp.slot);
     schedOrderRemove(warp);
     auto lw = liveWarpsByStream_.find(warp.stream);
     panic_if(lw == liveWarpsByStream_.end() || lw->second == 0,
@@ -998,6 +1004,18 @@ Sm::auditAccounting(std::string *detail) const
             "SM %u tracked active warps %u != recomputed %u", smId_,
             activeWarps_, live_warps));
     }
+    uint64_t live_mask = 0;
+    for (uint32_t slot = 0; slot < warps_.size(); ++slot) {
+        if (warps_[slot].live) {
+            live_mask |= slotBit(slot);
+        }
+    }
+    if (live_mask != liveMask_) {
+        return fail(formatMessage(
+            "SM %u live-warp mask %016llx != recomputed %016llx", smId_,
+            static_cast<unsigned long long>(liveMask_),
+            static_cast<unsigned long long>(live_mask)));
+    }
     if (usedThreads_ > cfg_.maxWarps * kWarpSize ||
         usedRegisters_ > cfg_.registers || usedSmem_ > cfg_.smemBytes) {
         return fail(formatMessage(
@@ -1132,12 +1150,17 @@ Sm::step(Cycle now)
     // group, which reproduces the (prio, greedy, age) sort order exactly.
     //
     // Parked warps are skipped: trying one would refuse with no side
-    // effect.
+    // effect. So is a scheduler whose live warps are all parked, since
+    // its walk would try none of them.
     bool issued = false;
     auto is_parked = [this](uint32_t slot) {
         return ((scoreboardParked_ | ldstRoomParked_) & slotBit(slot)) != 0;
     };
     for (uint32_t sched = 0; sched < cfg_.numSchedulers; ++sched) {
+        if ((liveMask_ & ~(scoreboardParked_ | ldstRoomParked_) &
+             schedSlots_[sched]) == 0) {
+            continue;
+        }
         if (cfg_.scheduler == SchedulerPolicy::Gto) {
             const auto &order = schedOrder_[sched];
             const uint32_t greedy = greedySlot_[sched];

@@ -299,6 +299,13 @@ class Sm
      * (the only change to the L1 or its MSHR) or a priority entry landing
      * in front of it clears the park. A driver that grants regardless
      * just re-probes the head.
+     *
+     * This turns from false to true only inside step() (an issued
+     * memory instruction, or a priority entry unparking the head) or in
+     * memResponse (which unparks the head); a memory-phase grant only
+     * moves work from the LDST unit to the retry queue. So a caller that
+     * re-checks an SM after each step and each memResponse never misses
+     * one: the Gpu's memory-phase set relies on exactly that.
      */
     bool hasMemPhaseWork() const
     {
@@ -517,9 +524,14 @@ class Sm
     uint32_t activeWarps_ = 0;
     bool issueFrozen_ = false;
     // Parked warps (see tryIssue), one bit per slot: maxWarps <= 64.
-    // auditAccounting() re-derives every park.
+    // auditAccounting() re-derives every park and the live mask.
     uint64_t scoreboardParked_ = 0;
     uint64_t ldstRoomParked_ = 0;
+    /** Live warp slots, one bit each. step() skips a scheduler none of
+     *  whose live warps is unparked: its walk would try none of them. */
+    uint64_t liveMask_ = 0;
+    /** Slots each scheduler owns (slot % numSchedulers), one bit each. */
+    std::vector<uint64_t> schedSlots_;
     /** First cycle at which step() may do work again (0 = due now). */
     Cycle wakeCycle_ = 0;
     /** Last cycle whose per-stream active cycles have been credited. */

@@ -41,6 +41,7 @@ Gpu::Gpu(const GpuConfig &cfg) : cfg_(cfg)
         panic_if(resp.smId >= sms_.size(), "response for unknown SM %u",
                  resp.smId);
         sms_[resp.smId]->memResponse(resp, cycle_);
+        noteMemPhaseWork(*sms_[resp.smId]);
     });
     sms_.reserve(cfg_.numSms);
     for (uint32_t i = 0; i < cfg_.numSms; ++i) {
@@ -53,6 +54,7 @@ Gpu::Gpu(const GpuConfig &cfg) : cfg_(cfg)
     }
     retryPhaseScratch_.reserve(cfg_.numSms);
     ldstPhaseScratch_.reserve(cfg_.numSms);
+    memPhaseSms_ = WorkSet(cfg_.numSms);
     dueSms_.reserve(cfg_.numSms);
     setEngine(cfg_.engine);
 }
@@ -553,6 +555,7 @@ Gpu::tick()
             for (auto &sm : sms_) {
                 if (sm->due(cycle_)) {
                     sm->step(cycle_);
+                    noteMemPhaseWork(*sm);
                 }
             }
         }
@@ -587,17 +590,21 @@ Gpu::memoryPhase()
     // One scan builds both rotations: the retry rounds cannot add LDST
     // work, so an SM whose LDST unit is empty or parked sits out the
     // LDST rounds, as one whose retry queue is empty sits out the retry
-    // rounds.
+    // rounds. The scan visits only memPhaseSms_, in the same rotation;
+    // an SM outside it has no work, and a member found drained leaves.
+    if (memPhaseSms_.empty()) {
+        return;
+    }
     retryPhaseScratch_.clear();
     ldstPhaseScratch_.clear();
-    const size_t n = sms_.size();
-    const size_t start = static_cast<size_t>(cycle_ % n);
-    for (size_t i = 0; i < n; ++i) {
-        Sm *sm = sms_[(start + i) % n].get();
+    const size_t start = static_cast<size_t>(cycle_ % sms_.size());
+    memPhaseSms_.forEachFrom(start, [this](size_t i) {
+        Sm *sm = sms_[i].get();
         const bool retry = sm->fabricRetryDepth() > 0;
         const bool ldst = sm->hasLdstWork();
         if (!retry && !ldst) {
-            continue;
+            memPhaseSms_.erase(i);
+            return;
         }
         sm->beginMemPhase(cycle_);
         if (retry) {
@@ -606,7 +613,7 @@ Gpu::memoryPhase()
         if (ldst) {
             ldstPhaseScratch_.push_back(sm);
         }
-    }
+    });
     if (retryPhaseScratch_.empty() && ldstPhaseScratch_.empty()) {
         return;
     }
@@ -681,6 +688,7 @@ Gpu::stepSmsStaged()
         sm->flushStagedCtaDones();
         sm->flushShadowStats();
         sm->flushShadowProfiler();
+        noteMemPhaseWork(*sm);
     }
 }
 
@@ -929,6 +937,23 @@ Gpu::constSms() const
 }
 
 void
+Gpu::checkMemPhaseSet(std::vector<integrity::InvariantViolation> &out) const
+{
+    for (const auto &sm : sms_) {
+        if (sm->hasMemPhaseWork() && !memPhaseSms_.contains(sm->smId())) {
+            out.push_back(
+                {"mem-phase-set",
+                 logging_detail::formatMessage(
+                     "SM %u has memory-phase work (retry depth %zu) but is "
+                     "missing from the memory-phase set, so the memory "
+                     "phase would skip it", sm->smId(),
+                     sm->fabricRetryDepth()),
+                 cycle_});
+        }
+    }
+}
+
+void
 Gpu::checkStreamLiveness(
     std::vector<integrity::InvariantViolation> &out) const
 {
@@ -1086,6 +1111,7 @@ Gpu::deliverRemoteResponse(const MemRequest &resp, Cycle now)
              resp.smId);
     stats_.stream(resp.stream).remoteResponses++;
     sms_[resp.smId]->memResponse(resp, now);
+    noteMemPhaseWork(*sms_[resp.smId]);
 }
 
 } // namespace crisp

@@ -13,6 +13,7 @@
 
 #include "common/flat_map.hpp"
 #include "common/stats.hpp"
+#include "common/work_set.hpp"
 #include "core/sm.hpp"
 #include "engine/engine_config.hpp"
 #include "gpu/gpu_config.hpp"
@@ -447,9 +448,19 @@ class Gpu : public MemFabricPort
      * by the serial and staged engines. Grants rotate across SMs from a
      * start derived purely from the cycle number (fast-forward safe),
      * one request per SM per grant round, until no SM can make progress.
-     * Main thread only, before any SM steps.
+     * Only members of memPhaseSms_ are visited. Main thread only, before
+     * any SM steps.
      */
     void memoryPhase();
+    /** Add @p sm to memPhaseSms_ if it has memory-phase work. Called
+     *  after each place that can give an SM such work: its step and a
+     *  memResponse (which unparks its LDST head). */
+    void noteMemPhaseWork(const Sm &sm)
+    {
+        if (sm.hasMemPhaseWork()) {
+            memPhaseSms_.insert(sm.smId());
+        }
+    }
     void stepSmsStaged();
 
     // Idle fast-forward internals (used by Machine::run).
@@ -463,6 +474,10 @@ class Gpu : public MemFabricPort
     uint64_t progressSignature() const;
     bool progressImminent() const;
     void checkStreamLiveness(
+        std::vector<integrity::InvariantViolation> &out) const;
+    /** Append a "mem-phase-set" violation for each SM with memory-phase
+     *  work that is missing from memPhaseSms_ (a lost wakeup). */
+    void checkMemPhaseSet(
         std::vector<integrity::InvariantViolation> &out) const;
     /** Append this device's SM, stream and memory rows to @p report. */
     void describe(integrity::HangReport &report) const;
@@ -481,6 +496,10 @@ class Gpu : public MemFabricPort
      *  reused per tick. */
     std::vector<Sm *> retryPhaseScratch_;
     std::vector<Sm *> ldstPhaseScratch_;
+    /** SMs that may have memory-phase work (Sm::hasMemPhaseWork): a
+     *  superset, joined via noteMemPhaseWork and left when memoryPhase()
+     *  finds a member drained. */
+    WorkSet memPhaseSms_;
     /** SMs due this cycle, in SM-id order (staged stepping scratch). */
     std::vector<Sm *> dueSms_;
     std::vector<GpuController *> controllers_;

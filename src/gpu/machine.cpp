@@ -139,6 +139,8 @@ Machine::checkInvariants(
         const std::vector<const Sm *> sms = gpu->constSms();
         const uint32_t device = gpu->deviceId();
         integrity::checkSmAccounting(sms, cycle, violations);
+        integrity::checkL2WorkSets(gpu->l2(), cycle, violations);
+        gpu->checkMemPhaseSet(violations);
         std::function<bool(uint32_t, Addr)> remote;
         if (fabric_ != nullptr) {
             remote = [this, device](uint32_t sm, Addr line) {

@@ -79,6 +79,16 @@ checkSmAccounting(const std::vector<const Sm *> &sms, Cycle now,
 }
 
 void
+checkL2WorkSets(const L2Subsystem &l2, Cycle now,
+                std::vector<InvariantViolation> &out)
+{
+    std::string detail;
+    if (!l2.auditWorkSets(&detail)) {
+        out.push_back({"l2-work-sets", detail, now});
+    }
+}
+
+void
 checkBoundedRetryWait(const std::vector<const Sm *> &sms, Cycle now,
                       Cycle bound, std::vector<InvariantViolation> &out)
 {

@@ -38,9 +38,15 @@ void checkConservation(const std::vector<const Sm *> &sms,
                        uint64_t fabric_reads, Cycle now,
                        std::vector<InvariantViolation> &out);
 
-/** Per-SM resource accounting audit (tracked vs recomputed vs quota). */
+/** Per-SM resource accounting audit (tracked vs recomputed vs quota,
+ *  every parked warp and LDST head, the live-warp mask). */
 void checkSmAccounting(const std::vector<const Sm *> &sms, Cycle now,
                        std::vector<InvariantViolation> &out);
+
+/** The L2's counterpart: busy-bank flags and count, due-queue order
+ *  (see L2Subsystem::auditWorkSets). One "l2-work-sets" violation. */
+void checkL2WorkSets(const L2Subsystem &l2, Cycle now,
+                     std::vector<InvariantViolation> &out);
 
 /**
  * Bounded-stall invariant over the fabric-retry queues: the round-robin

@@ -37,15 +37,27 @@ coalesce(const TraceInstr &instr, uint32_t granule, std::vector<Addr> &out)
     }
     const uint32_t bytes = std::max<uint32_t>(instr.accessBytes, 1);
     out.reserve(instr.addrs.size());
+    // Most warps touch lines in ascending lane order: drop a repeat of
+    // the last line kept, and sort only when a line arrives out of order.
+    bool ascending = true;
     for (Addr a : instr.addrs) {
         const Addr first = a / granule;
         const Addr last = (a + bytes - 1) / granule;
         for (Addr blk = first; blk <= last; ++blk) {
-            out.push_back(blk * granule);
+            const Addr line = blk * granule;
+            if (!out.empty()) {
+                if (line == out.back()) {
+                    continue;
+                }
+                ascending = ascending && line > out.back();
+            }
+            out.push_back(line);
         }
     }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
+    if (!ascending) {
+        std::sort(out.begin(), out.end());
+        out.erase(std::unique(out.begin(), out.end()), out.end());
+    }
 }
 
 } // namespace

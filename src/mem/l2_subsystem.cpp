@@ -30,6 +30,7 @@ L2Subsystem::L2Subsystem(const L2Config &cfg, StatsRegistry *stats)
     panic_if(stats_ == nullptr, "L2 needs a stats registry");
     banks_.reserve(cfg_.numBanks);
     bankQueues_.resize(cfg_.numBanks);
+    busyBanks_ = WorkSet(cfg_.numBanks);
     bankFreeAt_.assign(cfg_.numBanks, 0);
     for (uint32_t b = 0; b < cfg_.numBanks; ++b) {
         banks_.emplace_back(cfg_.bankGeometry);
@@ -136,6 +137,7 @@ L2Subsystem::submit(MemRequest req, Cycle now)
     }
     ++workCount_;
     bankQueues_[bank].push_back(std::move(req));
+    busyBanks_.insert(bank);
     return true;
 }
 
@@ -147,7 +149,85 @@ L2Subsystem::respond(MemRequest req, Cycle now, Cycle ready)
     }
     (void)now;
     const Cycle delivered = responseLink_.transfer(ready, kLineBytes + 8);
-    pendingResponses_.emplace(delivered, std::move(req));
+    pendingResponses_.push(delivered, std::move(req));
+}
+
+void
+L2Subsystem::serviceBank(uint32_t b, Cycle now, Cycle occupancy)
+{
+    auto &queue = bankQueues_[b];
+    if (queue.front().readyAt > now || bankFreeAt_[b] > now) {
+        return;
+    }
+    MemRequest &req = queue.front();
+    ++workCount_;
+    auto &st = stats_->stream(req.stream);
+
+    if (mshrs_[b].pending(req.line)) {
+        // Merge with the in-flight fill.
+        const auto outcome =
+            mshrs_[b].allocate(req.line, encodeTarget(req), now);
+        if (outcome == Mshr::Outcome::Stall) {
+            return;   // retry next cycle
+        }
+        st.l2Accesses++;
+        st.l2MshrMerges++;
+        ++mergedAccesses_;
+        if (onAccess_) {
+            onAccess_(req.stream, req.line, false, 0);
+        }
+        noteBankMiss(b, req.stream, now);
+        bankFreeAt_[b] = now + occupancy;
+        if (req.expectsResponse()) {
+            --queuedReads_;
+        }
+        queue.pop_front();
+        return;
+    }
+
+    if (mshrs_[b].full()) {
+        // No MSHR space for a potential miss: stall before touching the
+        // tag array so a retried miss still pays the DRAM round trip.
+        return;
+    }
+
+    auto res = banks_[b].access(req.line, req.write, req.stream,
+                                req.dataClass);
+    st.l2Accesses++;
+    if (onAccess_) {
+        onAccess_(req.stream, req.line, res.hit, res.hitLruPos);
+    }
+    if (res.hit) {
+        st.l2Hits++;
+        missStreaks_[b] = 0;
+        respond(req, now, now + cfg_.l2Latency);
+        bankFreeAt_[b] = now + occupancy;
+        if (req.expectsResponse()) {
+            --queuedReads_;
+        }
+        queue.pop_front();
+        return;
+    }
+
+    // Miss: the access() above already installed the tag; roll the
+    // timing through DRAM. Dirty victim costs a writeback.
+    noteBankMiss(b, req.stream, now);
+    if (res.evicted && res.evictedDirty) {
+        dram_.service(now, kLineBytes, res.evictedLine);
+        st.dramWrites++;
+    }
+    const auto outcome =
+        mshrs_[b].allocate(req.line, encodeTarget(req), now);
+    panic_if(outcome != Mshr::Outcome::NewEntry,
+             "MSHR allocate failed after capacity check");
+    st.dramReads++;
+    const Cycle data_ready = dram_.service(now, kLineBytes, req.line);
+    pendingFills_.push(data_ready, PendingFill{req, b});
+    bankFreeAt_[b] = now + occupancy;
+    if (req.expectsResponse()) {
+        --queuedReads_;
+    }
+    queue.pop_front();
 }
 
 void
@@ -157,10 +237,8 @@ L2Subsystem::step(Cycle now)
     {
     telemetry::SelfProfiler::Scope prof_scope(profiler_,
                                               telemetry::Component::Dram);
-    while (!pendingFills_.empty() && pendingFills_.begin()->first <= now) {
-        auto node = pendingFills_.extract(pendingFills_.begin());
-        const Cycle ready = node.key();
-        PendingFill &pf = node.mapped();
+    while (pendingFills_.dueBy(now)) {
+        auto [ready, pf] = pendingFills_.pop();
         ++workCount_;
         if (faultHook_) {
             Cycle delay = 0;
@@ -172,8 +250,8 @@ L2Subsystem::step(Cycle now)
                 continue;
             }
             if (action == MemFaultHook::Action::Delay) {
-                pendingFills_.emplace(now + std::max<Cycle>(delay, 1),
-                                      std::move(pf));
+                pendingFills_.push(now + std::max<Cycle>(delay, 1),
+                                   std::move(pf));
                 continue;
             }
         }
@@ -210,82 +288,14 @@ L2Subsystem::step(Cycle now)
                                               telemetry::Component::L2);
     const Cycle bank_occupancy = static_cast<Cycle>(
         std::max(1.0, kLineBytes / cfg_.bankBytesPerCycle));
-    for (uint32_t b = 0; b < cfg_.numBanks; ++b) {
-        auto &queue = bankQueues_[b];
-        if (queue.empty() || queue.front().readyAt > now ||
-            bankFreeAt_[b] > now) {
-            continue;
+    // Servicing a bank never queues onto another, so the walk sees the
+    // busy set as it stood at the start of the phase.
+    busyBanks_.forEachFrom(0, [&](size_t b) {
+        serviceBank(static_cast<uint32_t>(b), now, bank_occupancy);
+        if (bankQueues_[b].empty()) {
+            busyBanks_.erase(b);
         }
-        MemRequest &req = queue.front();
-        ++workCount_;
-        auto &st = stats_->stream(req.stream);
-
-        if (mshrs_[b].pending(req.line)) {
-            // Merge with the in-flight fill.
-            const auto outcome =
-                mshrs_[b].allocate(req.line, encodeTarget(req), now);
-            if (outcome == Mshr::Outcome::Stall) {
-                continue;   // retry next cycle
-            }
-            st.l2Accesses++;
-            st.l2MshrMerges++;
-            ++mergedAccesses_;
-            if (onAccess_) {
-                onAccess_(req.stream, req.line, false, 0);
-            }
-            noteBankMiss(b, req.stream, now);
-            bankFreeAt_[b] = now + bank_occupancy;
-            if (req.expectsResponse()) {
-                --queuedReads_;
-            }
-            queue.pop_front();
-            continue;
-        }
-
-        if (mshrs_[b].full()) {
-            // No MSHR space for a potential miss: stall before touching the
-            // tag array so a retried miss still pays the DRAM round trip.
-            continue;
-        }
-
-        auto res = banks_[b].access(req.line, req.write, req.stream,
-                                    req.dataClass);
-        st.l2Accesses++;
-        if (onAccess_) {
-            onAccess_(req.stream, req.line, res.hit, res.hitLruPos);
-        }
-        if (res.hit) {
-            st.l2Hits++;
-            missStreaks_[b] = 0;
-            respond(req, now, now + cfg_.l2Latency);
-            bankFreeAt_[b] = now + bank_occupancy;
-            if (req.expectsResponse()) {
-                --queuedReads_;
-            }
-            queue.pop_front();
-            continue;
-        }
-
-        // Miss: the access() above already installed the tag; roll the
-        // timing through DRAM. Dirty victim costs a writeback.
-        noteBankMiss(b, req.stream, now);
-        if (res.evicted && res.evictedDirty) {
-            dram_.service(now, kLineBytes, res.evictedLine);
-            st.dramWrites++;
-        }
-        const auto outcome =
-            mshrs_[b].allocate(req.line, encodeTarget(req), now);
-        panic_if(outcome != Mshr::Outcome::NewEntry,
-                 "MSHR allocate failed after capacity check");
-        st.dramReads++;
-        const Cycle data_ready = dram_.service(now, kLineBytes, req.line);
-        pendingFills_.emplace(data_ready, PendingFill{req, b});
-        bankFreeAt_[b] = now + bank_occupancy;
-        if (req.expectsResponse()) {
-            --queuedReads_;
-        }
-        queue.pop_front();
-    }
+    });
     }
 
     if (telemetry_) {
@@ -301,15 +311,13 @@ L2Subsystem::step(Cycle now)
     {
     telemetry::SelfProfiler::Scope prof_scope(profiler_,
                                               telemetry::Component::Icnt);
-    while (!pendingResponses_.empty() &&
-           pendingResponses_.begin()->first <= now) {
-        auto node = pendingResponses_.extract(pendingResponses_.begin());
+    while (pendingResponses_.dueBy(now)) {
+        MemRequest resp = pendingResponses_.pop().second;
         ++workCount_;
         panic_if(!onResponse_, "L2 response with no handler installed");
         if (faultHook_) {
             Cycle delay = 0;
-            const auto action =
-                faultHook_->onResponse(node.mapped(), now, delay);
+            const auto action = faultHook_->onResponse(resp, now, delay);
             if (action == MemFaultHook::Action::Drop) {
                 // Lost response: the requesting SM's L1 MSHR entry and
                 // load tracker are now orphaned; the conservation checker
@@ -317,13 +325,13 @@ L2Subsystem::step(Cycle now)
                 continue;
             }
             if (action == MemFaultHook::Action::Delay) {
-                pendingResponses_.emplace(now + std::max<Cycle>(delay, 1),
-                                          std::move(node.mapped()));
+                pendingResponses_.push(now + std::max<Cycle>(delay, 1),
+                                       std::move(resp));
                 continue;
             }
         }
         ++responsesDelivered_;
-        onResponse_(node.mapped());
+        onResponse_(resp);
     }
     }
 }
@@ -447,32 +455,55 @@ L2Subsystem::nextEventCycle(Cycle now) const
         wake = std::min(wake, std::max(at, now + 1));
     };
     if (!pendingFills_.empty()) {
-        consider(pendingFills_.begin()->first);
+        consider(pendingFills_.frontDue());
     }
     if (!pendingResponses_.empty()) {
-        consider(pendingResponses_.begin()->first);
+        consider(pendingResponses_.frontDue());
     }
-    for (uint32_t b = 0; b < cfg_.numBanks; ++b) {
-        const auto &queue = bankQueues_[b];
-        if (!queue.empty()) {
-            // MSHR-stalled heads report the conservative now+1; the fill
-            // that unblocks them is already covered above.
-            consider(std::max(queue.front().readyAt, bankFreeAt_[b]));
-        }
-    }
+    busyBanks_.forEachFrom(0, [&](size_t b) {
+        // MSHR-stalled heads report the conservative now+1; the fill
+        // that unblocks them is already covered above.
+        consider(std::max(bankQueues_[b].front().readyAt, bankFreeAt_[b]));
+    });
     return wake;
 }
 
 bool
 L2Subsystem::idle() const
 {
-    if (!pendingFills_.empty() || !pendingResponses_.empty()) {
-        return false;
-    }
-    for (const auto &q : bankQueues_) {
-        if (!q.empty()) {
-            return false;
+    return busyBanks_.empty() && pendingFills_.empty() &&
+        pendingResponses_.empty();
+}
+
+bool
+L2Subsystem::auditWorkSets(std::string *detail) const
+{
+    auto fail = [&](const std::string &msg) {
+        if (detail) {
+            *detail = msg;
         }
+        return false;
+    };
+    using logging_detail::formatMessage;
+    size_t busy = 0;
+    for (uint32_t b = 0; b < cfg_.numBanks; ++b) {
+        const bool queued = !bankQueues_[b].empty();
+        busy += queued ? 1 : 0;
+        if (busyBanks_.contains(b) != queued) {
+            return fail(formatMessage(
+                "L2 bank %u busy flag %d but its queue holds %zu requests",
+                b, busyBanks_.contains(b) ? 1 : 0, bankQueues_[b].size()));
+        }
+    }
+    if (busy != busyBanks_.count()) {
+        return fail(formatMessage("L2 busy-bank count %zu != recomputed %zu",
+                                  busyBanks_.count(), busy));
+    }
+    if (!pendingFills_.ordered()) {
+        return fail("L2 pending fills out of due-cycle order");
+    }
+    if (!pendingResponses_.ordered()) {
+        return fail("L2 pending responses out of due-cycle order");
     }
     return true;
 }

@@ -5,12 +5,15 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/flat_map.hpp"
 #include "common/stats.hpp"
+#include "common/work_set.hpp"
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
+#include "mem/due_queue.hpp"
 #include "mem/fault_hook.hpp"
 #include "mem/icnt.hpp"
 #include "mem/mem_request.hpp"
@@ -81,11 +84,23 @@ class L2Subsystem
      */
     bool submit(MemRequest req, Cycle now);
 
-    /** Advance all banks and deliver due responses/fills. */
+    /**
+     * Complete due DRAM fills, let each bank with a queued request
+     * service its head, and deliver due responses. Only busy banks (see
+     * auditWorkSets) are visited, in bank-id order.
+     */
     void step(Cycle now);
 
     /** True when no request is in flight anywhere in the subsystem. */
     bool idle() const;
+
+    /**
+     * Re-derive the structures step() walks instead of scanning: each
+     * bank's busy flag equals !queue.empty() and the busy count matches,
+     * and both due queues are non-decreasing in due cycle. @return false
+     * (with @p detail filled) on the first mismatch.
+     */
+    bool auditWorkSets(std::string *detail) const;
 
     /**
      * Earliest future cycle (> @p now) at which stepping this subsystem
@@ -254,6 +269,8 @@ class L2Subsystem
     };
 
     uint32_t bankFor(Addr line, StreamId stream) const;
+    /** Let bank @p b service its queue head, if it can this cycle. */
+    void serviceBank(uint32_t b, Cycle now, Cycle occupancy);
     void respond(MemRequest req, Cycle now, Cycle ready);
     void noteBankMiss(uint32_t bank, StreamId stream, Cycle now);
 
@@ -281,16 +298,28 @@ class L2Subsystem
 
     std::vector<SetAssocCache> banks_;
     std::vector<std::deque<MemRequest>> bankQueues_;
+    /** Banks whose queue is non-empty: step() visits only these, and
+     *  idle() reads their count. */
+    WorkSet busyBanks_;
     std::vector<Cycle> bankFreeAt_;
     std::vector<Mshr> mshrs_;
     IcntLink requestLink_;
     IcntLink responseLink_;
     DramChannel dram_;
 
-    /** Fills ordered by data-return time. */
-    std::multimap<Cycle, PendingFill> pendingFills_;
-    /** Responses ordered by delivery time. */
-    std::multimap<Cycle, MemRequest> pendingResponses_;
+    /**
+     * Fills ordered by data-return time. A FIFO in practice: each due
+     * cycle is a DramChannel::service result, floor(freeAt) + a fixed
+     * latency, and the channel's freeAt never falls. Only a fault hook's
+     * Delay re-insert lands out of order (see DueQueue::push).
+     */
+    DueQueue<PendingFill> pendingFills_;
+    /**
+     * Responses ordered by delivery time. A FIFO in practice for the same
+     * reason: each due cycle is an IcntLink::transfer result on the one
+     * response link, floor(freeAt) + its fixed latency.
+     */
+    DueQueue<MemRequest> pendingResponses_;
 
     std::map<StreamId, uint64_t> bankMasks_;
 };

@@ -26,6 +26,7 @@ InterGpuFabric::InterGpuFabric(const FabricConfig &cfg,
     fatal_if(cfg_.migrateAfter != 0 && cfg_.pageBytes == 0,
              "page migration needs a non-zero page size");
     devices_.assign(numDevices_, nullptr);
+    blockedScratch_.assign(numDevices_, 0);
     requestLinks_.reserve(numDevices_ * numDevices_);
     responseLinks_.reserve(numDevices_ * numDevices_);
     for (uint32_t i = 0; i < numDevices_ * numDevices_; ++i) {
@@ -195,12 +196,12 @@ InterGpuFabric::step(Cycle now)
         const uint32_t start =
             static_cast<uint32_t>(now % static_cast<Cycle>(numDevices_));
         bool progress = true;
-        std::vector<bool> blocked(numDevices_, false);
+        std::fill(blockedScratch_.begin(), blockedScratch_.end(), 0);
         while (progress) {
             progress = false;
             for (uint32_t r = 0; r < numDevices_; ++r) {
                 const uint32_t src = (start + r) % numDevices_;
-                if (src == dst || blocked[src]) {
+                if (src == dst || blockedScratch_[src] != 0) {
                     continue;
                 }
                 Link &link = requestLink(src, dst);
@@ -209,7 +210,7 @@ InterGpuFabric::step(Cycle now)
                 }
                 if (!devices_[dst]->acceptRemoteRequest(
                         link.landed.front(), now)) {
-                    blocked[src] = true;
+                    blockedScratch_[src] = 1;
                     continue;
                 }
                 link.landed.pop_front();

@@ -174,6 +174,9 @@ class InterGpuFabric : public RemoteMemPort
     /** links_[src * numDevices_ + dst]; diagonal entries stay empty. */
     std::vector<Link> requestLinks_;
     std::vector<Link> responseLinks_;
+    /** Landing arbitration scratch, one flag per source device: the
+     *  link refused this cycle. Reset in place per destination. */
+    std::vector<uint8_t> blockedScratch_;
 
     /** Migration overrides: page number → current owner device. */
     std::map<Addr, uint32_t> pageOwner_;

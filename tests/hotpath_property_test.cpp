@@ -6,19 +6,24 @@
 // in observable behaviour — the golden suite enforces that end-to-end,
 // and these tests enforce it at the unit level by replaying long random
 // operation sequences against reference models transcribed from the
-// original implementations.
+// original implementations. The L2's due-cycle FIFOs (DueQueue) are
+// pinned the same way against the std::multimap they replaced, and the
+// work-set walk (WorkSet) against a full scan.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
 #include "audit/audit.hpp"
 #include "common/rng.hpp"
+#include "common/work_set.hpp"
 #include "gpu/gpu.hpp"
 #include "mem/cache.hpp"
+#include "mem/due_queue.hpp"
 #include "mem/mshr.hpp"
 #include "workloads/compute.hpp"
 
@@ -711,6 +716,135 @@ TEST(MshrEquivalence, TableWrapsAndReusesSlotsWithoutCollisionLoss)
         }
         EXPECT_EQ(mshr.entriesInUse(), ref.entriesInUse());
         EXPECT_EQ(mshr.oldestAllocation(), ref.oldestAllocation());
+    }
+}
+
+// ---------------------------------------------------------------------
+// DueQueue equivalence: the L2's fill and response FIFOs replaced
+// std::multimap<Cycle, T> event queues. Replay the L2's usage — mostly
+// non-decreasing pushes, equal keys, and Delay-style re-inserts below
+// the back taken while draining the due front — against the multimap,
+// which must pop the same items in the same order.
+// ---------------------------------------------------------------------
+
+TEST(DueQueueEquivalence, RandomPushPopMatchesMultimap)
+{
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+        DueQueue<uint64_t> queue;
+        std::multimap<Cycle, uint64_t> ref;
+        Rng rng(0xd0e ^ (seed << 12));
+        Cycle now = 0;
+        Cycle channel = 0;   // a serialized producer's freeAt
+        uint64_t next_id = 0;
+        uint64_t delayed = 0;
+        for (int step = 0; step < 4000; ++step) {
+            ++now;
+            // In-order producers: due = max(now, freeAt) + latency, so
+            // the keys never decrease and often repeat.
+            const uint64_t pushes = rng.nextBelow(4);
+            for (uint64_t i = 0; i < pushes; ++i) {
+                channel = std::max(channel, now) + rng.nextBelow(2);
+                const Cycle due = channel + 20;
+                queue.push(due, next_id);
+                ref.emplace(due, next_id);
+                ++next_id;
+            }
+            // Drain what is due; re-insert some pops with a delay, the
+            // way the fault hook's Delay action does.
+            while (queue.dueBy(now)) {
+                ASSERT_FALSE(ref.empty());
+                ASSERT_LE(ref.begin()->first, now);
+                const auto [due, id] = queue.pop();
+                auto node = ref.extract(ref.begin());
+                ASSERT_EQ(due, node.key());
+                ASSERT_EQ(id, node.mapped());
+                if (rng.nextBelow(6) == 0) {
+                    const Cycle later = now + 1 + rng.nextBelow(40);
+                    queue.push(later, id);
+                    ref.emplace(later, id);
+                    ++delayed;
+                }
+            }
+            ASSERT_FALSE(!ref.empty() && ref.begin()->first <= now);
+            ASSERT_EQ(queue.size(), ref.size());
+            ASSERT_TRUE(queue.ordered());
+            if (!ref.empty()) {
+                ASSERT_EQ(queue.frontDue(), ref.begin()->first);
+            }
+        }
+        // What is left must match entry for entry, in order.
+        EXPECT_TRUE(std::equal(queue.begin(), queue.end(), ref.begin(),
+                               ref.end(), [](const auto &a, const auto &b) {
+                                   return a.first == b.first &&
+                                       a.second == b.second;
+                               }));
+        EXPECT_GT(delayed, 100u);
+    }
+}
+
+TEST(DueQueueEquivalence, OutOfOrderPushLandsAfterEqualKeys)
+{
+    DueQueue<int> queue;
+    queue.push(10, 1);
+    queue.push(20, 2);
+    queue.push(20, 3);
+    queue.push(30, 4);
+    queue.push(20, 5);   // below the back: after the existing 20s
+    queue.push(5, 6);    // below everything: first
+    std::vector<int> order;
+    while (!queue.empty()) {
+        order.push_back(queue.pop().second);
+    }
+    EXPECT_EQ(order, (std::vector<int>{6, 1, 2, 3, 5, 4}));
+}
+
+// ---------------------------------------------------------------------
+// WorkSet: the memory phase and the L2 walk their work sets instead of
+// scanning; the walk must visit exactly the members a full scan from the
+// same start would, in the same order, with erasure during the walk.
+// ---------------------------------------------------------------------
+
+TEST(WorkSetEquivalence, RotationWalkMatchesFullScan)
+{
+    Rng rng(0x5e7);
+    for (size_t size : {1u, 5u, 63u, 64u, 65u, 130u}) {
+        WorkSet set(size);
+        std::vector<bool> ref(size, false);
+        for (int round = 0; round < 400; ++round) {
+            const size_t id = rng.nextBelow(size);
+            if (rng.nextBelow(3) == 0) {
+                set.erase(id);
+                ref[id] = false;
+            } else {
+                set.insert(id);
+                ref[id] = true;
+            }
+            const size_t start = rng.nextBelow(size);
+            std::vector<size_t> want;
+            for (size_t i = 0; i < size; ++i) {
+                if (ref[(start + i) % size]) {
+                    want.push_back((start + i) % size);
+                }
+            }
+            std::vector<size_t> got;
+            // Erase every third visited member mid-walk, as the memory
+            // phase drops drained SMs.
+            set.forEachFrom(start, [&](size_t member) {
+                got.push_back(member);
+                if (got.size() % 3 == 0) {
+                    set.erase(member);
+                    ref[member] = false;
+                }
+            });
+            ASSERT_EQ(got, want) << "size " << size << " start " << start;
+            size_t members = 0;
+            for (size_t i = 0; i < size; ++i) {
+                ASSERT_EQ(set.contains(i), ref[i]);
+                members += ref[i] ? 1 : 0;
+            }
+            ASSERT_EQ(set.count(), members);
+            ASSERT_EQ(set.empty(), members == 0);
+        }
     }
 }
 

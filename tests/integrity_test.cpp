@@ -342,6 +342,64 @@ TEST(CleanRunTest, WatchdogDoesNotChangeSimulatedCycles)
 }
 
 // ---------------------------------------------------------------------
+// Work sets: the memory phase visits only the SMs in its memory-phase
+// set and the L2 only its busy banks, so a missing member is a lost
+// wakeup that would quietly shift timing. The invariant pass re-derives
+// every set. Here two L1 MSHR entries per SM keep LDST heads parking on
+// a full MSHR, so they unpark only through a memResponse; the sets must
+// stay exact on every cycle, on the direct and the staged engine.
+// ---------------------------------------------------------------------
+
+/** Counts SM-cycles with an LDST head parked (queued, but no work). */
+class ParkedHeadCounter : public GpuController
+{
+  public:
+    uint64_t parked = 0;
+
+    void
+    onCycle(Gpu &gpu, Cycle now) override
+    {
+        for (uint32_t i = 0; i < gpu.numSms(); ++i) {
+            const Sm &sm = gpu.sm(i);
+            if (!sm.hasMemPhaseWork() && sm.probe(now).ldstQueueDepth > 0) {
+                ++parked;
+            }
+        }
+    }
+};
+
+class WorkSetAuditTest : public ::testing::TestWithParam<uint32_t>
+{
+};
+
+TEST_P(WorkSetAuditTest, MshrBoundRunKeepsWorkSetsExactAtIntervalOne)
+{
+    GpuConfig cfg = smallGpu();
+    cfg.sm.l1MshrEntries = 2;
+    cfg.engine.threads = GetParam();
+    cfg.engine.allowOversubscribe = true;
+    AddressSpace heap(0x8000'0000ull);
+    Gpu gpu(cfg);
+    enqueueVio(gpu, gpu.createStream("compute"), heap);
+    ParkedHeadCounter counter;
+    gpu.addController(&counter);
+
+    integrity::RunOptions opts;
+    opts.checkInterval = 1;
+    const auto r = gpu.run(500'000'000ull, opts);
+    ASSERT_TRUE(r.completed);
+    EXPECT_FALSE(r.hang.has_value()) << r.hang->render();
+    EXPECT_GT(counter.parked, 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, WorkSetAuditTest,
+                         ::testing::Values(1u, 2u),
+                         [](const auto &info) {
+                             return info.param == 1 ? std::string("direct")
+                                                    : std::string("staged");
+                         });
+
+// ---------------------------------------------------------------------
 // Enqueue/partition validation (the integrity layer's front door): bad
 // arguments die loudly at the call site instead of hanging the run.
 // ---------------------------------------------------------------------

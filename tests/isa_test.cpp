@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "isa/opcode.hpp"
 #include "isa/trace.hpp"
 #include "isa/trace_builder.hpp"
@@ -95,6 +99,76 @@ TEST(Coalesce, ResultsSortedAndUnique)
     ASSERT_EQ(lines.size(), 3u);
     EXPECT_LT(lines[0], lines[1]);
     EXPECT_LT(lines[1], lines[2]);
+}
+
+/** The original coalescer: every touched granule, then sort + unique. */
+std::vector<Addr>
+referenceCoalesce(const TraceInstr &in, uint32_t granule)
+{
+    std::vector<Addr> out;
+    const uint32_t bytes = std::max<uint32_t>(in.accessBytes, 1);
+    for (Addr a : in.addrs) {
+        for (Addr blk = a / granule; blk <= (a + bytes - 1) / granule;
+             ++blk) {
+            out.push_back(blk * granule);
+        }
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+}
+
+TEST(Coalesce, MatchesSortUniqueReferenceOnRandomLanes)
+{
+    // Ascending lanes (the common case, which skips the sort), repeated
+    // addresses, descending and shuffled lanes, and accesses that
+    // straddle a line or sector boundary.
+    constexpr uint32_t kAccessBytes[] = {0, 1, 4, 8, 16, 200};
+    Rng rng(0xc0a1);
+    std::vector<Addr> lines;
+    for (int round = 0; round < 4000; ++round) {
+        TraceInstr in;
+        in.opcode = Opcode::LDG;
+        in.accessBytes = kAccessBytes[rng.nextBelow(6)];
+        const Addr base = rng.nextBelow(1 << 20);
+        const uint64_t lanes = rng.nextBelow(33);
+        for (uint64_t l = 0; l < lanes; ++l) {
+            switch (rng.nextBelow(4)) {
+            case 0: // unit stride
+                in.addrs.push_back(base + 4 * l);
+                break;
+            case 1: // line stride
+                in.addrs.push_back(base + l * kLineBytes);
+                break;
+            case 2: // repeat the previous lane
+                in.addrs.push_back(in.addrs.empty() ? base
+                                                    : in.addrs.back());
+                break;
+            default: // anywhere nearby
+                in.addrs.push_back(base + rng.nextBelow(8 * kLineBytes));
+                break;
+            }
+        }
+        switch (rng.nextBelow(3)) {
+        case 0:
+            std::reverse(in.addrs.begin(), in.addrs.end());
+            break;
+        case 1:
+            for (size_t i = in.addrs.size(); i > 1; --i) {
+                std::swap(in.addrs[i - 1], in.addrs[rng.nextBelow(i)]);
+            }
+            break;
+        default:
+            break;
+        }
+        ASSERT_EQ(coalesceToLines(in), referenceCoalesce(in, kLineBytes));
+        ASSERT_EQ(coalesceToSectors(in),
+                  referenceCoalesce(in, kSectorBytes));
+        // The out-param overload reuses a dirty buffer.
+        lines.assign(3, 0xdead);
+        coalesceToLines(in, lines);
+        ASSERT_EQ(lines, referenceCoalesce(in, kLineBytes));
+    }
 }
 
 TEST(TraceBuilderTest, AluAndMasks)

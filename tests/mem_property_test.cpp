@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -253,6 +258,167 @@ TEST(L2Property, BankBandwidthThrottlesServiceRate)
     EXPECT_EQ(responses, 16u);
     // 16 hits at 4 cycles/line each: at least 64 cycles of bank service.
     EXPECT_GE(now - start, 16u * 4u);
+}
+
+// ---------------------------------------------------------------------
+// Fault-hook delays through the L2's due queues. The fill and response
+// queues are FIFOs whose Delay re-inserts land after equal due cycles,
+// as the std::multimap they replaced did. The reference is derived from
+// an undelayed run: with distinct, cold, read-only lines and MSHRs that
+// never fill, nothing upstream of a fill depends on its timing, so a
+// fixed delay on every fill shifts the response stream by that delay.
+// Every queue pops in (due cycle, first pop before re-insert, original
+// order) order.
+// ---------------------------------------------------------------------
+
+/** Records every pop it sees; delays each fill once by fillDelay and
+ *  each response of a line with line/kLineBytes % 3 == 0 once by
+ *  responseDelay (0 = pass). */
+class RecordingDelayHook : public MemFaultHook
+{
+  public:
+    Cycle fillDelay = 0;
+    Cycle responseDelay = 0;
+    std::vector<std::pair<Cycle, Addr>> fills;
+    std::vector<std::pair<Cycle, Addr>> responses;
+
+    static bool
+    delaysResponse(Addr line)
+    {
+        return line / kLineBytes % 3 == 0;
+    }
+
+    Action
+    onDramFill(const MemRequest &req, Cycle now, Cycle &delay) override
+    {
+        fills.emplace_back(now, req.line);
+        if (fillDelay != 0 && filled_.insert(req.line).second) {
+            delay = fillDelay;
+            return Action::Delay;
+        }
+        return Action::None;
+    }
+
+    Action
+    onResponse(const MemRequest &req, Cycle now, Cycle &delay) override
+    {
+        responses.emplace_back(now, req.line);
+        if (responseDelay != 0 && delaysResponse(req.line) &&
+            responded_.insert(req.line).second) {
+            delay = responseDelay;
+            return Action::Delay;
+        }
+        return Action::None;
+    }
+
+  private:
+    std::set<Addr> filled_;
+    std::set<Addr> responded_;
+};
+
+struct DelayRun
+{
+    std::vector<std::pair<Cycle, Addr>> fills;      ///< Fill pops seen.
+    std::vector<std::pair<Cycle, Addr>> responses;  ///< Response pops seen.
+    std::vector<std::pair<Cycle, Addr>> delivered;
+    std::string auditFailure;
+};
+
+DelayRun
+runDelayed(Cycle fill_delay, Cycle response_delay)
+{
+    L2Config cfg;
+    cfg.numBanks = 4;
+    StatsRegistry stats;
+    L2Subsystem l2(cfg, &stats);
+    RecordingDelayHook hook;
+    hook.fillDelay = fill_delay;
+    hook.responseDelay = response_delay;
+    l2.setFaultHook(&hook);
+    DelayRun run;
+    Cycle now = 0;
+    l2.setResponseHandler([&](const MemRequest &r) {
+        run.delivered.emplace_back(now, r.line);
+    });
+    // 240 distinct lines, three offered per cycle in a fixed order; a
+    // refused one is offered again next cycle. 60 lines per bank stay
+    // under the 64 MSHR entries, so no bank ever waits on a fill.
+    Addr next = 0;
+    const Addr total = 240;
+    while ((next < total || !l2.idle()) && now < 100000) {
+        ++now;
+        for (int i = 0; i < 3 && next < total; ++i) {
+            MemRequest req;
+            req.line = (next * 7 + 1) * kLineBytes;
+            req.smId = static_cast<uint32_t>(next % 5);
+            req.completionKey = req.line;
+            if (!l2.submit(req, now)) {
+                break;
+            }
+            ++next;
+        }
+        l2.step(now);
+        std::string detail;
+        if (!l2.auditWorkSets(&detail) && run.auditFailure.empty()) {
+            run.auditFailure = std::to_string(now) + ": " + detail;
+        }
+    }
+    EXPECT_TRUE(l2.idle());
+    run.fills = std::move(hook.fills);
+    run.responses = std::move(hook.responses);
+    return run;
+}
+
+/** Pop order of a due queue: each item pops at its due cycle, and an
+ *  item in @p delayed pops again @p delay later, after that cycle's
+ *  first pops; ties keep @p base order. With @p only_final, the first
+ *  pop of a delayed item is left out (the deliveries). */
+std::vector<std::pair<Cycle, Addr>>
+expectedPops(const std::vector<std::pair<Cycle, Addr>> &base, Cycle shift,
+             Cycle delay, bool (*delayed)(Addr), bool only_final)
+{
+    std::vector<std::tuple<Cycle, int, size_t, Addr>> events;
+    for (size_t i = 0; i < base.size(); ++i) {
+        const auto [due, line] = base[i];
+        const bool again = delay != 0 && delayed(line);
+        if (!(only_final && again)) {
+            events.emplace_back(due + shift, 0, i, line);
+        }
+        if (again) {
+            events.emplace_back(due + shift + delay, 1, i, line);
+        }
+    }
+    std::sort(events.begin(), events.end());
+    std::vector<std::pair<Cycle, Addr>> out;
+    for (const auto &[at, pass, i, line] : events) {
+        out.emplace_back(at, line);
+    }
+    return out;
+}
+
+TEST(L2Property, DelayedFillsAndResponsesPopInMultimapOrder)
+{
+    const DelayRun plain = runDelayed(0, 0);
+    ASSERT_EQ(plain.delivered.size(), 240u);
+    EXPECT_EQ(plain.responses, plain.delivered);
+    EXPECT_TRUE(plain.auditFailure.empty()) << plain.auditFailure;
+
+    // Both delays stay below the latency a fresh entry is pushed ahead
+    // of its due cycle (DRAM 180, response link 25), so every re-insert
+    // lands behind entries already queued for the same cycle.
+    const Cycle fill_delay = 7;
+    const Cycle response_delay = 5;
+    const DelayRun delayed = runDelayed(fill_delay, response_delay);
+    EXPECT_TRUE(delayed.auditFailure.empty()) << delayed.auditFailure;
+    auto every = [](Addr) { return true; };
+    EXPECT_EQ(delayed.fills,
+              expectedPops(plain.fills, 0, fill_delay, every, false));
+    EXPECT_EQ(delayed.responses,
+              expectedPops(plain.delivered, fill_delay, response_delay,
+                           &RecordingDelayHook::delaysResponse, false));
+    EXPECT_EQ(delayed.delivered,
+              expectedPops(plain.delivered, fill_delay, response_delay,
+                           &RecordingDelayHook::delaysResponse, true));
 }
 
 // ---------------------------------------------------------------------

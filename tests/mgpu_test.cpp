@@ -372,6 +372,29 @@ TEST(MgpuRunLoop, CheckersStayQuietOnRemoteTraffic)
     EXPECT_GT(machine.fabric().requestsAccepted(), 0u);
 }
 
+TEST(MgpuRunLoop, WorkSetsStayExactOnRemoteResponses)
+{
+    // A remote fill comes back through deliverRemoteResponse. With two
+    // L1 MSHR entries per SM that response is what unparks an LDST head
+    // parked on a full MSHR, so the memory-phase set must take the SM
+    // back on this path too; the invariant pass checks it every cycle.
+    mgpu::MultiGpuConfig cfg = smallDual();
+    cfg.gpu.sm.l1MshrEntries = 2;
+    mgpu::MultiGpu machine(cfg);
+    AddressSpace heap = machine.heapFor(0);
+    const Addr base = heap.alloc(1 << 18);
+    Gpu &dev1 = machine.device(1);
+    dev1.enqueueKernel(dev1.createStream("compute"),
+                       readerKernel(base, 1 << 18));
+    integrity::RunOptions opts;
+    opts.checkInterval = 1;
+    opts.auditInterval = 1;
+    const auto r = machine.run(4'000'000, opts);
+    EXPECT_TRUE(r.completed);
+    EXPECT_FALSE(r.hang.has_value()) << r.hang->render();
+    EXPECT_GT(machine.fabric().responsesDelivered(), 0u);
+}
+
 TEST(MgpuRunLoop, FrozenSmOnDeviceOneIsReported)
 {
     mgpu::MultiGpu machine(smallDual());
