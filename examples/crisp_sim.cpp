@@ -9,7 +9,10 @@
  * experiments at. The file states the whole experiment, partitioning
  * included (gpu.partition on one GPU, gpu.placement on several). One
  * GPU and many run through the same run loop, which always jumps over
- * cycles in which nothing anywhere in the machine can happen.
+ * cycles in which nothing anywhere in the machine can happen. Every run
+ * is watched: the forward-progress watchdog and the invariant checkers
+ * run every kCheckInterval cycles, and a hung or inconsistent run prints
+ * its hang report on stderr and exits 1.
  *
  * Usage:
  *   crisp_sim --scenario FILE [options]
@@ -55,6 +58,9 @@ using namespace crisp;
 
 namespace
 {
+
+/** Cycles between watchdog and invariant checks. */
+constexpr Cycle kCheckInterval = 4096;
 
 struct Options
 {
@@ -210,9 +216,15 @@ simulate(const Options &opt, const scenario::Scenario &scn)
                     machine_name.c_str(), partition.c_str());
     }
 
+    integrity::RunOptions run_opts;
+    run_opts.checkInterval = kCheckInterval;
     const Gpu::RunResult r =
         Machine(devices, multi ? &multi->fabric() : nullptr)
-            .run(opt.maxCycles, {});
+            .run(opt.maxCycles, run_opts);
+    if (r.hang) {
+        std::fprintf(stderr, "%s", r.hang->render().c_str());
+        return 1;
+    }
     if (!r.completed && opt.maxCyclesSet) {
         std::printf("stopped at --max-cycles %llu before draining\n",
                     static_cast<unsigned long long>(opt.maxCycles));

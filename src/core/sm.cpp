@@ -292,7 +292,6 @@ Sm::launchCta(const KernelInfo &kernel, KernelId kernel_id,
     if (st.firstCycle == 0) {
         st.firstCycle = now;
     }
-    ++workCount_;
 
     // Pad with empty warps if the generator produced fewer than the launch
     // geometry implies (partial CTAs at grid edges produce fewer warps).
@@ -684,7 +683,6 @@ Sm::tryIssue(WarpState &warp, Cycle now, Cycle &wake)
     auto &st = streamStats(warp.stream);
     st.instructions++;
     issuedByStream_[warp.stream]++;
-    ++workCount_;
 
     if (instr.opcode == Opcode::EXIT || warp.pc >= warp.trace.instrs.size()) {
         finishWarp(warp, now);
@@ -727,7 +725,6 @@ Sm::memPhaseGrantRetry(Cycle now)
     fabricRetry_.pop_front();
     fabricRetryParkedAt_.pop_front();
     --memRetriesLeft_;
-    ++workCount_;
     return true;
 }
 
@@ -830,7 +827,6 @@ Sm::stepLdstOne(Cycle now)
 
     entry.lines.pop_back();
     --memPortsLeft_;
-    ++workCount_;
     if (entry.lines.empty()) {
         recycleLines(std::move(entry.lines));
         ldstQueue_.pop_front();
@@ -1117,7 +1113,6 @@ Sm::step(Cycle now)
             warps_[slot].pendingWrites.reset(reg);
         }
         scoreboardParked_ &= ~slotBit(slot);
-        ++workCount_;
     }
 
     // Count active cycles per stream (streams with live warps this

@@ -368,20 +368,14 @@ class Sm
     void flushShadowProfiler();
 
     /**
-     * Monotone count of units of work done by this SM (issues, line
-     * requests, writebacks, fabric sends). The cycle engine compares it
-     * across a tick to detect machine-wide idle cycles.
-     */
-    uint64_t workCount() const { return workCount_; }
-
-    /**
      * Earliest future cycle (> @p now) at which this SM can do work on
      * its own: the next cycle while the SM has unparked memory-phase work
      * (see hasMemPhaseWork) or an outside event has woken it, otherwise
      * the wake cycle its last step computed (kNeverCycle when every warp
      * waits on memory; the L2 side owns those wake-ups, and the response
-     * that unparks an LDST head). Idle fast-forward takes the minimum
-     * across all components.
+     * that unparks an LDST head). Exact or early in any state after a
+     * tick, never late: idle fast-forward jumps to the minimum across all
+     * components after every tick, with no other test of idleness.
      */
     Cycle nextWorkCycle(Cycle now) const
     {
@@ -611,7 +605,6 @@ class Sm
     std::vector<std::pair<StreamId, KernelId>> stagedCtaDones_;
     StatsRegistry shadowStats_;
     telemetry::SelfProfiler shadowProfiler_;
-    uint64_t workCount_ = 0;
 
     // Unified L1 data cache.
     SetAssocCache l1_;

@@ -19,8 +19,9 @@ namespace engine
  * persistent worker pool per machine with deterministic merge points, so
  * simulation outputs are identical for any thread count (see
  * docs/ARCHITECTURE.md, "The parallel cycle engine").
- * Idle fast-forward is not a setting: the run loop always jumps over
- * cycles in which nothing anywhere in the machine can happen.
+ * Idle fast-forward is not a setting: after every tick the run loop
+ * jumps to just before the machine's earliest wake cycle, on any engine
+ * (see docs/ARCHITECTURE.md, "Idle fast-forward").
  */
 struct EngineConfig
 {

@@ -1,6 +1,7 @@
 #include "gpu/gpu.hpp"
 
 #include <algorithm>
+#include <cinttypes>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -370,27 +371,30 @@ Gpu::allowedSms(StreamId stream)
     return it == smAssignment_.end() ? allSms_ : it->second;
 }
 
+Cycle
+Gpu::promotionCycle(const StreamState &ss) const
+{
+    // A kernel enqueued with an absolute arrival time (enqueueKernelAt)
+    // is invisible to the scheduler until then; one with a dependency
+    // also waits for its completion plus the fixed-function FIFO latency
+    // between the two (paper SIV).
+    const QueuedKernel &front = ss.queue.front();
+    if (front.dependsOn == kNoDependency) {
+        return front.notBefore;
+    }
+    auto done_at = ss.completedAt.find(front.dependsOn);
+    if (done_at == ss.completedAt.end()) {
+        return kNeverCycle;
+    }
+    return std::max(done_at->second + front.delay, front.notBefore);
+}
+
 void
 Gpu::promoteReadyKernels(StreamState &ss)
 {
-    while (!ss.queue.empty() && ss.active.size() < kMaxActiveKernels) {
+    while (!ss.queue.empty() && ss.active.size() < kMaxActiveKernels &&
+           cycle_ >= promotionCycle(ss)) {
         const QueuedKernel &front = ss.queue.front();
-        // Arrival gate: a kernel enqueued with an absolute arrival time
-        // (enqueueKernelAt) is invisible to the scheduler until then.
-        if (cycle_ < front.notBefore) {
-            break;
-        }
-        if (front.dependsOn != kNoDependency) {
-            if (!ss.completed.count(front.dependsOn)) {
-                break;
-            }
-            // Fixed-function FIFO latency between the dependency's
-            // completion and this kernel's eligibility (paper SIV).
-            if (front.delay > 0 &&
-                cycle_ < ss.completedAt[front.dependsOn] + front.delay) {
-                break;
-            }
-        }
         ActiveKernel ak;
         ak.id = front.id;
         ak.info = std::move(ss.queue.front().info);
@@ -430,6 +434,7 @@ Gpu::issueCtas()
     // of one CTA per SM per cycle).
     issueLaunchedScratch_.assign(sms_.size(), 0);
     std::vector<uint8_t> &launched = issueLaunchedScratch_;
+    ctaLaunched_ = false;
 
     for (auto &[id, ss] : streams_) {
         promoteReadyKernels(ss);
@@ -450,6 +455,7 @@ Gpu::issueCtas()
                     sms_[sm_id]->launchCta(ak.info, ak.id, ak.nextCta++,
                                            cycle_);
                     launched[sm_id] = true;
+                    ctaLaunched_ = true;
                     if (telemetry_) {
                         telemetry_->emit(
                             {cycle_, telemetry::EventKind::CtaDispatch,
@@ -487,7 +493,6 @@ Gpu::onCtaDone(uint32_t sm_id, StreamId stream, KernelId kernel)
                           stream, kernel, ak->ctasDone});
     }
     if (++ak->ctasDone == ak->info.numCtas()) {
-        ss.completed.insert(kernel);
         ss.completedAt[kernel] = cycle_;
         KernelRecord rec;
         rec.id = kernel;
@@ -790,74 +795,60 @@ Gpu::sampleCounters()
     series.set(cols.l2Valid, lastComposition_.validFraction());
 }
 
-uint64_t
-Gpu::totalWorkCount() const
-{
-    uint64_t work = l2_->workCount();
-    for (const auto &sm : sms_) {
-        work += sm->workCount();
-    }
-    return work;
-}
-
 Cycle
 Gpu::nextWakeCycle() const
 {
+    // Every term is clamped to the next cycle, the earliest possible
+    // answer, so the scan stops at the first term that gives it. The SMs
+    // go first: on a busy tick one of them usually does.
+    const Cycle next = cycle_ + 1;
+    if (!controllers_.empty()) {
+        return next;   // onCycle runs every cycle
+    }
+    // A launch tick may leave CTAs the one-per-SM-per-cycle limit held
+    // back, and the launched warps need not issue this tick. After a tick
+    // with no launch, only a CTA commit (an issue, so an SM term) can let
+    // another CTA in.
+    if (ctaLaunched_) {
+        return next;
+    }
     Cycle wake = kNeverCycle;
-    auto consider = [&](Cycle at) {
-        if (at != kNeverCycle) {
-            wake = std::min(wake, std::max(at, cycle_ + 1));
-        }
+    auto soonest = [&](Cycle at) {
+        wake = std::min(wake, std::max(at, next));
+        return wake == next;
     };
-
-    // Controllers default to now + 1 (no jumping past their onCycle);
-    // epoch-based ones can override nextWakeCycle to permit it.
-    for (const auto *c : controllers_) {
-        consider(c->nextWakeCycle(*this, cycle_));
-    }
-
-    // The counter sampler's next row.
-    if (telemetry_ && sampleInterval_ != 0) {
-        consider(nextSample_);
-    }
-
-    // Kernel promotion timers: a front kernel held back only by a
-    // fixed-function delay becomes eligible at a known cycle. Fronts
-    // blocked on an incomplete dependency or the active-kernel limit
-    // wake via a kernel completion, which is always preceded by SM/L2
-    // work (covered below).
-    for (const auto &[id, ss] : streams_) {
-        if (ss.queue.empty() || ss.active.size() >= kMaxActiveKernels) {
-            continue;
-        }
-        const QueuedKernel &front = ss.queue.front();
-        if (front.dependsOn == kNoDependency) {
-            // Promotes on the next tick, or at its arrival time if it
-            // carries one (consider() clamps to cycle_ + 1).
-            consider(front.notBefore);
-            continue;
-        }
-        auto done_at = ss.completedAt.find(front.dependsOn);
-        if (done_at != ss.completedAt.end()) {
-            consider(std::max(done_at->second + front.delay,
-                              front.notBefore));
-        }
-    }
-
     for (const auto &sm : sms_) {
-        consider(sm->nextWorkCycle(cycle_));
+        if (soonest(sm->nextWorkCycle(cycle_))) {
+            return next;
+        }
     }
-    consider(l2_->nextEventCycle(cycle_));
+    if (soonest(l2_->nextEventCycle(cycle_))) {
+        return next;
+    }
+    // The counter sampler's next row.
+    if (telemetry_ && sampleInterval_ != 0 && soonest(nextSample_)) {
+        return next;
+    }
+    // Kernel promotion timers. Fronts blocked on an incomplete
+    // dependency or the active-kernel limit wake via a kernel
+    // completion, which an SM's work precedes (covered above).
+    for (const auto &[id, ss] : streams_) {
+        if (!ss.queue.empty() && ss.active.size() < kMaxActiveKernels &&
+            soonest(promotionCycle(ss))) {
+            return next;
+        }
+    }
     return wake;
 }
 
 void
 Gpu::fastForwardTo(Cycle target)
 {
-    // Every skipped cycle is a proven zero-work tick: the only per-cycle
-    // state it would have advanced is the per-stream active-cycle
-    // counters, which each SM credits lazily for the cycles it slept
-    // through, skipped ones included.
+    // No skipped cycle may have had work by any wake term (see
+    // Machine::run): the only per-cycle state such a tick would have
+    // advanced is the per-stream active-cycle counters, which each SM
+    // credits lazily for the cycles it slept through, skipped ones
+    // included.
     ffCyclesSkipped_ += target - cycle_;
     cycle_ = target;
     ++ffJumps_;
@@ -903,26 +894,22 @@ Gpu::progressSignature() const
 bool
 Gpu::progressImminent() const
 {
-    // A machine-wide idle spell is legal while a fixed-function stage
-    // delay holds back the only runnable kernel (enqueueKernelAfter with
-    // a delay): the front kernel's dependency has completed and promotion
-    // is scheduled, so this is not a hang no matter how long the delay.
-    for (const auto &[id, ss] : streams_) {
-        if (!ss.active.empty() || ss.queue.empty()) {
-            continue;
-        }
-        const QueuedKernel &front = ss.queue.front();
-        if (front.dependsOn == kNoDependency) {
-            return true;   // promotes on the next tick (or at arrival)
-        }
-        auto done_at = ss.completedAt.find(front.dependsOn);
-        if (done_at != ss.completedAt.end() &&
-            cycle_ < std::max(done_at->second + front.delay,
-                              front.notBefore)) {
-            return true;
-        }
-    }
-    return false;
+    // A machine-wide idle spell is legal while a stream with nothing in
+    // flight waits only on its front kernel's arrival cycle or
+    // fixed-function delay: promotion is scheduled, so this is not a
+    // hang no matter how long the wait. A dependent front whose gate has
+    // already opened is not exempt: under Exhaustive a starved earlier
+    // stream keeps it from promoting.
+    return std::any_of(
+        streams_.begin(), streams_.end(), [this](const auto &entry) {
+            const StreamState &ss = entry.second;
+            if (!ss.active.empty() || ss.queue.empty()) {
+                return false;
+            }
+            const Cycle p = promotionCycle(ss);
+            return ss.queue.front().dependsOn == kNoDependency ||
+                (p != kNeverCycle && cycle_ < p);
+        });
 }
 
 std::vector<const Sm *>
@@ -966,7 +953,7 @@ Gpu::checkStreamLiveness(
         }
         const QueuedKernel &front = ss.queue.front();
         if (front.dependsOn == kNoDependency ||
-            ss.completed.count(front.dependsOn)) {
+            ss.completedAt.count(front.dependsOn)) {
             continue;
         }
         const bool pending =
@@ -1004,15 +991,17 @@ Gpu::describe(integrity::HangReport &report) const
         if (!ss.queue.empty()) {
             const QueuedKernel &front = ss.queue.front();
             row.frontKernel = front.info.name;
-            if (front.dependsOn != kNoDependency &&
-                !ss.completed.count(front.dependsOn)) {
+            const Cycle promotion = promotionCycle(ss);
+            if (promotion == kNeverCycle) {
                 row.blockingDep = front.dependsOn;
                 row.blockReason = logging_detail::formatMessage(
                     "waiting on kernel %u", front.dependsOn);
-            } else if (front.dependsOn != kNoDependency && front.delay > 0 &&
-                       cycle_ < ss.completedAt.at(front.dependsOn) +
-                                    front.delay) {
-                row.blockReason = "fixed-function delay";
+            } else if (cycle_ < promotion) {
+                row.blockReason = logging_detail::formatMessage(
+                    "%s at cycle %" PRIu64,
+                    promotion == front.notBefore ? "arrival"
+                                                 : "fixed-function delay",
+                    promotion);
             } else if (ss.active.size() >= kMaxActiveKernels) {
                 row.blockReason = "active-kernel limit";
             } else {

@@ -84,11 +84,12 @@ class RemoteMemPort
     virtual void step(Cycle now) = 0;
     /** True when no packet is queued, on a wire, or parked anywhere. */
     virtual bool idle() const = 0;
-    /** Monotone count of packet moves (fast-forward's zero-work test and
-     *  the watchdog's progress signature). */
+    /** Monotone count of packet moves: the fabric's term in the
+     *  watchdog's progress signature. */
     virtual uint64_t workCount() const = 0;
     /** Earliest cycle (> @p now) at which step() can move a packet;
-     *  kNeverCycle when idle. Early answers are safe, late ones not. */
+     *  kNeverCycle when idle. Idle fast-forward jumps on it after every
+     *  tick, so early answers are safe and late ones not. */
     virtual Cycle nextEventCycle(Cycle now) const = 0;
     /** Reads on the fabric, requests and responses (mem-conservation). */
     virtual uint64_t readsInFlight() const = 0;
@@ -165,23 +166,12 @@ class GpuController
         (void)stream;
         (void)id;
     }
+    /** Runs every cycle: an attached controller disables idle
+     *  fast-forward. */
     virtual void onCycle(Gpu &gpu, Cycle now)
     {
         (void)gpu;
         (void)now;
-    }
-
-    /**
-     * Earliest future cycle at which this controller needs onCycle to run
-     * during a machine-wide idle spell. The default (now + 1) disables
-     * idle fast-forward while the controller is attached — controllers
-     * that only act on epoch boundaries can override this to let the
-     * engine jump to their next epoch.
-     */
-    virtual Cycle nextWakeCycle(const Gpu &gpu, Cycle now) const
-    {
-        (void)gpu;
-        return now + 1;
     }
 };
 
@@ -423,7 +413,7 @@ class Gpu : public MemFabricPort
         std::string name;
         std::deque<QueuedKernel> queue;
         std::vector<ActiveKernel> active;
-        std::set<KernelId> completed;
+        /** Completion cycle of every completed kernel. */
         std::map<KernelId, Cycle> completedAt;
         std::set<KernelId> everEnqueued;
         KernelId lastEnqueued = kNoDependency;
@@ -440,6 +430,12 @@ class Gpu : public MemFabricPort
     void applyPartition();
     void issueCtas();
     void onCtaDone(uint32_t sm_id, StreamId stream, KernelId kernel);
+    /**
+     * First cycle at which @p ss's front kernel may be promoted, ignoring
+     * the active-kernel limit; kNeverCycle while its dependency is
+     * incomplete. The queue must not be empty.
+     */
+    Cycle promotionCycle(const StreamState &ss) const;
     void promoteReadyKernels(StreamState &ss);
     const std::vector<uint32_t> &allowedSms(StreamId stream);
     void sampleCounters();
@@ -464,7 +460,8 @@ class Gpu : public MemFabricPort
     void stepSmsStaged();
 
     // Idle fast-forward internals (used by Machine::run).
-    uint64_t totalWorkCount() const;
+    /** Earliest cycle (> now) at which a tick can do anything; exact or
+     *  early in any state after a tick. */
     Cycle nextWakeCycle() const;
     void fastForwardTo(Cycle target);
     /** Credit every SM's sleeping cycles through now (run return). */
@@ -492,6 +489,8 @@ class Gpu : public MemFabricPort
     /** Per-tick "SM accepted a CTA this cycle" scratch for issueCtas():
      *  reused so the per-cycle scheduler pass does not allocate. */
     std::vector<uint8_t> issueLaunchedScratch_;
+    /** issueCtas() launched a CTA this tick (pins nextWakeCycle). */
+    bool ctaLaunched_ = false;
     /** Arbitration rotations for memoryPhase()'s retry and LDST rounds,
      *  reused per tick. */
     std::vector<Sm *> retryPhaseScratch_;

@@ -72,22 +72,17 @@ Machine::mergedStats() const
     return merged;
 }
 
-uint64_t
-Machine::workCount() const
-{
-    uint64_t work = fabric_ != nullptr ? fabric_->workCount() : 0;
-    for (const Gpu *gpu : devices_) {
-        work += gpu->totalWorkCount();
-    }
-    return work;
-}
-
 Cycle
 Machine::nextWakeCycle() const
 {
+    // A device answers no earlier than the next cycle; one that gives it
+    // ends the scan.
     Cycle wake = kNeverCycle;
     for (const Gpu *gpu : devices_) {
         wake = std::min(wake, gpu->nextWakeCycle());
+        if (wake == now() + 1) {
+            return wake;
+        }
     }
     if (fabric_ != nullptr) {
         wake = std::min(wake, fabric_->nextEventCycle(now()));
@@ -270,13 +265,10 @@ Machine::run(Cycle max_cycles, const integrity::RunOptions &opts)
 
     // Idle fast-forward, never under fault injection (a frozen SM's
     // "idle" is exactly what the watchdog must observe tick by tick).
-    // Zero-work ticks are detected by the machine-wide work counter —
-    // every SM, L2 and fabric link — standing still across a tick.
     const bool fast_forward =
         std::none_of(devices_.begin(), devices_.end(), [](const Gpu *gpu) {
             return gpu->faultInjector_ != nullptr;
         });
-    uint64_t last_work = workCount();
 
     while (now() < max_cycles) {
         if (done()) {
@@ -294,28 +286,26 @@ Machine::run(Cycle max_cycles, const integrity::RunOptions &opts)
         }
         tick();
         if (fast_forward) {
-            const uint64_t work = workCount();
-            if (work == last_work) {
-                // Nothing happened this tick: jump to just before the
-                // earliest cycle anything can happen, clamped so the
-                // watchdog still runs at its exact cadence and the run
-                // still ends at max_cycles. kNeverCycle (a dead machine)
-                // is left to the watchdog at normal speed. The counter
-                // audit does not clamp the jump — its identities depend
-                // only on counter state, which is frozen across idle
-                // ticks, and an overdue audit fires on the first tick
-                // after the jump anyway.
-                const Cycle wake = nextWakeCycle();
-                Cycle limit = max_cycles;
-                if (interval != 0) {
-                    limit = std::min(limit, next_check);
-                }
-                if (wake != kNeverCycle &&
-                    std::min(wake, limit) > now() + 1) {
-                    fastForwardTo(std::min(wake, limit) - 1);
-                }
+            // Jump to just before the earliest cycle anything can
+            // happen, clamped so the watchdog still runs at its exact
+            // cadence and the run still ends at max_cycles. Every wake
+            // term is exact or early after any tick, so a busy tick needs
+            // no other test. kNeverCycle (a dead machine) is left to the
+            // watchdog at normal speed. A drained machine must not jump:
+            // its sampler still names a next row, and the run would end
+            // past its last cycle. The counter audit does not clamp the
+            // jump — its identities depend only on counter state, which
+            // is frozen across idle ticks, and an overdue audit fires on
+            // the first tick after the jump anyway.
+            const Cycle wake = nextWakeCycle();
+            Cycle limit = max_cycles;
+            if (interval != 0) {
+                limit = std::min(limit, next_check);
             }
-            last_work = work;
+            if (wake != kNeverCycle && std::min(wake, limit) > now() + 1 &&
+                !done()) {
+                fastForwardTo(std::min(wake, limit) - 1);
+            }
         }
         const bool check_due = interval != 0 && now() >= next_check;
         const bool audit_due =

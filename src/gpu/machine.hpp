@@ -51,7 +51,6 @@ class Machine
     StatsRegistry mergedStats() const;
 
   private:
-    uint64_t workCount() const;
     Cycle nextWakeCycle() const;
     void fastForwardTo(Cycle target);
     uint64_t progressSignature() const;

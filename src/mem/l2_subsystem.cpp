@@ -135,7 +135,6 @@ L2Subsystem::submit(MemRequest req, Cycle now)
         ++readsAccepted_;
         ++queuedReads_;
     }
-    ++workCount_;
     bankQueues_[bank].push_back(std::move(req));
     busyBanks_.insert(bank);
     return true;
@@ -160,7 +159,6 @@ L2Subsystem::serviceBank(uint32_t b, Cycle now, Cycle occupancy)
         return;
     }
     MemRequest &req = queue.front();
-    ++workCount_;
     auto &st = stats_->stream(req.stream);
 
     if (mshrs_[b].pending(req.line)) {
@@ -239,7 +237,6 @@ L2Subsystem::step(Cycle now)
                                               telemetry::Component::Dram);
     while (pendingFills_.dueBy(now)) {
         auto [ready, pf] = pendingFills_.pop();
-        ++workCount_;
         if (faultHook_) {
             Cycle delay = 0;
             const auto action = faultHook_->onDramFill(pf.req, now, delay);
@@ -313,7 +310,6 @@ L2Subsystem::step(Cycle now)
                                               telemetry::Component::Icnt);
     while (pendingResponses_.dueBy(now)) {
         MemRequest resp = pendingResponses_.pop().second;
-        ++workCount_;
         panic_if(!onResponse_, "L2 response with no handler installed");
         if (faultHook_) {
             Cycle delay = 0;

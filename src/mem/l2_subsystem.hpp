@@ -108,16 +108,11 @@ class L2Subsystem
      * or bank-queue head becoming serviceable. kNeverCycle when nothing
      * is in flight. A head stalled on a full MSHR reports now+1 (it
      * unblocks on a fill, which is already covered, but the bank retries
-     * every cycle, so the conservative answer keeps it exact).
+     * every cycle, so the conservative answer keeps it exact). Exact or
+     * early in any state after a tick, never late: idle fast-forward
+     * jumps on it after every tick, busy or not.
      */
     Cycle nextEventCycle(Cycle now) const;
-
-    /**
-     * Monotone count of units of work done (requests accepted, fills
-     * completed, bank services, responses delivered). The cycle engine
-     * compares it across a tick to detect a machine-wide idle cycle.
-     */
-    uint64_t workCount() const { return workCount_; }
 
     /**
      * MiG-style bank partitioning: restrict @p stream to the banks with set
@@ -287,7 +282,6 @@ class L2Subsystem
     uint64_t rowConflictsSeen_ = 0;
     uint64_t readsAccepted_ = 0;
     uint64_t responsesDelivered_ = 0;
-    uint64_t workCount_ = 0;
     /** Reads currently in bank queues (kept incrementally: inFlight() is
      *  called every watchdog tick and must not walk the queues). */
     uint64_t queuedReads_ = 0;

@@ -190,7 +190,8 @@ class InterGpuFabric : public RemoteMemPort
     uint64_t bytesTransferred_ = 0;
     uint64_t pageMigrations_ = 0;
     uint64_t migratedBytes_ = 0;
-    /** Packet moves: wire admissions, landings and deliveries. */
+    /** Packet moves: wire admissions, landings and deliveries (the
+     *  watchdog's fabric progress term). */
     uint64_t workCount_ = 0;
 };
 

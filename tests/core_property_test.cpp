@@ -533,7 +533,6 @@ struct DueRun
 {
     Cycle drained = 0;
     std::string stats;
-    uint64_t work = 0;
     uint64_t slept = 0;          ///< Cycles the SM was not due.
     uint64_t ldstBlocked = 0;    ///< Cycles some warp waited on LDST room.
     uint64_t l1Hits = 0;
@@ -618,7 +617,6 @@ driveSm(const DueCase &c, bool due_only)
     // A drained SM has no live warp left to owe cycles to: no settle.
     run.drained = now;
     run.stats = streamStatsDump(stats);
-    run.work = sm.workCount();
     for (const auto &[id, st] : stats.allStreams()) {
         run.l1Hits += st.l1Hits;
     }
@@ -635,7 +633,6 @@ TEST_P(DueStepping, MatchesSteppingEveryCycle)
     const DueRun due = driveSm(GetParam(), true);
     EXPECT_EQ(due.drained, every.drained);
     EXPECT_EQ(due.stats, every.stats);
-    EXPECT_EQ(due.work, every.work);
     EXPECT_EQ(every.slept, 0u);
     // Every park held on every cycle of both runs.
     EXPECT_EQ(every.auditFailure, "");

@@ -15,6 +15,8 @@
 #include "gpu/gpu.hpp"
 #include "graphics/pipeline.hpp"
 #include "isa/trace_builder.hpp"
+#include "scenario/build.hpp"
+#include "scenario/scenario.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/sink.hpp"
 #include "workloads/compute.hpp"
@@ -219,7 +221,7 @@ struct RunOutputs
     std::string trace;
     uint64_t ffJumps = 0;
     uint64_t ffCycles = 0;
-    /** The stream's active cycles (summed over SMs). */
+    /** Every stream's active cycles (summed over SMs). */
     uint64_t activeCycles = 0;
     /** Tick loop only: SM-cycles with a live warp, counted from outside. */
     uint64_t liveSmCycles = 0;
@@ -301,44 +303,105 @@ TEST(EngineDeterminism, ThreadCountDoesNotChangeOutputs)
 }
 
 // ---------------------------------------------------------------------
-// Idle fast-forward: an idle-heavy workload (two kernels separated by a
-// long fixed-function delay) produces identical outputs from run(),
-// which always fast-forwards, and from a plain tick() loop, and run()
-// actually jumped.
+// Idle fast-forward: run(), which always fast-forwards, and a plain
+// tick() loop produce identical outputs, and run() actually jumped.
+// Three inputs: an idle-heavy workload (two kernels separated by a long
+// fixed-function delay); scenarios/game_inference.json, whose arrival
+// cycles and after/delay chains wake the machine out of jumps that
+// follow busy ticks; and an SFU-only grid whose CTAs launch one per SM
+// per cycle while every SFU is busy, so a launch tick issues nothing.
 // ---------------------------------------------------------------------
 
-RunOutputs
-runIdleHeavy(bool ticked)
+/** Two kernels on a new stream, the second 250k cycles after the first. */
+void
+enqueueIdleHeavy(Gpu &gpu, AddressSpace &heap)
 {
-    AddressSpace cheap(0x8000'0000ull);
-    Gpu gpu(smallGpu());
     const StreamId s = gpu.createStream("compute");
-
     ComputeKernelDesc d;
     d.name = "burst";
     d.ctas = 8;
     d.threadsPerCta = 128;
     d.regsPerThread = 32;
     d.fp32Ops = 16;
-    d.loads = {{MemPatternKind::Streaming, cheap.alloc(1 << 18), 1 << 18,
+    d.loads = {{MemPatternKind::Streaming, heap.alloc(1 << 18), 1 << 18,
                 4, 1, 128}};
     const KernelId first = gpu.enqueueKernel(s, buildComputeKernel(d));
     // A long fixed-function gap: the machine is completely idle between
     // the first kernel draining and the second becoming eligible.
     d.name = "burst2";
     gpu.enqueueKernelAfter(s, buildComputeKernel(d), first, 250'000);
+}
 
+/** 32 CTAs of eight warps, each warp four independent SFU ops: the
+ *  first CTA on an SM fills its SFUs for sfuInterval cycles, and the
+ *  next CTAs launch, one a cycle, into an SM that cannot issue. */
+KernelInfo
+sfuBurstKernel()
+{
+    std::vector<CtaTrace> ctas(32);
+    for (CtaTrace &cta : ctas) {
+        for (uint32_t w = 0; w < 8; ++w) {
+            TraceBuilder tb(32);
+            for (uint8_t r = 0; r < 4; ++r) {
+                tb.alu(Opcode::MUFU_SIN, r);
+            }
+            tb.exit();
+            cta.warps.push_back(tb.take());
+        }
+    }
+    KernelInfo k;
+    k.name = "sfu-burst";
+    k.grid = {32, 1, 1};
+    k.cta = {256, 1, 1};
+    k.regsPerThread = 16;
+    k.source = std::make_shared<VectorCtaSource>(std::move(ctas));
+    return k;
+}
+
+enum class FfInput
+{
+    IdleHeavy,
+    GameInference,
+    SfuBurst,
+};
+
+RunOutputs
+runFastForwardInput(FfInput input, bool ticked)
+{
     telemetry::TelemetryConfig tc;
     tc.sampleInterval = 1000;
     telemetry::TelemetrySink sink(tc);
-    gpu.setTelemetry(&sink);
+    AddressSpace heap(0x8000'0000ull);
+    scenario::Materialized mat;
+    std::unique_ptr<Gpu> owner;
+    if (input == FfInput::IdleHeavy) {
+        owner = std::make_unique<Gpu>(smallGpu());
+        owner->setTelemetry(&sink);
+        enqueueIdleHeavy(*owner, heap);
+    } else if (input == FfInput::SfuBurst) {
+        owner = std::make_unique<Gpu>(smallGpu());
+        owner->setTelemetry(&sink);
+        owner->enqueueKernel(owner->createStream("sfu"), sfuBurstKernel());
+    } else {
+        scenario::Scenario scn;
+        scenario::ScenarioError err;
+        EXPECT_TRUE(scenario::loadScenarioFile(
+            std::string(CRISP_SCENARIO_DIR) + "/game_inference.json", scn,
+            err))
+            << err.str();
+        EXPECT_EQ(scn.gpu.numGpus, 1u);
+        owner = std::make_unique<Gpu>(scenario::gpuConfigFor(scn));
+        owner->setTelemetry(&sink);
+        scenario::submitScenario(scn, *owner, heap, mat);
+    }
+    Gpu &gpu = *owner;
 
     RunOutputs out;
     if (ticked) {
         // The cycle-by-cycle reference. An SM has a live warp in a cycle
         // if it has one after the tick, or had one before it and lost it
-        // in the tick (warps retire while their SM steps; no CTA of this
-        // kernel launches and retires within one cycle).
+        // in the tick (warps retire while their SM steps; no CTA of the
+        // idle-heavy kernels launches and retires within one cycle).
         std::vector<bool> was_live(gpu.numSms(), false);
         while (!gpu.done()) {
             gpu.tick();
@@ -361,57 +424,62 @@ runIdleHeavy(bool ticked)
     out.trace = telemetry::chromeTraceJson(sink);
     out.ffJumps = gpu.fastForwardJumps();
     out.ffCycles = gpu.fastForwardCycles();
-    out.activeCycles = gpu.stats().stream(s).cycles;
+    for (const auto &[id, st] : gpu.stats().allStreams()) {
+        out.activeCycles += st.cycles;
+    }
     return out;
 }
 
 TEST(FastForward, IdleJumpPreservesOutputs)
 {
-    const RunOutputs ticked = runIdleHeavy(true);
-    const RunOutputs jumped = runIdleHeavy(false);
+    const struct
+    {
+        FfInput input;
+        const char *name;
+        uint64_t minSkipped;
+    } inputs[] = {
+        {FfInput::IdleHeavy, "idle-heavy", 100'000},
+        {FfInput::GameInference, "game_inference.json", 100'000},
+        {FfInput::SfuBurst, "sfu-burst", 1},
+    };
+    for (const auto &[input, name, min_skipped] : inputs) {
+        SCOPED_TRACE(name);
+        const RunOutputs ticked = runFastForwardInput(input, true);
+        const RunOutputs jumped = runFastForwardInput(input, false);
 
-    EXPECT_EQ(ticked.ffJumps, 0u);
-    EXPECT_GT(jumped.ffJumps, 0u);
-    EXPECT_GT(jumped.ffCycles, 100'000u);
+        EXPECT_EQ(ticked.ffJumps, 0u);
+        EXPECT_GT(jumped.ffJumps, 0u);
+        EXPECT_GE(jumped.ffCycles, min_skipped);
 
-    EXPECT_EQ(jumped.cycles, ticked.cycles);
-    EXPECT_EQ(jumped.stats, ticked.stats);
-    EXPECT_EQ(jumped.timelineCsv, ticked.timelineCsv);
-    EXPECT_EQ(jumped.trace, ticked.trace);
+        EXPECT_EQ(jumped.cycles, ticked.cycles);
+        EXPECT_EQ(jumped.stats, ticked.stats);
+        EXPECT_EQ(jumped.timelineCsv, ticked.timelineCsv);
+        EXPECT_EQ(jumped.trace, ticked.trace);
 
-    // Active cycles are credited lazily by sleeping SMs, in the tick loop
-    // and across jumps alike: both count exactly the SM-cycles that had
-    // a live warp.
-    EXPECT_GT(ticked.activeCycles, 0u);
-    EXPECT_EQ(ticked.activeCycles, ticked.liveSmCycles);
-    EXPECT_EQ(jumped.activeCycles, ticked.activeCycles);
+        EXPECT_GT(ticked.activeCycles, 0u);
+        EXPECT_EQ(jumped.activeCycles, ticked.activeCycles);
+        if (input == FfInput::IdleHeavy) {
+            // Active cycles are credited lazily by sleeping SMs, in the
+            // tick loop and across jumps alike: both count exactly the
+            // SM-cycles that had a live warp.
+            EXPECT_EQ(ticked.activeCycles, ticked.liveSmCycles);
+        }
+    }
 }
 
 TEST(FastForward, WorksUnderTheWatchdog)
 {
     // The watchdog must observe its checks at the exact configured
     // cadence even while the engine jumps, and the run must still drain.
-    const RunOutputs ticked = runIdleHeavy(true);
+    const RunOutputs ticked = runFastForwardInput(FfInput::IdleHeavy, true);
 
-    AddressSpace cheap(0x8000'0000ull);
+    AddressSpace heap(0x8000'0000ull);
     Gpu gpu(smallGpu());
-    const StreamId s = gpu.createStream("compute");
-    ComputeKernelDesc d;
-    d.name = "burst";
-    d.ctas = 8;
-    d.threadsPerCta = 128;
-    d.regsPerThread = 32;
-    d.fp32Ops = 16;
-    d.loads = {{MemPatternKind::Streaming, cheap.alloc(1 << 18), 1 << 18,
-                4, 1, 128}};
-    const KernelId first = gpu.enqueueKernel(s, buildComputeKernel(d));
-    d.name = "burst2";
-    gpu.enqueueKernelAfter(s, buildComputeKernel(d), first, 250'000);
-
     telemetry::TelemetryConfig tc;
     tc.sampleInterval = 1000;
     telemetry::TelemetrySink sink(tc);
     gpu.setTelemetry(&sink);
+    enqueueIdleHeavy(gpu, heap);
 
     integrity::RunOptions opts;
     opts.checkInterval = 5'000;

@@ -289,6 +289,92 @@ TEST(FaultMatrixTest, CorruptedDependencyIsCaughtByStreamLiveness)
     EXPECT_GT(r.hang->streams[0].queuedKernels, 0u);
 }
 
+// An accounting leak stops the run while another stream's front kernel
+// waits for its arrival cycle: that stream's row names the arrival, not
+// SM resources.
+TEST(FaultMatrixTest, SkewedAccountingReportNamesArrivalWait)
+{
+    AddressSpace heap(0x8000'0000ull);
+    Gpu gpu(smallGpu());
+    const StreamId busy = gpu.createStream("compute");
+    enqueueVio(gpu, busy, heap);
+    const StreamId late = gpu.createStream("arrivals");
+    ComputeKernelDesc d;
+    d.name = "late";
+    d.ctas = 4;
+    d.threadsPerCta = 64;
+    gpu.enqueueKernelAt(late, buildComputeKernel(d), 1'000'000);
+
+    for (int i = 0; i < 100; ++i) {
+        gpu.tick();
+    }
+    gpu.sm(0).skewAccountingForFaultInjection(32);
+    integrity::RunOptions opts;
+    opts.checkInterval = 256;
+    const auto r = gpu.run(10'000'000ull, opts);
+
+    ASSERT_FALSE(r.completed);
+    ASSERT_TRUE(r.hang.has_value());
+    EXPECT_EQ(r.hang->reason, "invariant violation: sm-accounting");
+    ASSERT_EQ(r.hang->streams.size(), 2u);
+    const auto &row = r.hang->streams[1];
+    EXPECT_EQ(row.frontKernel, "late");
+    EXPECT_EQ(row.blockReason, "arrival at cycle 1000000");
+}
+
+// Under Exhaustive a starved stream keeps every later stream from
+// promoting, even one whose front kernel's dependency and delay have
+// both cleared. A frozen SM starving the first stream is therefore a
+// hang the watchdog must report, not a scheduled promotion.
+TEST(FaultMatrixTest, FrozenSmStarvingAnOpenDependentFrontIsReported)
+{
+    GpuConfig cfg = smallGpu();
+    cfg.numSms = 1;
+    cfg.finalize();
+    Gpu gpu(cfg);
+    // Stream 0's grid arrives once stream 1's first kernel has drained,
+    // and is too large to be resident at once.
+    const StreamId starved = gpu.createStream("starved");
+    ComputeKernelDesc big;
+    big.name = "big";
+    big.ctas = 64;
+    big.threadsPerCta = 256;
+    big.fp32Ops = 200;
+    gpu.enqueueKernelAt(starved, buildComputeKernel(big), 5'000);
+    // Stream 1's second kernel clears its dependency and delay while
+    // stream 0 starves.
+    const StreamId chain = gpu.createStream("chain");
+    ComputeKernelDesc small;
+    small.name = "first";
+    small.ctas = 2;
+    small.threadsPerCta = 64;
+    const KernelId first = gpu.enqueueKernel(chain, buildComputeKernel(small));
+    small.name = "second";
+    gpu.enqueueKernelAfter(chain, buildComputeKernel(small), first, 10'000);
+
+    integrity::FaultConfig fc;
+    fc.freezeSm = 0;
+    fc.freezeAtCycle = 6'000;
+    integrity::FaultInjector inj(fc);
+    gpu.setFaultInjector(&inj);
+
+    integrity::RunOptions opts;
+    opts.checkInterval = 256;
+    opts.hangThreshold = 4000;
+    const auto r = gpu.run(200'000ull, opts);
+
+    ASSERT_FALSE(r.completed);
+    ASSERT_TRUE(r.hang.has_value());
+    EXPECT_NE(r.hang->reason.find("no forward progress"),
+              std::string::npos);
+    ASSERT_EQ(r.hang->streams.size(), 2u);
+    EXPECT_EQ(r.hang->streams[0].activeKernels, 1u);
+    const auto &row = r.hang->streams[1];
+    EXPECT_EQ(row.activeKernels, 0u);
+    EXPECT_EQ(row.frontKernel, "second");
+    EXPECT_EQ(row.blockReason, "SM resources");
+}
+
 // ---------------------------------------------------------------------
 // False-positive guard: a clean concurrent render+compute run, audited
 // on every single cycle, never trips a detector under any policy.
