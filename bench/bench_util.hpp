@@ -2,8 +2,10 @@
 #define CRISP_BENCH_BENCH_UTIL_HPP
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <string>
@@ -55,14 +57,23 @@ header(const char *figure, const char *what)
  * the crisp::audit conservation identities so a future accounting bug
  * fails the bench (and the golden CI job) instead of silently skewing a
  * CSV. CRISP_AUDIT_INTERVAL overrides the default cadence; 0 disables.
+ * It must be a whole decimal number: anything else ("abc", "4k") is
+ * fatal rather than a silently different audit.
  */
 inline Cycle
 auditInterval()
 {
-    if (const char *env = std::getenv("CRISP_AUDIT_INTERVAL")) {
-        return static_cast<Cycle>(std::strtoull(env, nullptr, 10));
+    const char *env = std::getenv("CRISP_AUDIT_INTERVAL");
+    if (env == nullptr) {
+        return 4096;
     }
-    return 4096;
+    Cycle value = 0;
+    const char *end = env + std::strlen(env);
+    const auto [stop, ec] = std::from_chars(env, end, value);
+    fatal_if(ec != std::errc() || stop != end,
+             "CRISP_AUDIT_INTERVAL needs a whole decimal number, got "
+             "\"%s\"", env);
+    return value;
 }
 
 /** Run to completion with the counter audit attached (benches only). */

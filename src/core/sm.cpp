@@ -1,10 +1,10 @@
 #include "core/sm.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "common/logging.hpp"
-#include "telemetry/self_profiler.hpp"
 
 namespace crisp
 {
@@ -325,19 +325,14 @@ Sm::launchCta(const KernelInfo &kernel, KernelId kernel_id,
         st.warpsLaunched++;
     }
 
-    // Immediately retire warps with empty traces.
-    for (uint32_t slot : std::vector<uint32_t>(cta.warpSlots)) {
+    // Immediately retire warps with empty traces (finishWarp does not
+    // touch warpSlots, so the walk stays valid through a commit).
+    for (uint32_t slot : cta.warpSlots) {
         WarpState &warp = warps_[slot];
         if (warp.live && warp.trace.instrs.empty()) {
             finishWarp(warp, now);
         }
     }
-}
-
-void
-Sm::setCtaDoneHandler(CtaDoneHandler handler)
-{
-    onCtaDone_ = std::move(handler);
 }
 
 void
@@ -464,23 +459,13 @@ Sm::finishWarp(WarpState &warp, Cycle now)
         }
         auto &st = streamStats(cta.stream);
         st.lastCycle = std::max(st.lastCycle, now);
-        const StreamId stream = cta.stream;
-        const KernelId kernel = cta.kernel;
+        ctaDones_.emplace_back(cta.stream, cta.kernel);
         auto live_it = std::find(liveCtaSlots_.begin(), liveCtaSlots_.end(),
                                  warp.ctaKey);
         panic_if(live_it == liveCtaSlots_.end(),
                  "finished CTA missing from live list");
         liveCtaSlots_.erase(live_it);
         ctaFreeSlots_.push_back(warp.ctaKey);
-        if (stepping_) {
-            // Staged step: the CTA-done callback mutates GPU-global
-            // state (stream bookkeeping, telemetry, controllers), so it
-            // is deferred to the post-barrier merge. Completions at
-            // launch time (empty traces) still fire synchronously.
-            stagedCtaDones_.emplace_back(stream, kernel);
-        } else if (onCtaDone_) {
-            onCtaDone_(smId_, stream, kernel);
-        }
     } else if (cta.warpsAtBarrier == cta.liveWarps &&
                cta.warpsAtBarrier > 0) {
         // The exiting warp was the last one not waiting: release.
@@ -1162,11 +1147,9 @@ Sm::step(Cycle now)
             bool greedy_pending = greedy != kNoSlotIndex;
             const int greedy_prio =
                 greedy_pending ? warps_[greedy].prio : 0;
-            // Index loop: a successful issue can launch CTAs (via the
-            // CTA-done handler) that append to this order before the
-            // break below.
-            for (size_t i = 0; i < order.size(); ++i) {
-                const uint32_t slot = order[i];
+            // An EXIT that retires its warp erases it from this order;
+            // every successful issue breaks out before the walk resumes.
+            for (const uint32_t slot : order) {
                 if (greedy_pending && warps_[slot].prio == greedy_prio) {
                     greedy_pending = false;
                     if (!is_parked(greedy) &&
@@ -1230,50 +1213,9 @@ Sm::step(Cycle now)
 }
 
 void
-Sm::setStagedFabric(bool staged)
-{
-    panic_if(!stagedCtaDones_.empty(),
-             "SM %u: staged-fabric toggled with staged work in flight",
-             smId_);
-    // Every engine now runs the memory phase before the writeback commit
-    // of the same cycle (the arbiter runs it before the SMs step at
-    // all), so there is no legacy/staged ordering difference left to
-    // guard against — staged mode only changes where stats and CTA
-    // completions land.
-    staged_ = staged;
-}
-
-void
-Sm::flushStagedCtaDones()
-{
-    if (stagedCtaDones_.empty()) {
-        return;
-    }
-    // The handler can trigger kernel completions that launch CTAs onto
-    // this SM, which may retire empty warps synchronously and append to
-    // stagedCtaDones_ again — swap first so iteration stays valid.
-    std::vector<std::pair<StreamId, KernelId>> dones;
-    dones.swap(stagedCtaDones_);
-    if (!onCtaDone_) {
-        return;
-    }
-    for (const auto &[stream, kernel] : dones) {
-        onCtaDone_(smId_, stream, kernel);
-    }
-}
-
-void
 Sm::flushShadowStats()
 {
     stats_->absorbShadow(shadowStats_);
-}
-
-void
-Sm::flushShadowProfiler()
-{
-    if (profiler_ != nullptr) {
-        profiler_->absorb(shadowProfiler_);
-    }
 }
 
 void

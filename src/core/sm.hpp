@@ -4,10 +4,10 @@
 #include <algorithm>
 #include <bitset>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/flat_map.hpp"
@@ -17,7 +17,6 @@
 #include "mem/cache.hpp"
 #include "mem/mem_request.hpp"
 #include "mem/mshr.hpp"
-#include "telemetry/self_profiler.hpp"
 
 namespace crisp
 {
@@ -66,9 +65,6 @@ struct SmQuota
 class Sm
 {
   public:
-    using CtaDoneHandler =
-        std::function<void(uint32_t smId, StreamId stream, KernelId kernel)>;
-
     Sm(uint32_t sm_id, const SmConfig &cfg, MemFabricPort *fabric,
        StatsRegistry *stats);
 
@@ -78,7 +74,10 @@ class Sm
      */
     bool canAccept(const KernelInfo &kernel) const;
 
-    /** Launch a CTA (caller must have checked canAccept). */
+    /**
+     * Launch a CTA (caller must have checked canAccept). A CTA whose
+     * warps all have empty traces commits here, onto ctaDones().
+     */
     void launchCta(const KernelInfo &kernel, KernelId kernel_id,
                    uint32_t cta_index, Cycle now);
 
@@ -111,20 +110,20 @@ class Sm
      */
     void settleCycles(Cycle now);
 
-    /**
-     * Attach the telemetry self-profiler (not owned; nullptr detaches).
-     * When set, the LDST drain is attributed separately from issue.
-     */
-    void setProfiler(telemetry::SelfProfiler *profiler)
-    {
-        profiler_ = profiler;
-    }
-
     /** Response from the L2 fabric for a previously submitted line. */
     void memResponse(const MemRequest &resp, Cycle now);
 
-    /** Called when a CTA's last warp exits. */
-    void setCtaDoneHandler(CtaDoneHandler handler);
+    /**
+     * CTAs committed since the last clearCtaDones(), in commit order, as
+     * (stream, kernel): those whose last warp exited in step() and those
+     * launchCta() retired at once. The SM never calls out on a commit;
+     * its owner delivers this list after the step pass and clears it.
+     */
+    const std::vector<std::pair<StreamId, KernelId>> &ctaDones() const
+    {
+        return ctaDones_;
+    }
+    void clearCtaDones() { ctaDones_.clear(); }
 
     /** Per-stream intra-SM quota (fine-grained partitioning). */
     void setQuota(StreamId stream, const SmQuota &quota);
@@ -346,26 +345,15 @@ class Sm
     // --- Parallel cycle engine support ------------------------------------
 
     /**
-     * Staged-fabric mode: step() runs only the SM-private stages
-     * (writebacks, issue, execute) and never touches the fabric, the
-     * stats registry, the profiler or the CTA-done handler — stats and
-     * profiler writes go to thread-local shadows, CTA completions to a
-     * per-SM list. The fabric-facing memory phase runs under the owner's
-     * arbiter on the main thread BEFORE the parallel phase each cycle,
-     * so the request stream seen by the L2 is identical for any thread
-     * count. Toggle only while the SM has no staged work in flight.
+     * Staged mode: step() writes its stats to a shadow registry instead
+     * of the shared one, so steps of different SMs may run on different
+     * threads; step() never touches the fabric or anything outside this
+     * SM on any engine. Toggle only while no shadow stats are pending.
      */
-    void setStagedFabric(bool staged);
-    bool stagedFabric() const { return staged_; }
-
-    /** Deliver CTA completions deferred by the staged step, in order. */
-    void flushStagedCtaDones();
+    void setStagedFabric(bool staged) { staged_ = staged; }
 
     /** Fold the staged step's shadow stats into the global registry. */
     void flushShadowStats();
-
-    /** Fold the staged step's shadow profiler into the attached one. */
-    void flushShadowProfiler();
 
     /**
      * Earliest future cycle (> @p now) at which this SM can do work on
@@ -478,8 +466,8 @@ class Sm
     std::vector<Addr> takePooledLines();
     void recycleLines(std::vector<Addr> &&lines);
     /** Stats routing: the shadow registry inside a staged step, the
-     *  shared one everywhere else (launchCta, responses run on the main
-     *  thread and write the global registry directly, as before). */
+     *  shared one everywhere else (launchCta and memResponse run on the
+     *  main thread and write the shared registry directly). */
     StreamStats &streamStats(StreamId stream)
     {
         return stepping_ ? shadowStats_.stream(stream)
@@ -503,8 +491,6 @@ class Sm
     SmConfig cfg_;
     MemFabricPort *fabric_;
     StatsRegistry *stats_;
-    CtaDoneHandler onCtaDone_;
-    telemetry::SelfProfiler *profiler_ = nullptr;
 
     std::vector<WarpState> warps_;          // one per warp slot
     std::vector<uint32_t> freeSlots_;
@@ -598,13 +584,13 @@ class Sm
     uint64_t trackerGen_ = 0;
     uint64_t liveTrackers_ = 0;
 
-    // Parallel cycle engine: thread-local shadows and deferred CTA
-    // completions, merged by the owner in SM-id order after the barrier.
+    /** Committed CTAs awaiting the owner's merge (see ctaDones()). */
+    std::vector<std::pair<StreamId, KernelId>> ctaDones_;
+    // Parallel cycle engine: a staged step's stats shadow, folded in by
+    // the owner in SM-id order after the barrier.
     bool staged_ = false;
     bool stepping_ = false;       ///< Inside a staged step() right now.
-    std::vector<std::pair<StreamId, KernelId>> stagedCtaDones_;
     StatsRegistry shadowStats_;
-    telemetry::SelfProfiler shadowProfiler_;
 
     // Unified L1 data cache.
     SetAssocCache l1_;

@@ -13,9 +13,10 @@ namespace engine
  * GPU or a MultiGpu) is scheduled onto host threads.
  *
  * The default (one thread, no staging) steps the due SMs serially on the
- * calling thread, their stats and CTA completions landing directly; the
- * fabric-facing memory phase runs under the GPU's arbiter ahead of every
- * step on any engine. Raising `threads` shards SM stepping across one
+ * calling thread, their stats landing directly. On any engine the
+ * fabric-facing memory phase runs under the GPU's arbiter ahead of the
+ * SM step pass, and CTA completions are delivered at that pass's merge
+ * in SM-id order. Raising `threads` shards SM stepping across one
  * persistent worker pool per machine with deterministic merge points, so
  * simulation outputs are identical for any thread count (see
  * docs/ARCHITECTURE.md, "The parallel cycle engine").
@@ -44,14 +45,15 @@ struct EngineConfig
     bool allowOversubscribe = false;
 
     /**
-     * Force staged fabric semantics even when stepping serially. With
-     * more than one thread staging is always on; this knob exists so
-     * determinism tests can run the staged path at one thread and prove
-     * the outputs do not depend on the thread count.
+     * Stage SM step stats even when stepping serially. With more than
+     * one thread staging is always on; this knob exists so determinism
+     * tests can run the staged path at one thread and prove the outputs
+     * do not depend on the thread count.
      */
     bool stagedFabric = false;
 
-    /** True when SM stepping must stage instead of submitting directly. */
+    /** True when SM steps write stats to per-SM shadows that the merge
+     *  folds into the shared registry. */
     bool staged() const { return threads > 1 || stagedFabric; }
 
     /**

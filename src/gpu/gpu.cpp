@@ -47,10 +47,6 @@ Gpu::Gpu(const GpuConfig &cfg) : cfg_(cfg)
     sms_.reserve(cfg_.numSms);
     for (uint32_t i = 0; i < cfg_.numSms; ++i) {
         sms_.push_back(std::make_unique<Sm>(i, cfg_.sm, this, &stats_));
-        sms_.back()->setCtaDoneHandler(
-            [this](uint32_t sm_id, StreamId stream, KernelId kernel) {
-                onCtaDone(sm_id, stream, kernel);
-            });
         allSms_.push_back(i);
     }
     retryPhaseScratch_.reserve(cfg_.numSms);
@@ -212,23 +208,14 @@ Gpu::setTelemetry(telemetry::TelemetrySink *sink)
     profiler_ = sink && sink->config().selfProfile ? &sink->profiler()
                                                    : nullptr;
     l2_->setTelemetry(sink);
-    for (auto &sm : sms_) {
-        sm->setProfiler(profiler_);
-    }
     sampleInterval_ = sink ? sink->config().sampleInterval : 0;
-    compositionInterval_ = 0;
     if (sink) {
-        compositionInterval_ = sink->config().compositionInterval
-                                   ? sink->config().compositionInterval
-                                   : sampleInterval_;
         for (const auto &[id, ss] : streams_) {
             sink->registerStream(id, ss.name);
         }
     }
-    // Arm the sampler cadences: the first sample lands on the next tick.
+    // Arm the sampler: the first sample lands on the next tick.
     nextSample_ = 0;
-    nextComposition_ = 0;
-    lastComposition_ = CacheComposition{};
     // Column ids belong to the sink's series: re-resolve for a new sink.
     sampleColumns_ = SampleColumns{};
 }
@@ -551,19 +538,7 @@ Gpu::tick()
     {
         telemetry::SelfProfiler::Scope prof_scope(
             profiler_, telemetry::Component::SmIssue);
-        if (engine_.staged()) {
-            stepSmsStaged();
-        } else {
-            // Only due SMs step. Due-ness is read as the loop reaches
-            // each SM: a CTA-done callback of an earlier SM may wake a
-            // later one within this cycle.
-            for (auto &sm : sms_) {
-                if (sm->due(cycle_)) {
-                    sm->step(cycle_);
-                    noteMemPhaseWork(*sm);
-                }
-            }
-        }
+        stepSms();
     }
     l2_->step(cycle_);
     {
@@ -647,15 +622,16 @@ Gpu::memoryPhase()
 }
 
 void
-Gpu::stepSmsStaged()
+Gpu::stepSms()
 {
     // The fabric-facing memory phase already ran under the arbiter in
-    // memoryPhase(), serially on the main thread, so workers below never
-    // touch the fabric.
+    // memoryPhase(), serially on the main thread, so no step below
+    // touches the fabric.
 
-    // Only due SMs step. Nothing a staged step does reaches another SM
-    // (CTA completions wait for the merge), so the due list is fixed
-    // before any SM steps.
+    // Only due SMs step. Nothing a step does reaches another SM (CTA
+    // completions wait for the merge), so the due list is fixed before
+    // any SM steps. A CTA launched this cycle made its SM due, so a CTA
+    // that launchCta retired at once reaches the merge as well.
     dueSms_.clear();
     for (auto &sm : sms_) {
         if (sm->due(cycle_)) {
@@ -663,12 +639,13 @@ Gpu::stepSmsStaged()
         }
     }
 
-    // Sharded SM stepping over the SM-private stages (writebacks, issue,
-    // execute). Workers touch only their own SM's state: stats and
-    // profiler deltas land in per-SM shadows, CTA-done callbacks in
-    // per-SM lists. The shard→lane assignment is strided but the merge
-    // below runs in SM-id order, so outputs are independent of the lane
-    // count and of thread scheduling.
+    // SM stepping over the SM-private stages (writebacks, issue,
+    // execute), sharded across the pool when there is one. A step
+    // touches only its own SM's state: CTA completions land in the SM's
+    // list and, when staged, stats in its shadow registry. The
+    // shard→lane assignment is strided but the merge below runs in SM-id
+    // order, so outputs are independent of the lane count and of thread
+    // scheduling.
     if (pool_) {
         // Capture only `this`: the closure stays inside std::function's
         // small-buffer storage, so the per-cycle dispatch never allocates.
@@ -680,19 +657,24 @@ Gpu::stepSmsStaged()
             }
         });
     } else {
-        // Staged semantics at one thread: the determinism baseline.
         for (Sm *sm : dueSms_) {
             sm->step(cycle_);
         }
     }
 
-    // Post-barrier merge, main thread, SM-id order — the same order the
-    // serial loop delivered CTA completions and accumulated stats in.
-    // An SM that did not step has nothing staged.
+    // Merge, main thread, SM-id order: every cross-SM effect of the
+    // step pass happens here. onCtaDone launches nothing, so the list
+    // it walks cannot grow under it. An SM that was not due committed
+    // nothing and has no shadow stats.
+    const bool staged = engine_.staged();
     for (Sm *sm : dueSms_) {
-        sm->flushStagedCtaDones();
-        sm->flushShadowStats();
-        sm->flushShadowProfiler();
+        for (const auto &[stream, kernel] : sm->ctaDones()) {
+            onCtaDone(sm->smId(), stream, kernel);
+        }
+        sm->clearCtaDones();
+        if (staged) {
+            sm->flushShadowStats();
+        }
         noteMemPhaseWork(*sm);
     }
 }
@@ -780,19 +762,12 @@ Gpu::sampleCounters()
     const L2Subsystem::InFlight inflight = l2_->inFlight();
     series.set(cols.l2Mshr, static_cast<double>(inflight.mshrEntries));
 
-    // The composition walk is O(cache lines), so it runs on its own
-    // (usually slower) cadence; rows in between carry the last snapshot.
-    if (cycle_ >= nextComposition_) {
-        nextComposition_ = cycle_ + compositionInterval_;
-        lastComposition_ = l2_->composition();
-    }
-    series.set(cols.l2CompTexture,
-               lastComposition_.fraction(DataClass::Texture));
-    series.set(cols.l2CompPipeline,
-               lastComposition_.fraction(DataClass::Pipeline));
-    series.set(cols.l2CompCompute,
-               lastComposition_.fraction(DataClass::Compute));
-    series.set(cols.l2Valid, lastComposition_.validFraction());
+    // L2 composition shares (a walk over every line).
+    const CacheComposition comp = l2_->composition();
+    series.set(cols.l2CompTexture, comp.fraction(DataClass::Texture));
+    series.set(cols.l2CompPipeline, comp.fraction(DataClass::Pipeline));
+    series.set(cols.l2CompCompute, comp.fraction(DataClass::Compute));
+    series.set(cols.l2Valid, comp.validFraction());
 }
 
 Cycle

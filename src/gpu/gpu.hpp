@@ -160,6 +160,8 @@ class GpuController
         (void)info;
         (void)id;
     }
+    /** Runs in the SM step pass's merge, in the cycle the kernel's last
+     *  CTA commits, on every engine. */
     virtual void onKernelComplete(Gpu &gpu, StreamId stream, KernelId id)
     {
         (void)gpu;
@@ -263,10 +265,10 @@ class Gpu : public MemFabricPort
     /**
      * Configure the cycle engine (thread count, staged fabric). Must be
      * called before the first tick; threads are clamped per
-     * EngineConfig::lanesFor. The default EngineConfig is the bit-exact
-     * serial legacy path. A standalone GPU builds its own worker pool;
-     * the devices of a MultiGpu all step on the machine's @p shared_pool
-     * (not owned) and build none.
+     * EngineConfig::lanesFor. The default EngineConfig steps SMs
+     * serially with no stat shadows. A standalone GPU builds its own
+     * worker pool; the devices of a MultiGpu all step on the machine's
+     * @p shared_pool (not owned) and build none.
      */
     void setEngine(const engine::EngineConfig &engine,
                    engine::WorkerPool *shared_pool = nullptr);
@@ -297,7 +299,7 @@ class Gpu : public MemFabricPort
     /**
      * This GPU as a one-device Machine (see gpu/machine.hpp for the run
      * loop: idle fast-forward, watchdog, invariant checkers, counter
-     * audit, cancellation and telemetry attach).
+     * audit and cancellation).
      */
     RunResult run(Cycle max_cycles = ~0ull,
                   const integrity::RunOptions &opts = {});
@@ -457,7 +459,13 @@ class Gpu : public MemFabricPort
             memPhaseSms_.insert(sm.smId());
         }
     }
-    void stepSmsStaged();
+    /**
+     * The SM step pass: step every due SM (on pool_ when there is one),
+     * then merge in SM-id order on the main thread: deliver each SM's
+     * committed CTAs to onCtaDone, fold its shadow stats when staged and
+     * note its memory-phase work. The same pass on every engine.
+     */
+    void stepSms();
 
     // Idle fast-forward internals (used by Machine::run).
     /** Earliest cycle (> now) at which a tick can do anything; exact or
@@ -499,7 +507,7 @@ class Gpu : public MemFabricPort
      *  superset, joined via noteMemPhaseWork and left when memoryPhase()
      *  finds a member drained. */
     WorkSet memPhaseSms_;
-    /** SMs due this cycle, in SM-id order (staged stepping scratch). */
+    /** SMs due this cycle, in SM-id order (stepSms scratch). */
     std::vector<Sm *> dueSms_;
     std::vector<GpuController *> controllers_;
     integrity::FaultInjector *faultInjector_ = nullptr;
@@ -555,10 +563,7 @@ class Gpu : public MemFabricPort
     SampleColumns sampleColumns_;
     std::map<std::pair<StreamId, uint32_t>, DrawcallTrack> drawcalls_;
     Cycle sampleInterval_ = 0;
-    Cycle compositionInterval_ = 0;
     Cycle nextSample_ = 0;
-    Cycle nextComposition_ = 0;
-    CacheComposition lastComposition_;
 };
 
 } // namespace crisp

@@ -29,7 +29,7 @@ struct GpuConfig
 
     SmConfig sm;
     L2Config l2;
-    /** Cycle-engine scheduling (threads, staged fabric, fast-forward). */
+    /** Cycle-engine scheduling (threads, staged fabric). */
     engine::EngineConfig engine;
 
     /** DRAM bandwidth expressed in bytes per core clock cycle. */

@@ -215,15 +215,6 @@ Machine::run(Cycle max_cycles, const integrity::RunOptions &opts)
     Gpu::RunResult result;
     const Cycle interval = opts.checkInterval;
 
-    // Attach the caller's sink for the duration of the run.
-    std::vector<telemetry::TelemetrySink *> previous_sinks;
-    if (opts.telemetry) {
-        for (Gpu *gpu : devices_) {
-            previous_sinks.push_back(gpu->telemetry());
-            gpu->setTelemetry(opts.telemetry);
-        }
-    }
-
     // Auto thresholds scale with the slowest memory round trip in the
     // machine, so a clean-but-slow machine (deep queues, DRAM
     // contention) never trips the watchdog while a genuine hang is
@@ -356,9 +347,6 @@ Machine::run(Cycle max_cycles, const integrity::RunOptions &opts)
         }
     }
     result.cycles = now();
-    for (size_t d = 0; d < previous_sinks.size(); ++d) {
-        devices_[d]->setTelemetry(previous_sinks[d]);
-    }
     return result;
 }
 

@@ -15,9 +15,9 @@ namespace crisp
  * Machine and MultiGpu::run an N-device one, so every run gets the same
  * protections: idle fast-forward (always on except under fault
  * injection), the watchdog and invariant checkers with a HangReport
- * naming GPU and SM, the counter audit, cancellation and telemetry
- * attach. A Machine only points at its devices and fabric, so
- * constructing one per run is cheap.
+ * naming GPU and SM (with each attached sink's last events), the counter
+ * audit and cancellation. A Machine only points at its devices and
+ * fabric, so constructing one per run is cheap.
  */
 class Machine
 {

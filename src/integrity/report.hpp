@@ -10,11 +10,6 @@
 namespace crisp
 {
 
-namespace telemetry
-{
-class TelemetrySink;
-}
-
 namespace integrity
 {
 
@@ -82,14 +77,6 @@ struct RunOptions
      * carry "counter-*" check names.
      */
     Cycle auditInterval = 0;
-
-    /**
-     * Telemetry sink to attach for the duration of the run (optional).
-     * The run installs it on every GPU of the machine on entry and
-     * restores each GPU's previous sink on exit; a hang report then
-     * includes the last traced events before the stall.
-     */
-    telemetry::TelemetrySink *telemetry = nullptr;
 
     /**
      * Cooperative cancellation token (optional; not owned). Checked at
@@ -196,7 +183,8 @@ struct HangReport
 
     /**
      * Human renderings of the last telemetry events before the stall
-     * (oldest first); empty when no sink was attached to the run.
+     * (oldest first); empty when no GPU of the machine had a sink
+     * attached (Gpu::setTelemetry).
      */
     std::vector<std::string> recentEvents;
 

@@ -90,14 +90,5 @@ SelfProfiler::reset()
     current_ = nullptr;
 }
 
-void
-SelfProfiler::absorb(SelfProfiler &other)
-{
-    for (size_t i = 0; i < nanos_.size(); ++i) {
-        nanos_[i] += other.nanos_[i];
-        other.nanos_[i] = 0.0;
-    }
-}
-
 } // namespace telemetry
 } // namespace crisp

@@ -15,8 +15,8 @@ namespace telemetry
 enum class Component : uint8_t
 {
     CtaScheduler = 0,  ///< Gpu::issueCtas + kernel promotion.
-    SmIssue,           ///< Sm::step outside the LDST unit.
-    L1Ldst,            ///< Sm LDST drain: coalescing, L1 probes, MSHRs.
+    SmIssue,           ///< Gpu::stepSms: SM steps and their merge.
+    L1Ldst,            ///< Gpu::memoryPhase: L1 probes, MSHRs, retries.
     L2,                ///< L2 bank service (tag probes, MSHR merging).
     Icnt,              ///< Interconnect response delivery.
     Dram,              ///< DRAM fill completion.
@@ -76,18 +76,6 @@ class SelfProfiler
     std::string render(uint64_t cycles = 0) const;
 
     void reset();
-
-    /**
-     * Fold another profiler's attributed time into this one and zero the
-     * source. The parallel cycle engine gives each worker-stepped SM a
-     * shadow profiler and absorbs them in SM-id order at the barrier, so
-     * scope bookkeeping never crosses threads. Absorbed time is added to
-     * the per-component totals directly; it is not subtracted from any
-     * scope currently open on this profiler, so in parallel runs the
-     * sm-issue bucket measures barrier wall time while l1-ldst sums
-     * per-worker busy time (the two can overlap).
-     */
-    void absorb(SelfProfiler &other);
 
   private:
     friend class Scope;

@@ -38,14 +38,6 @@ struct TelemetryConfig
      */
     Cycle sampleInterval = 0;
 
-    /**
-     * Separate (slower) period for the L2 composition columns, which
-     * require an O(lines) cache walk per snapshot; between snapshots the
-     * last values are carried forward so rows stay aligned. 0 = same as
-     * sampleInterval (what the Fig 11/15 benches use).
-     */
-    Cycle compositionInterval = 0;
-
     /** Enable the wall-clock self-profiler (adds clock reads per scope). */
     bool selfProfile = false;
 };

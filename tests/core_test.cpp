@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "core/sm.hpp"
 #include "isa/trace_builder.hpp"
@@ -361,20 +363,31 @@ TEST(SmTest, QuotaRestrictsStream)
     h.runToIdle(200000);
 }
 
-TEST(SmTest, CtaDoneHandlerFires)
+TEST(SmTest, CommittedCtasLandOnDoneList)
 {
+    using Done = std::pair<StreamId, KernelId>;
     SmHarness h;
-    int done = 0;
-    h.sm->setCtaDoneHandler(
-        [&](uint32_t, StreamId, KernelId) { ++done; });
     TraceBuilder tb(32);
     tb.alu(Opcode::MOV, 1).exit();
     auto k = oneWarpKernel(tb.take());
+    k.stream = 3;
     h.sm->launchCta(k, 1, 0, 0);
+    EXPECT_TRUE(h.sm->ctaDones().empty());
     h.runToIdle();
-    EXPECT_EQ(done, 1);
+    EXPECT_EQ(h.sm->ctaDones(), std::vector<Done>{Done(3, 1)});
     EXPECT_EQ(h.sm->activeWarps(), 0u);
     EXPECT_EQ(h.sm->activeCtas(), 0u);
+
+    // A CTA whose only warp has an empty trace commits inside launchCta,
+    // onto the same list after the earlier commit.
+    auto empty = oneWarpKernel(WarpTrace{});
+    empty.stream = 5;
+    h.sm->launchCta(empty, 2, 0, h.now);
+    EXPECT_EQ(h.sm->ctaDones(),
+              (std::vector<Done>{Done(3, 1), Done(5, 2)}));
+    EXPECT_EQ(h.sm->activeCtas(), 0u);
+    h.sm->clearCtaDones();
+    EXPECT_TRUE(h.sm->ctaDones().empty());
 }
 
 TEST(SmTest, PerStreamOccupancyTracked)

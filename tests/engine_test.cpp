@@ -180,15 +180,13 @@ TEST(StagedFabric, SmStagedStepMatchesLegacy)
             ++now;
             stepSm(sm, now);
             if (staged) {
-                sm.flushStagedCtaDones();
                 sm.flushShadowStats();
-                sm.flushShadowProfiler();
             }
             fabric.step(sm, now);
         }
         EXPECT_TRUE(sm.idle());
         return std::make_tuple(now, statsDump(stats),
-                               fabric.submissions());
+                               fabric.submissions(), sm.ctaDones());
     };
     EXPECT_EQ(run(false), run(true));
 }
@@ -274,7 +272,7 @@ runMixedWorkload(const engine::EngineConfig &ec)
 
 TEST(EngineDeterminism, ThreadCountDoesNotChangeOutputs)
 {
-    engine::EngineConfig legacy;   // threads = 1, direct fabric
+    engine::EngineConfig legacy;   // threads = 1, stats land directly
 
     engine::EngineConfig staged1;
     staged1.stagedFabric = true;   // staged semantics, still serial

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <vector>
 
 #include "audit/audit.hpp"
 #include "gpu/gpu.hpp"
+#include "isa/trace_builder.hpp"
+#include "telemetry/sink.hpp"
 #include "workloads/compute.hpp"
 
 namespace crisp
@@ -287,6 +291,71 @@ TEST(GpuTest, KernelLogRecordsExecutionWindows)
     }
     // In-order stream: k2 launches after k1 completes.
     EXPECT_GE(log[1].launchCycle, log[0].completeCycle);
+}
+
+/** A one-warp-per-CTA kernel whose every CTA replays @p warp. */
+KernelInfo
+uniformKernel(const std::string &name, uint32_t ctas, const WarpTrace &warp)
+{
+    CtaTrace cta;
+    cta.warps.push_back(warp);
+    KernelInfo k;
+    k.name = name;
+    k.grid = {ctas, 1, 1};
+    k.cta = {32, 1, 1};
+    k.regsPerThread = 16;
+    k.source = std::make_shared<VectorCtaSource>(
+        std::vector<CtaTrace>(ctas, cta));
+    return k;
+}
+
+TEST(GpuTest, KernelCompletingAtLaunchLeavesLaterKernelsIntact)
+{
+    // launchCta retires a CTA whose warps all have empty traces at once.
+    // That commit completes the first kernel while the CTA scheduler is
+    // still walking the stream's active kernels; the second kernel must
+    // launch all its CTAs regardless.
+    Gpu gpu(tinyGpu());
+    const StreamId s = gpu.createStream("launch-time");
+    telemetry::TelemetrySink sink;
+    gpu.setTelemetry(&sink);
+
+    TraceBuilder exit_only(32);
+    exit_only.exit();
+    const KernelId empty = gpu.enqueueKernelAfter(
+        s, uniformKernel("empty", 1, WarpTrace{}), Gpu::kNoDependency);
+    const KernelId exits = gpu.enqueueKernelAfter(
+        s, uniformKernel("exits", 8, exit_only.take()), Gpu::kNoDependency);
+
+    integrity::RunOptions opts;
+    opts.checkInterval = 64;
+    opts.auditInterval = 1;
+    const auto r = gpu.run(100'000, opts);
+    ASSERT_FALSE(r.hang.has_value()) << r.hang->render();
+    ASSERT_TRUE(r.completed);
+
+    const auto &log = gpu.kernelLog();
+    ASSERT_EQ(log.size(), 2u);
+    EXPECT_EQ(log[0].id, empty);
+    EXPECT_EQ(log[1].id, exits);
+    EXPECT_EQ(gpu.stats().stream(s).ctasLaunched, 9u);
+    EXPECT_EQ(gpu.stats().stream(s).kernelsCompleted, 2u);
+
+    // The empty CTA is dispatched before it retires.
+    const std::vector<telemetry::Event> events = sink.events();
+    auto first = [&](telemetry::EventKind kind) {
+        for (size_t i = 0; i < events.size(); ++i) {
+            if (events[i].kind == kind && events[i].a == empty) {
+                return i;
+            }
+        }
+        return events.size();
+    };
+    const size_t dispatch = first(telemetry::EventKind::CtaDispatch);
+    const size_t retire = first(telemetry::EventKind::CtaRetire);
+    ASSERT_LT(dispatch, events.size());
+    ASSERT_LT(retire, events.size());
+    EXPECT_LT(dispatch, retire);
 }
 
 TEST(GpuTest, MidFlightCancellationLeavesCoherentState)
