@@ -51,7 +51,7 @@ main()
     Table t({"drawcall", "hw", "sim LoD on", "sim LoD off", "off/hw"});
 
     uint32_t salt = 0;
-    for (const std::string &name : {"SPL", "SPH", "PT", "PL"}) {
+    for (const char *name : {"SPL", "SPH", "PT", "PL"}) {
         AddressSpace heap;
         const Scene scene = buildSceneByName(name, heap);
 
@@ -88,9 +88,9 @@ main()
             sim_on.push_back(on);
             sim_off.push_back(off);
             if (t.rows() < 20) {
-                t.addRow({name + "/" + r_on.name, Table::num(h, 0),
-                          Table::num(on, 0), Table::num(off, 0),
-                          Table::num(off / h, 2)});
+                t.addRow({std::string(name) + "/" + r_on.name,
+                          Table::num(h, 0), Table::num(on, 0),
+                          Table::num(off, 0), Table::num(off / h, 2)});
             }
         }
     }

@@ -165,23 +165,5 @@ auditAll(const StatsRegistry &stats, const std::vector<const Sm *> &sms,
     auditAll(stats, sms, {&l2}, {}, now, scratch, out);
 }
 
-void
-auditHistogram(const Histogram &h, const char *name, Cycle now,
-               std::vector<InvariantViolation> &out)
-{
-    if (!h.selfConsistent()) {
-        uint64_t bucket_sum = 0;
-        for (uint64_t b = 0; b <= h.maxTracked(); ++b) {
-            bucket_sum += h.count(b);
-        }
-        out.push_back(
-            {"counter-histogram",
-             formatMessage("histogram %s: totalSamples (%" PRIu64
-                           ") != bucket sum (%" PRIu64 ")",
-                           name, h.totalSamples(), bucket_sum),
-             now});
-    }
-}
-
 } // namespace audit
 } // namespace crisp

@@ -67,14 +67,6 @@ void auditAll(const StatsRegistry &stats,
               const std::vector<const Sm *> &sms, const L2Subsystem &l2,
               Cycle now, std::vector<integrity::InvariantViolation> &out);
 
-/**
- * Histogram conservation: totalSamples() == sum over buckets. @p name
- * labels the histogram in the violation detail (histograms live in
- * analyses, not in the Gpu, so callers pass theirs explicitly).
- */
-void auditHistogram(const Histogram &h, const char *name, Cycle now,
-                    std::vector<integrity::InvariantViolation> &out);
-
 } // namespace audit
 } // namespace crisp
 

@@ -128,8 +128,8 @@ StreamStats::absorb(const StreamStats &delta)
     remoteResponses += delta.remoteResponses;
     pageMigrations += delta.pageMigrations;
     // 0 means "unset" on both sides, so the merged mark is the minimum
-    // over *set* values: shadows merge in SM order, not time order, and a
-    // later shadow can carry the earlier first cycle. (Taking the first
+    // over *set* values: blocks merge in SM order, not time order, and a
+    // later block can carry the earlier first cycle. (Taking the first
     // non-zero delta here used to truncate the ipc() window.)
     if (delta.firstCycle != 0 &&
         (firstCycle == 0 || delta.firstCycle < firstCycle)) {
@@ -165,19 +165,6 @@ StreamStats::ipc() const
         : static_cast<double>(instructions) / static_cast<double>(active);
 }
 
-void
-StatsRegistry::add(const std::string &name, uint64_t delta)
-{
-    counters_[name] += delta;
-}
-
-uint64_t
-StatsRegistry::get(const std::string &name) const
-{
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-}
-
 StreamStats &
 StatsRegistry::streamSlow(StreamId id)
 {
@@ -210,23 +197,15 @@ StatsRegistry::allStreams() const
 void
 StatsRegistry::clear()
 {
-    counters_.clear();
     streams_.clear();
     streamIndex_.clear();
 }
 
 void
-StatsRegistry::absorbShadow(StatsRegistry &shadow)
+StatsRegistry::merge(const StatsRegistry &other)
 {
-    for (auto &[id, st] : shadow.streams_) {
-        streams_[id].absorb(st);
-        st = StreamStats{};
-    }
-    for (auto &[name, value] : shadow.counters_) {
-        if (value != 0) {
-            counters_[name] += value;
-            value = 0;
-        }
+    for (const auto &[id, st] : other.streams_) {
+        stream(id).absorb(st);
     }
 }
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -97,9 +96,9 @@ struct StreamStats
 
     /**
      * Fold a delta block into this one: counters add, firstCycle keeps
-     * the earliest non-zero mark (min over set values — shadows can
-     * arrive out of order), lastCycle keeps the latest. Used by the
-     * parallel cycle engine to merge per-SM shadow stats at the barrier.
+     * the earliest non-zero mark (min over set values — blocks can
+     * arrive out of order), lastCycle keeps the latest. Folds each SM's
+     * blocks into its GPU's registry and merges device registries.
      */
     void absorb(const StreamStats &delta);
 
@@ -109,10 +108,8 @@ struct StreamStats
 };
 
 /**
- * Registry of named scalar counters plus per-stream stat blocks.
- *
- * Scalar counters support ad-hoc instrumentation from any module; the
- * structured per-stream blocks back the paper's concurrency case studies.
+ * Registry of per-stream stat blocks, backing the paper's concurrency
+ * case studies.
  */
 class StatsRegistry
 {
@@ -120,14 +117,10 @@ class StatsRegistry
     StatsRegistry() = default;
     // The dense stream index caches pointers into this registry's own map
     // nodes, so copies must drop it (it is rebuilt on first access).
-    StatsRegistry(const StatsRegistry &other)
-        : counters_(other.counters_), streams_(other.streams_)
-    {
-    }
+    StatsRegistry(const StatsRegistry &other) : streams_(other.streams_) {}
     StatsRegistry &
     operator=(const StatsRegistry &other)
     {
-        counters_ = other.counters_;
         streams_ = other.streams_;
         streamIndex_.clear();
         return *this;
@@ -135,10 +128,6 @@ class StatsRegistry
     // Moves transfer the map nodes, so the cached pointers stay valid.
     StatsRegistry(StatsRegistry &&) = default;
     StatsRegistry &operator=(StatsRegistry &&) = default;
-
-    /** Add to a named machine-wide counter, creating it on first use. */
-    void add(const std::string &name, uint64_t delta = 1);
-    uint64_t get(const std::string &name) const;
 
     /**
      * Per-stream structured stats (created on first access). O(1) for the
@@ -170,18 +159,13 @@ class StatsRegistry
 
     void clear();
 
-    /**
-     * Fold every per-stream block of @p shadow into this registry and
-     * zero the source blocks in place (map nodes are kept, so a registry
-     * absorbed every cycle does not reallocate). Scalar counters are
-     * folded the same way.
-     */
-    void absorbShadow(StatsRegistry &shadow);
+    /** Fold every per-stream block of @p other into this registry
+     *  (StreamStats::absorb); @p other is left unchanged. */
+    void merge(const StatsRegistry &other);
 
   private:
     StreamStats &streamSlow(StreamId id);
 
-    std::map<std::string, uint64_t> counters_;
     std::map<StreamId, StreamStats> streams_;
     /** Dense id → map-node pointer cache (map nodes never move). */
     std::vector<StreamStats *> streamIndex_;

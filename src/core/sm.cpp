@@ -287,7 +287,7 @@ Sm::launchCta(const KernelInfo &kernel, KernelId kernel_id,
     }
     wakeCycle_ = 0;
 
-    auto &st = stats_->stream(kernel.stream);
+    auto &st = streamStats(kernel.stream);
     st.ctasLaunched++;
     if (st.firstCycle == 0) {
         st.firstCycle = now;
@@ -1077,8 +1077,6 @@ Sm::auditAccounting(std::string *detail) const
 void
 Sm::step(Cycle now)
 {
-    stepping_ = staged_;
-
     // The fabric-facing memory phase (retry queue + LDST unit) already
     // ran this cycle under the owner's arbiter, serially on the main
     // thread before any SM stepped.
@@ -1114,7 +1112,6 @@ Sm::step(Cycle now)
     // the hang class the forward-progress watchdog exists to diagnose.
     if (issueFrozen_) {
         wakeCycle_ = wake;
-        stepping_ = false;
         return;
     }
 
@@ -1141,67 +1138,31 @@ Sm::step(Cycle now)
              schedSlots_[sched]) == 0) {
             continue;
         }
-        if (cfg_.scheduler == SchedulerPolicy::Gto) {
-            const auto &order = schedOrder_[sched];
-            const uint32_t greedy = greedySlot_[sched];
-            bool greedy_pending = greedy != kNoSlotIndex;
-            const int greedy_prio =
-                greedy_pending ? warps_[greedy].prio : 0;
-            // An EXIT that retires its warp erases it from this order;
-            // every successful issue breaks out before the walk resumes.
-            for (const uint32_t slot : order) {
-                if (greedy_pending && warps_[slot].prio == greedy_prio) {
-                    greedy_pending = false;
-                    if (!is_parked(greedy) &&
-                        tryIssue(warps_[greedy], now, wake)) {
-                        greedySlot_[sched] = warps_[greedy].live
-                            ? greedy
-                            : kNoSlotIndex;
-                        issued = true;
-                        break;
-                    }
-                }
-                if (slot == greedy || is_parked(slot)) {
-                    continue;
-                }
-                if (tryIssue(warps_[slot], now, wake)) {
-                    greedySlot_[sched] = warps_[slot].live
-                        ? slot
-                        : kNoSlotIndex;
+        const auto &order = schedOrder_[sched];
+        const uint32_t greedy = greedySlot_[sched];
+        bool greedy_pending = greedy != kNoSlotIndex;
+        const int greedy_prio = greedy_pending ? warps_[greedy].prio : 0;
+        // An EXIT that retires its warp erases it from this order;
+        // every successful issue breaks out before the walk resumes.
+        for (const uint32_t slot : order) {
+            if (greedy_pending && warps_[slot].prio == greedy_prio) {
+                greedy_pending = false;
+                if (!is_parked(greedy) &&
+                    tryIssue(warps_[greedy], now, wake)) {
+                    greedySlot_[sched] =
+                        warps_[greedy].live ? greedy : kNoSlotIndex;
                     issued = true;
                     break;
                 }
             }
-        } else {
-            // Loose round-robin: rotate the start position each cycle,
-            // still respecting stream priorities.
-            candScratch_.clear();
-            for (uint32_t slot = sched; slot < cfg_.maxWarps;
-                 slot += cfg_.numSchedulers) {
-                if (warps_[slot].live) {
-                    candScratch_.push_back(slot);
-                }
+            if (slot == greedy || is_parked(slot)) {
+                continue;
             }
-            if (!candScratch_.empty()) {
-                const size_t rot =
-                    static_cast<size_t>(now) % candScratch_.size();
-                std::rotate(candScratch_.begin(),
-                            candScratch_.begin() + rot, candScratch_.end());
-            }
-            std::stable_sort(candScratch_.begin(), candScratch_.end(),
-                             [this](uint32_t a, uint32_t b) {
-                                 return warps_[a].prio < warps_[b].prio;
-                             });
-            // Parked warps stay in the list so the rotation is unchanged.
-            for (size_t i = 0; i < candScratch_.size(); ++i) {
-                const uint32_t slot = candScratch_[i];
-                if (!is_parked(slot) && tryIssue(warps_[slot], now, wake)) {
-                    greedySlot_[sched] = warps_[slot].live
-                        ? slot
-                        : kNoSlotIndex;
-                    issued = true;
-                    break;
-                }
+            if (tryIssue(warps_[slot], now, wake)) {
+                greedySlot_[sched] =
+                    warps_[slot].live ? slot : kNoSlotIndex;
+                issued = true;
+                break;
             }
         }
     }
@@ -1209,13 +1170,15 @@ Sm::step(Cycle now)
     // refused, and nothing changes until the wake cycle or an outside
     // event.
     wakeCycle_ = issued ? now + 1 : wake;
-    stepping_ = false;
 }
 
 void
-Sm::flushShadowStats()
+Sm::foldStats()
 {
-    stats_->absorbShadow(shadowStats_);
+    for (auto &[stream, st] : statsBlocks_) {
+        stats_->stream(stream).absorb(st);
+        st = StreamStats{};
+    }
 }
 
 void

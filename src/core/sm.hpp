@@ -342,18 +342,17 @@ class Sm
      */
     bool memPhaseGrantLdst(Cycle now);
 
-    // --- Parallel cycle engine support ------------------------------------
-
     /**
-     * Staged mode: step() writes its stats to a shadow registry instead
-     * of the shared one, so steps of different SMs may run on different
-     * threads; step() never touches the fabric or anything outside this
-     * SM on any engine. Toggle only while no shadow stats are pending.
+     * Add every per-stream stat this SM wrote since the last fold into
+     * the registry it was built with, then zero its own blocks. The SM
+     * writes its stats nowhere else (step, launchCta, the memory phase
+     * and settleCycles all write the SM's blocks), so steps of different
+     * SMs may run on different threads. The fold only adds counters and
+     * takes the min of firstCycle and the max of lastCycle, so its
+     * timing and the SM order cannot change a merged value. Not during a
+     * step pass: the owner folds on read (Gpu::stats()).
      */
-    void setStagedFabric(bool staged) { staged_ = staged; }
-
-    /** Fold the staged step's shadow stats into the global registry. */
-    void flushShadowStats();
+    void foldStats();
 
     /**
      * Earliest future cycle (> @p now) at which this SM can do work on
@@ -465,14 +464,8 @@ class Sm
     void freeTracker(uint32_t idx);
     std::vector<Addr> takePooledLines();
     void recycleLines(std::vector<Addr> &&lines);
-    /** Stats routing: the shadow registry inside a staged step, the
-     *  shared one everywhere else (launchCta and memResponse run on the
-     *  main thread and write the shared registry directly). */
-    StreamStats &streamStats(StreamId stream)
-    {
-        return stepping_ ? shadowStats_.stream(stream)
-                         : stats_->stream(stream);
-    }
+    /** This SM's stats block for @p stream (see foldStats()). */
+    StreamStats &streamStats(StreamId stream) { return statsBlocks_[stream]; }
     /** Also wakes the SM by @p when, so the writeback commits on time. */
     void scheduleWriteback(uint32_t slot, uint8_t reg, Cycle when);
     void finishWarp(WarpState &warp, Cycle now);
@@ -537,8 +530,6 @@ class Sm
     std::vector<std::vector<uint32_t>> schedOrder_;
     /** Greedy pick per scheduler (kNoSlotIndex = none). */
     std::vector<uint32_t> greedySlot_;
-    /** Scratch for the round-robin policy's per-cycle candidate list. */
-    std::vector<uint32_t> candScratch_;
 
     // Execution unit pools: busy-until per unit, indexed by OpClass, plus
     // a cached pool minimum so a busy-pool rejection is one compare.
@@ -586,11 +577,8 @@ class Sm
 
     /** Committed CTAs awaiting the owner's merge (see ctaDones()). */
     std::vector<std::pair<StreamId, KernelId>> ctaDones_;
-    // Parallel cycle engine: a staged step's stats shadow, folded in by
-    // the owner in SM-id order after the barrier.
-    bool staged_ = false;
-    bool stepping_ = false;       ///< Inside a staged step() right now.
-    StatsRegistry shadowStats_;
+    /** Per-stream stats written since the last foldStats(). */
+    SmallFlatMap<StreamId, StreamStats> statsBlocks_;
 
     // Unified L1 data cache.
     SetAssocCache l1_;

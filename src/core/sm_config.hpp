@@ -15,15 +15,6 @@ namespace sm_config_detail
 [[noreturn]] void badOpClass(const char *what, OpClass cls);
 } // namespace sm_config_detail
 
-/** Warp scheduler policy. */
-enum class SchedulerPolicy : uint8_t
-{
-    /** Greedy-then-oldest: keep issuing one warp until it stalls. */
-    Gto,
-    /** Loose round-robin: rotate the starting warp every cycle. */
-    Lrr,
-};
-
 /**
  * Per-SM microarchitecture parameters (Table II row "per SM").
  *
@@ -33,7 +24,6 @@ enum class SchedulerPolicy : uint8_t
  */
 struct SmConfig
 {
-    SchedulerPolicy scheduler = SchedulerPolicy::Gto;
     uint32_t maxWarps = 64;
     uint32_t maxCtas = 32;
     uint32_t numSchedulers = 4;

@@ -12,13 +12,13 @@ namespace engine
  * Cycle-engine configuration: how the per-cycle work of a machine (one
  * GPU or a MultiGpu) is scheduled onto host threads.
  *
- * The default (one thread, no staging) steps the due SMs serially on the
- * calling thread, their stats landing directly. On any engine the
- * fabric-facing memory phase runs under the GPU's arbiter ahead of the
- * SM step pass, and CTA completions are delivered at that pass's merge
- * in SM-id order. Raising `threads` shards SM stepping across one
- * persistent worker pool per machine with deterministic merge points, so
- * simulation outputs are identical for any thread count (see
+ * Every engine runs the same tick. The fabric-facing memory phase runs
+ * under the GPU's arbiter ahead of the SM step pass, the step pass steps
+ * the due SMs, and its merge delivers CTA completions in SM-id order. An
+ * SM writes its stats into its own per-stream blocks, which
+ * Gpu::stats() folds into the shared registry on read. Raising `threads`
+ * only shards the step pass across one persistent worker pool per
+ * machine, so simulation outputs are identical for any thread count (see
  * docs/ARCHITECTURE.md, "The parallel cycle engine").
  * Idle fast-forward is not a setting: after every tick the run loop
  * jumps to just before the machine's earliest wake cycle, on any engine
@@ -28,11 +28,12 @@ struct EngineConfig
 {
     /**
      * Worker lanes stepping SM shards (including the calling thread).
-     * 0 and 1 both mean serial execution. Values above the SM count are
-     * clamped: an SM is the unit of sharding. Values above the host's
-     * core count are also clamped (oversubscribed lanes time-slice one
-     * core and the per-cycle barrier makes that strictly slower than
-     * serial) unless allowOversubscribe is set.
+     * 0 and 1 both mean the step pass runs inline on the calling thread.
+     * Values above the SM count are clamped: an SM is the unit of
+     * sharding. Values above the host's core count are also clamped
+     * (oversubscribed lanes time-slice one core and the per-cycle
+     * barrier makes that strictly slower than serial) unless
+     * allowOversubscribe is set.
      */
     uint32_t threads = 1;
 
@@ -45,16 +46,11 @@ struct EngineConfig
     bool allowOversubscribe = false;
 
     /**
-     * Stage SM step stats even when stepping serially. With more than
-     * one thread staging is always on; this knob exists so determinism
-     * tests can run the staged path at one thread and prove the outputs
-     * do not depend on the thread count.
+     * Has no effect. The benchmark harness (perfbench/harness.cpp) still
+     * sets it, so the field stays until the benchmark change that
+     * settles ROADMAP item 1 deletes it.
      */
     bool stagedFabric = false;
-
-    /** True when SM steps write stats to per-SM shadows that the merge
-     *  folds into the shared registry. */
-    bool staged() const { return threads > 1 || stagedFabric; }
 
     /**
      * Lanes this engine runs on a machine whose devices have @p sms SMs

@@ -58,6 +58,22 @@ Gpu::Gpu(const GpuConfig &cfg) : cfg_(cfg)
 
 Gpu::~Gpu() = default;
 
+StatsRegistry &
+Gpu::stats()
+{
+    std::as_const(*this).stats();
+    return stats_;
+}
+
+const StatsRegistry &
+Gpu::stats() const
+{
+    for (const auto &sm : sms_) {
+        sm->foldStats();
+    }
+    return stats_;
+}
+
 void
 Gpu::setEngine(const engine::EngineConfig &engine,
                engine::WorkerPool *shared_pool)
@@ -66,10 +82,6 @@ Gpu::setEngine(const engine::EngineConfig &engine,
              "cycle engine must be configured before the first tick");
     engine_ = engine;
     engine_.threads = engine.lanesFor(numSms());
-    const bool staged = engine_.staged();
-    for (auto &sm : sms_) {
-        sm->setStagedFabric(staged);
-    }
     ownPool_.reset();
     if (shared_pool == nullptr && engine_.threads > 1) {
         ownPool_ = std::make_unique<engine::WorkerPool>(engine_.threads);
@@ -168,7 +180,6 @@ Gpu::enqueueInternal(StreamId stream, KernelInfo info, KernelId depends_on,
     }
     it->second.queue.push_back(std::move(q));
     it->second.lastEnqueued = id;
-    it->second.everUsed = true;
     it->second.everEnqueued.insert(id);
     return id;
 }
@@ -563,9 +574,9 @@ Gpu::memoryPhase()
     // cycles under saturation — grants interleave one request per SM per
     // round. The rotation start is a pure function of the cycle number,
     // so idle fast-forward (which skips ticks entirely) cannot desync
-    // the arbiter between a ticked and a jumped run, and the serial and
-    // staged engines share this exact phase: the request stream the L2
-    // sees is identical for any thread count.
+    // the arbiter between a ticked and a jumped run, and every thread
+    // count runs this exact phase: the request stream the L2 sees is
+    // identical for any thread count.
     //
     // One scan builds both rotations: the retry rounds cannot add LDST
     // work, so an SM whose LDST unit is empty or parked sits out the
@@ -642,10 +653,9 @@ Gpu::stepSms()
     // SM stepping over the SM-private stages (writebacks, issue,
     // execute), sharded across the pool when there is one. A step
     // touches only its own SM's state: CTA completions land in the SM's
-    // list and, when staged, stats in its shadow registry. The
-    // shard→lane assignment is strided but the merge below runs in SM-id
-    // order, so outputs are independent of the lane count and of thread
-    // scheduling.
+    // list and stats in its own blocks. The shard→lane assignment is
+    // strided but the merge below runs in SM-id order, so outputs are
+    // independent of the lane count and of thread scheduling.
     if (pool_) {
         // Capture only `this`: the closure stays inside std::function's
         // small-buffer storage, so the per-cycle dispatch never allocates.
@@ -665,16 +675,12 @@ Gpu::stepSms()
     // Merge, main thread, SM-id order: every cross-SM effect of the
     // step pass happens here. onCtaDone launches nothing, so the list
     // it walks cannot grow under it. An SM that was not due committed
-    // nothing and has no shadow stats.
-    const bool staged = engine_.staged();
+    // nothing. Stats stay in the SMs' blocks until stats() reads them.
     for (Sm *sm : dueSms_) {
         for (const auto &[stream, kernel] : sm->ctaDones()) {
             onCtaDone(sm->smId(), stream, kernel);
         }
         sm->clearCtaDones();
-        if (staged) {
-            sm->flushShadowStats();
-        }
         noteMemPhaseWork(*sm);
     }
 }
@@ -860,7 +866,7 @@ Gpu::progressSignature() const
     // issuing, CTAs launching, kernels finishing, or memory responses
     // arriving. Stall counters and queue churn deliberately don't count.
     uint64_t sig = l2_->responsesDelivered();
-    for (const auto &[id, st] : stats_.allStreams()) {
+    for (const auto &[id, st] : stats().allStreams()) {
         sig += st.instructions + st.ctasLaunched + st.kernelsCompleted;
     }
     return sig;

@@ -263,12 +263,12 @@ class Gpu : public MemFabricPort
     telemetry::TelemetrySink *telemetry() const { return telemetry_; }
 
     /**
-     * Configure the cycle engine (thread count, staged fabric). Must be
-     * called before the first tick; threads are clamped per
-     * EngineConfig::lanesFor. The default EngineConfig steps SMs
-     * serially with no stat shadows. A standalone GPU builds its own
-     * worker pool; the devices of a MultiGpu all step on the machine's
-     * @p shared_pool (not owned) and build none.
+     * Configure the cycle engine (thread count). Must be called before
+     * the first tick; threads are clamped per EngineConfig::lanesFor.
+     * The default EngineConfig steps SMs inline on the calling thread. A
+     * standalone GPU builds its own worker pool; the devices of a
+     * MultiGpu all step on the machine's @p shared_pool (not owned) and
+     * build none.
      */
     void setEngine(const engine::EngineConfig &engine,
                    engine::WorkerPool *shared_pool = nullptr);
@@ -293,7 +293,7 @@ class Gpu : public MemFabricPort
         bool completed = false;
         /** Set when RunOptions::cancel stopped the run between ticks. */
         bool cancelled = false;
-        /** Set when the integrity layer stopped the run (OnHang::Report). */
+        /** Set when the integrity layer stopped the run. */
         std::optional<integrity::HangReport> hang;
     };
     /**
@@ -309,8 +309,14 @@ class Gpu : public MemFabricPort
 
     // --- Introspection and controller hooks -------------------------------
 
-    StatsRegistry &stats() { return stats_; }
-    const StatsRegistry &stats() const { return stats_; }
+    /**
+     * The per-stream stats, exact on every read: each SM's own blocks
+     * are folded in first (Sm::foldStats). The fold only moves counts,
+     * so the const overload folds too. Main thread only, and never
+     * during a step pass, whose SMs write those blocks.
+     */
+    StatsRegistry &stats();
+    const StatsRegistry &stats() const;
     L2Subsystem &l2() { return *l2_; }
     const L2Subsystem &l2() const { return *l2_; }
     /** Access one SM; fatal on an out-of-range index. */
@@ -420,7 +426,6 @@ class Gpu : public MemFabricPort
         std::set<KernelId> everEnqueued;
         KernelId lastEnqueued = kNoDependency;
         Cycle finishCycle = 0;
-        bool everUsed = false;
     };
 
     /** Kernels of one stream allowed in flight simultaneously. */
@@ -442,8 +447,8 @@ class Gpu : public MemFabricPort
     const std::vector<uint32_t> &allowedSms(StreamId stream);
     void sampleCounters();
     /**
-     * Round-robin fabric arbitration: the per-cycle memory phase shared
-     * by the serial and staged engines. Grants rotate across SMs from a
+     * Round-robin fabric arbitration: the per-cycle memory phase, the
+     * same at every thread count. Grants rotate across SMs from a
      * start derived purely from the cycle number (fast-forward safe),
      * one request per SM per grant round, until no SM can make progress.
      * Only members of memPhaseSms_ are visited. Main thread only, before
@@ -462,8 +467,8 @@ class Gpu : public MemFabricPort
     /**
      * The SM step pass: step every due SM (on pool_ when there is one),
      * then merge in SM-id order on the main thread: deliver each SM's
-     * committed CTAs to onCtaDone, fold its shadow stats when staged and
-     * note its memory-phase work. The same pass on every engine.
+     * committed CTAs to onCtaDone and note its memory-phase work. The
+     * same pass on every engine.
      */
     void stepSms();
 
@@ -488,7 +493,8 @@ class Gpu : public MemFabricPort
     void describe(integrity::HangReport &report) const;
 
     GpuConfig cfg_;
-    StatsRegistry stats_;
+    /** Mutable: the const stats() folds the SMs' blocks into it. */
+    mutable StatsRegistry stats_;
     std::unique_ptr<L2Subsystem> l2_;
     std::vector<std::unique_ptr<Sm>> sms_;
     std::map<StreamId, StreamState> streams_;

@@ -29,7 +29,7 @@ struct GpuConfig
 
     SmConfig sm;
     L2Config l2;
-    /** Cycle-engine scheduling (threads, staged fabric). */
+    /** Cycle-engine scheduling (thread count). */
     engine::EngineConfig engine;
 
     /** DRAM bandwidth expressed in bytes per core clock cycle. */

@@ -18,6 +18,17 @@ namespace
 /** Telemetry events attached to a hang report, newest last. */
 constexpr size_t kHangReportEvents = 16;
 
+/**
+ * Bounded-stall invariant: with the round-robin fabric arbiter, no
+ * parked retry should wait longer than a small multiple of the
+ * queue-depth-derived bound numSms * ldstQueueDepth (every other SM
+ * draining a full egress queue ahead of it, one grant per round). A
+ * retry older than this factor times that bound is reported as a
+ * "fabric-retry-starvation" violation: either the arbiter lost
+ * fairness or the fabric wedged.
+ */
+constexpr Cycle kRetryWaitBoundFactor = 16;
+
 } // namespace
 
 Machine::Machine(std::vector<Gpu *> devices, RemoteMemPort *fabric)
@@ -65,9 +76,7 @@ Machine::mergedStats() const
 {
     StatsRegistry merged;
     for (const Gpu *gpu : devices_) {
-        // absorbShadow mutates its source; fold a copy instead.
-        StatsRegistry shadow = gpu->stats();
-        merged.absorbShadow(shadow);
+        merged.merge(gpu->stats());
     }
     return merged;
 }
@@ -122,7 +131,7 @@ Machine::progressImminent() const
 
 void
 Machine::checkInvariants(
-    Cycle leak_age, uint32_t retry_factor,
+    Cycle leak_age,
     std::vector<integrity::InvariantViolation> &violations,
     std::vector<integrity::HangReport::MshrLeakRow> &leaks) const
 {
@@ -150,11 +159,10 @@ Machine::checkInvariants(
         }
         // Bounded-stall bound: the arbiter's worst case has every other
         // SM draining a full egress queue ahead of a parked request, one
-        // grant per round, times the configured safety factor (0
-        // disables).
+        // grant per round, times a safety factor.
         integrity::checkBoundedRetryWait(
             sms, cycle,
-            static_cast<Cycle>(retry_factor) * gpu->numSms() *
+            kRetryWaitBoundFactor * gpu->numSms() *
                 gpu->config().sm.ldstQueueDepth,
             violations);
         gpu->checkStreamLiveness(violations);
@@ -236,7 +244,7 @@ Machine::run(Cycle max_cycles, const integrity::RunOptions &opts)
     const Cycle audit_interval = opts.auditInterval;
     Cycle next_audit = now() + audit_interval;
 
-    // Stop with a HangReport (or panic, per opts.onHang).
+    // Stop with a HangReport in the result.
     auto stop = [&](bool hung,
                     std::vector<integrity::InvariantViolation> violations,
                     std::vector<integrity::HangReport::MshrLeakRow> leaks) {
@@ -245,13 +253,9 @@ Machine::run(Cycle max_cycles, const integrity::RunOptions &opts)
                        "no forward progress for %" PRIu64 " cycles",
                        now() - last_progress)
                  : "invariant violation: " + violations.front().check;
-        integrity::HangReport report = buildHangReport(
-            last_progress, std::move(reason), std::move(violations),
-            std::move(leaks));
-        if (opts.onHang == integrity::RunOptions::OnHang::Panic) {
-            panic("%s", report.render().c_str());
-        }
-        result.hang = std::move(report);
+        result.hang = buildHangReport(last_progress, std::move(reason),
+                                      std::move(violations),
+                                      std::move(leaks));
     };
 
     // Idle fast-forward, never under fault injection (a frozen SM's
@@ -315,10 +319,7 @@ Machine::run(Cycle max_cycles, const integrity::RunOptions &opts)
                 last_sig = sig;
                 last_progress = now();
             }
-            if (opts.checkInvariants) {
-                checkInvariants(leak_age, opts.retryWaitBoundFactor,
-                                violations, leaks);
-            }
+            checkInvariants(leak_age, violations, leaks);
             hung = now() - last_progress >= hang_threshold &&
                    !progressImminent();
         }

@@ -56,7 +56,7 @@ class Machine
     uint64_t progressSignature() const;
     bool progressImminent() const;
     void checkInvariants(
-        Cycle leak_age, uint32_t retry_factor,
+        Cycle leak_age,
         std::vector<integrity::InvariantViolation> &violations,
         std::vector<integrity::HangReport::MshrLeakRow> &leaks) const;
     void audit(std::vector<integrity::InvariantViolation> &out);

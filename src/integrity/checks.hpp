@@ -53,7 +53,7 @@ void checkL2WorkSets(const L2Subsystem &l2, Cycle now,
  * arbiter guarantees every SM a grant per round, so no parked request
  * should ever wait anywhere near @p bound cycles (the caller derives it
  * from the arbitration worst case times a safety factor; see
- * RunOptions::retryWaitBoundFactor). One "fabric-retry-starvation"
+ * kRetryWaitBoundFactor in gpu/machine.cpp). One "fabric-retry-starvation"
  * violation per offending SM, naming the age and the bound.
  */
 void checkBoundedRetryWait(const std::vector<const Sm *> &sms, Cycle now,

@@ -29,14 +29,6 @@ struct RunOptions
     /** Cycles between integrity checks; 0 disables the integrity layer. */
     Cycle checkInterval = 0;
 
-    /** What to do when a hang or invariant violation is detected. */
-    enum class OnHang
-    {
-        Panic,   ///< Abort with the rendered report (CI-friendly).
-        Report   ///< Stop the run and return the report in RunResult.
-    };
-    OnHang onHang = OnHang::Report;
-
     /**
      * Cycles without any forward progress (issued instruction, launched
      * CTA, completed kernel, delivered memory response) before the run is
@@ -53,20 +45,6 @@ struct RunOptions
      * derives a default matching hangThreshold.
      */
     Cycle mshrLeakAge = 0;
-
-    /** Run the cross-layer invariant checkers on every watchdog tick. */
-    bool checkInvariants = true;
-
-    /**
-     * Bounded-stall invariant: with the round-robin fabric arbiter, no
-     * parked retry should wait longer than a small multiple of the
-     * queue-depth-derived bound numSms * ldstQueueDepth (every other SM
-     * draining a full egress queue ahead of it, one grant per round).
-     * A retry older than retryWaitBoundFactor times that bound is
-     * reported as a "fabric-retry-starvation" violation — either the
-     * arbiter lost fairness or the fabric wedged. 0 disables the check.
-     */
-    uint32_t retryWaitBoundFactor = 16;
 
     /**
      * Cycles between counter-conservation audits (crisp::audit); 0

@@ -334,30 +334,4 @@ SetAssocCache::composition() const
     return comp;
 }
 
-uint64_t
-SetAssocCache::evictStreamOutsideWindow(StreamId stream,
-                                        std::vector<Addr> *dirty_lines)
-{
-    const SetWindow *w = windowFor(stream);
-    if (w == nullptr) {
-        return 0;
-    }
-    uint64_t evicted = 0;
-    for (size_t i = 0; i < flags_.size(); ++i) {
-        if (!(flags_[i] & kValid) || streams_[i] != stream) {
-            continue;
-        }
-        const uint32_t set = static_cast<uint32_t>(i / ways_);
-        if (set >= w->first && set < w->first + w->count) {
-            continue;
-        }
-        if ((flags_[i] & kDirty) && dirty_lines != nullptr) {
-            dirty_lines->push_back(tags_[i] * geom_.lineBytes);
-        }
-        clearLine(static_cast<uint32_t>(i));
-        ++evicted;
-    }
-    return evicted;
-}
-
 } // namespace crisp

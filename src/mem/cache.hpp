@@ -194,17 +194,6 @@ class SetAssocCache
     /** Remove all set windows (fully shared cache). */
     void clearSetWindows();
 
-    /**
-     * Evict @p stream's valid lines living in sets outside the stream's
-     * current set window (stranded by a window shrink; see
-     * CacheComposition::strandedLines). Dirty victims are appended to
-     * @p dirty_lines (when non-null) so the caller can account their
-     * writebacks. Returns the number of lines evicted. No-op when the
-     * stream has no window.
-     */
-    uint64_t evictStreamOutsideWindow(StreamId stream,
-                                      std::vector<Addr> *dirty_lines);
-
     /** Occupancy snapshot for composition plots. */
     CacheComposition composition() const;
 

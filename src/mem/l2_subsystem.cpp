@@ -600,22 +600,6 @@ L2Subsystem::countQueuedByStream(SmallFlatMap<StreamId, uint64_t> &out) const
 }
 
 uint64_t
-L2Subsystem::evictStrandedLines(StreamId stream, Cycle now)
-{
-    uint64_t evicted = 0;
-    std::vector<Addr> dirty;
-    for (auto &bank : banks_) {
-        dirty.clear();
-        evicted += bank.evictStreamOutsideWindow(stream, &dirty);
-        for (Addr line : dirty) {
-            dram_.service(now, kLineBytes, line);
-            stats_->stream(stream).dramWrites++;
-        }
-    }
-    return evicted;
-}
-
-uint64_t
 L2Subsystem::hits() const
 {
     uint64_t total = 0;

@@ -129,14 +129,6 @@ class L2Subsystem
     void clearSetWindows();
 
     /**
-     * Evict @p stream's lines stranded outside its current set window in
-     * every bank (TAP evict-on-shrink). Dirty victims consume DRAM write
-     * bandwidth at cycle @p now and are charged to the stream's
-     * dramWrites. Returns the number of lines evicted.
-     */
-    uint64_t evictStrandedLines(StreamId stream, Cycle now);
-
-    /**
      * Attach a fault-injection hook (not owned; nullptr detaches). The hook
      * is consulted when DRAM fills return and when responses are delivered.
      */

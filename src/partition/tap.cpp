@@ -72,21 +72,13 @@ TapController::repartition(Gpu &gpu, Cycle now)
     gfx_sets = std::clamp(gfx_sets, 1u, sets - 1);
 
     if (gfx_sets != gfxSets_) {
-        const bool gfx_shrank = gfx_sets < gfxSets_;
+        // A shrunk side's lines outside its new window are stranded:
+        // they age out via LRU (see CacheComposition::strandedLines).
         gfxSets_ = gfx_sets;
         computeSets_ = sets - gfx_sets;
         gpu.l2().setStreamSetWindow(cfg_.gfxStream, 0, gfxSets_);
         gpu.l2().setStreamSetWindow(cfg_.computeStream, gfxSets_,
                                     computeSets_);
-        if (cfg_.evictOnShrink) {
-            // Exactly one side shrank (the windows tile the bank): flush
-            // its now-stranded lines so they stop occupying the other
-            // side's sets. The grown side has no lines outside its new,
-            // larger window.
-            gpu.l2().evictStrandedLines(gfx_shrank ? cfg_.gfxStream
-                                                   : cfg_.computeStream,
-                                        now);
-        }
     }
     decisions_.emplace_back(now, gfxSets_);
     if (auto *sink = gpu.telemetry()) {

@@ -23,17 +23,6 @@ struct TapConfig
      * the compute-bound HOLO workload, which ends up with a single set).
      */
     double accessRatioFloor = 0.02;
-    /**
-     * When a repartition shrinks a stream's set window, lines the stream
-     * owns in sets outside the new window are *stranded*: mapSet only
-     * returns in-window sets, so the stream can never hit them again,
-     * yet they hold capacity and count toward its composition shares.
-     * With this flag the controller evicts them at the epoch boundary
-     * (dirty victims are written back and charged to the stream); off by
-     * default, stranded lines age out via LRU and are reported in
-     * CacheComposition::strandedLines.
-     */
-    bool evictOnShrink = false;
 };
 
 /**

@@ -157,23 +157,6 @@ TEST(AuditTest, SingleStreamBankAndStreamHitRatesAgree)
 }
 
 // ---------------------------------------------------------------------
-// Histogram conservation: a histogram built through the public API is
-// always self-consistent, and the audit appends nothing for it.
-// ---------------------------------------------------------------------
-TEST(AuditTest, HistogramAuditAcceptsConsistentHistogram)
-{
-    Histogram h(16);
-    h.add(1);
-    h.add(5);
-    h.add(400); // clamps into the overflow bucket
-    ASSERT_TRUE(h.selfConsistent());
-
-    std::vector<integrity::InvariantViolation> out;
-    audit::auditHistogram(h, "test-histogram", 0, out);
-    EXPECT_TRUE(out.empty());
-}
-
-// ---------------------------------------------------------------------
 // An idle machine trivially satisfies every identity (all counters 0):
 // guards against checkers that divide or subtract unsigned values
 // without an emptiness guard.

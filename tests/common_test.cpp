@@ -262,22 +262,29 @@ TEST(StreamStatsTest, Rates)
     EXPECT_DOUBLE_EQ(st.ipc(), 2.0);
 }
 
-TEST(StatsRegistryTest, CountersAndStreams)
+TEST(StatsRegistryTest, StreamsAndMerge)
 {
     StatsRegistry stats;
-    stats.add("foo");
-    stats.add("foo", 4);
-    EXPECT_EQ(stats.get("foo"), 5u);
-    EXPECT_EQ(stats.get("missing"), 0u);
-
     stats.stream(0).instructions = 10;
     stats.stream(1).instructions = 20;
     EXPECT_EQ(stats.sumOver(&StreamStats::instructions), 30u);
     EXPECT_NE(stats.findStream(0), nullptr);
     EXPECT_EQ(stats.findStream(9), nullptr);
 
+    // merge() folds every block in (StreamStats::absorb) and leaves its
+    // source as it was.
+    StatsRegistry other;
+    other.stream(1).instructions = 5;
+    other.stream(1).firstCycle = 7;
+    other.stream(2).instructions = 1;
+    stats.merge(other);
+    EXPECT_EQ(stats.stream(1).instructions, 25u);
+    EXPECT_EQ(stats.stream(1).firstCycle, 7u);
+    EXPECT_EQ(stats.stream(2).instructions, 1u);
+    EXPECT_EQ(other.stream(1).instructions, 5u);
+    EXPECT_EQ(other.allStreams().size(), 2u);
+
     stats.clear();
-    EXPECT_EQ(stats.get("foo"), 0u);
     EXPECT_EQ(stats.allStreams().size(), 0u);
 }
 

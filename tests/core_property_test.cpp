@@ -286,18 +286,12 @@ INSTANTIATE_TEST_SUITE_P(Quotas, QuotaSweep,
 
 
 // ---------------------------------------------------------------------
-// LRR scheduler option: both policies drain the same workload; LRR
-// spreads issue across warps instead of sticking with one.
+// The GTO scheduler drains a kernel of many memory-then-ALU warps.
 // ---------------------------------------------------------------------
 
-class SchedulerSweep : public ::testing::TestWithParam<SchedulerPolicy>
-{
-};
-
-TEST_P(SchedulerSweep, MultiWarpKernelDrains)
+TEST(SchedulerSweep, MultiWarpKernelDrains)
 {
     SmConfig cfg;
-    cfg.scheduler = GetParam();
     DelayFabric fabric(100);
     StatsRegistry stats;
     Sm sm(0, cfg, &fabric, &stats);
@@ -328,15 +322,6 @@ TEST_P(SchedulerSweep, MultiWarpKernelDrains)
     EXPECT_EQ(stats.stream(0).instructions, 12u * 12u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, SchedulerSweep,
-                         ::testing::Values(SchedulerPolicy::Gto,
-                                           SchedulerPolicy::Lrr),
-                         [](const auto &info) {
-                             return info.param == SchedulerPolicy::Gto
-                                 ? "Gto"
-                                 : "Lrr";
-                         });
-
 // ---------------------------------------------------------------------
 // Due stepping: an SM stepped only when due(), its memory phase run
 // only while it has unparked work, is indistinguishable from one stepped
@@ -355,7 +340,6 @@ enum class DueWorkload
 
 struct DueCase
 {
-    SchedulerPolicy policy;
     DueWorkload workload;
     const char *name;
 };
@@ -545,7 +529,6 @@ DueRun
 driveSm(const DueCase &c, bool due_only)
 {
     SmConfig cfg;
-    cfg.scheduler = c.policy;
     // A shallow, one-port LDST unit so issue regularly blocks on a full
     // queue and each line takes its own grant. In the priority case a
     // one-entry queue leaves the lower-priority stream no room at all
@@ -616,6 +599,7 @@ driveSm(const DueCase &c, bool due_only)
     EXPECT_EQ(cleared, c.workload == DueWorkload::Priority);
     // A drained SM has no live warp left to owe cycles to: no settle.
     run.drained = now;
+    sm.foldStats();
     run.stats = streamStatsDump(stats);
     for (const auto &[id, st] : stats.allStreams()) {
         run.l1Hits += st.l1Hits;
@@ -659,18 +643,11 @@ TEST_P(DueStepping, MatchesSteppingEveryCycle)
 INSTANTIATE_TEST_SUITE_P(
     Cases, DueStepping,
     ::testing::Values(
-        DueCase{SchedulerPolicy::Gto, DueWorkload::Mixed, "GtoMixed"},
-        DueCase{SchedulerPolicy::Lrr, DueWorkload::Mixed, "LrrMixed"},
-        DueCase{SchedulerPolicy::Gto, DueWorkload::Priority, "GtoPriority"},
-        DueCase{SchedulerPolicy::Lrr, DueWorkload::Priority, "LrrPriority"},
-        DueCase{SchedulerPolicy::Gto, DueWorkload::Barrier, "GtoBarrier"},
-        DueCase{SchedulerPolicy::Lrr, DueWorkload::Barrier, "LrrBarrier"},
-        DueCase{SchedulerPolicy::Gto, DueWorkload::MshrFull, "GtoMshrFull"},
-        DueCase{SchedulerPolicy::Lrr, DueWorkload::MshrFull, "LrrMshrFull"},
-        DueCase{SchedulerPolicy::Gto, DueWorkload::PriorityFront,
-                "GtoPriorityFront"},
-        DueCase{SchedulerPolicy::Lrr, DueWorkload::PriorityFront,
-                "LrrPriorityFront"}),
+        DueCase{DueWorkload::Mixed, "GtoMixed"},
+        DueCase{DueWorkload::Priority, "GtoPriority"},
+        DueCase{DueWorkload::Barrier, "GtoBarrier"},
+        DueCase{DueWorkload::MshrFull, "GtoMshrFull"},
+        DueCase{DueWorkload::PriorityFront, "GtoPriorityFront"}),
     [](const ::testing::TestParamInfo<DueCase> &info) {
         return info.param.name;
     });

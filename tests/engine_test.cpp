@@ -5,7 +5,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/table.hpp"
@@ -59,8 +58,8 @@ TEST(WorkerPool, SingleLaneRunsInline)
 }
 
 // ---------------------------------------------------------------------
-// Staged fabric at the SM level: a staged step plus the owner-side merge
-// produces exactly the legacy stats for a memory-heavy kernel.
+// Fixtures: a fabric stub and a memory-heavy kernel for the bare-SM
+// fabric-retry tests, and a text dump of a stats registry.
 // ---------------------------------------------------------------------
 
 /** Fabric stub answering reads a fixed delay after submission. */
@@ -165,36 +164,10 @@ statsDump(const StatsRegistry &stats)
     return os.str();
 }
 
-TEST(StagedFabric, SmStagedStepMatchesLegacy)
-{
-    auto run = [](bool staged) {
-        SmConfig cfg;
-        TestFabric fabric(80);
-        StatsRegistry stats;
-        Sm sm(0, cfg, &fabric, &stats);
-        sm.setStagedFabric(staged);
-        const KernelInfo k = streamingKernel(40, 12);
-        sm.launchCta(k, 1, 0, 0);
-        Cycle now = 0;
-        while (!sm.idle() && now < 100000) {
-            ++now;
-            stepSm(sm, now);
-            if (staged) {
-                sm.flushShadowStats();
-            }
-            fabric.step(sm, now);
-        }
-        EXPECT_TRUE(sm.idle());
-        return std::make_tuple(now, statsDump(stats),
-                               fabric.submissions(), sm.ctaDones());
-    };
-    EXPECT_EQ(run(false), run(true));
-}
-
 // ---------------------------------------------------------------------
 // Whole-machine determinism: the same mixed workload produces
-// byte-identical stats, counter-series CSV and Chrome trace for the
-// legacy serial path and the staged path at 1, 2 and 4 threads.
+// byte-identical stats, counter-series CSV and Chrome trace at 1, 2 and
+// 4 threads.
 // ---------------------------------------------------------------------
 
 GpuConfig
@@ -225,8 +198,10 @@ struct RunOutputs
     uint64_t liveSmCycles = 0;
 };
 
-RunOutputs
-runMixedWorkload(const engine::EngineConfig &ec)
+/** A PT frame on a graphics stream beside VIO on a compute stream, the
+ *  graphics stream prioritised under fine-grained partitioning. */
+void
+submitMixedWorkload(Gpu &gpu)
 {
     AddressSpace heap;
     static std::vector<std::unique_ptr<Scene>> keep_alive;
@@ -238,8 +213,6 @@ runMixedWorkload(const engine::EngineConfig &ec)
     RenderPipeline pipe(pc, heap);
     const RenderSubmission frame = pipe.submit(*keep_alive.back());
 
-    Gpu gpu(smallGpu());
-    gpu.setEngine(ec);
     const StreamId gfx = gpu.createStream("graphics");
     const StreamId cmp = gpu.createStream("compute");
     submitFrame(gpu, gfx, frame);
@@ -251,6 +224,14 @@ runMixedWorkload(const engine::EngineConfig &ec)
     part.policy = PartitionPolicy::FineGrained;
     part.priorityStream = gfx;
     gpu.setPartition(part);
+}
+
+RunOutputs
+runMixedWorkload(const engine::EngineConfig &ec)
+{
+    Gpu gpu(smallGpu());
+    gpu.setEngine(ec);
+    submitMixedWorkload(gpu);
 
     telemetry::TelemetryConfig tc;
     tc.sampleInterval = 500;
@@ -272,10 +253,7 @@ runMixedWorkload(const engine::EngineConfig &ec)
 
 TEST(EngineDeterminism, ThreadCountDoesNotChangeOutputs)
 {
-    engine::EngineConfig legacy;   // threads = 1, stats land directly
-
-    engine::EngineConfig staged1;
-    staged1.stagedFabric = true;   // staged semantics, still serial
+    engine::EngineConfig serial;   // threads = 1
 
     // Oversubscription opt-in: the point is to exercise the multi-lane
     // code paths even on hosts with fewer cores than lanes, where the
@@ -288,16 +266,53 @@ TEST(EngineDeterminism, ThreadCountDoesNotChangeOutputs)
     threads4.threads = 4;
     threads4.allowOversubscribe = true;
 
-    const RunOutputs base = runMixedWorkload(legacy);
+    const RunOutputs base = runMixedWorkload(serial);
     ASSERT_GT(base.cycles, 0u);
 
-    for (const auto &ec : {staged1, threads2, threads4}) {
+    for (const auto &ec : {threads2, threads4}) {
         const RunOutputs got = runMixedWorkload(ec);
         EXPECT_EQ(got.cycles, base.cycles);
         EXPECT_EQ(got.stats, base.stats);
         EXPECT_EQ(got.timelineCsv, base.timelineCsv);
         EXPECT_EQ(got.trace, base.trace);
     }
+}
+
+// Stats on read: each SM keeps its own per-stream blocks and
+// Gpu::stats() folds them in, so a read between any two ticks sees the
+// same registry at any thread count, and a tick loop run to done() reads
+// what run() does.
+TEST(EngineDeterminism, StatsReadsMatchAtEveryThreadCount)
+{
+    auto tick_dumps = [](uint32_t threads) {
+        engine::EngineConfig ec;
+        ec.threads = threads;
+        ec.allowOversubscribe = true;
+        Gpu gpu(smallGpu());
+        gpu.setEngine(ec);
+        submitMixedWorkload(gpu);
+        std::vector<std::string> dumps;
+        while (!gpu.done()) {
+            gpu.tick();
+            if (gpu.now() % 97 == 0) {
+                dumps.push_back(statsDump(gpu.stats()));
+            }
+        }
+        dumps.push_back(statsDump(gpu.stats()));
+        return dumps;
+    };
+    const std::vector<std::string> one = tick_dumps(1);
+    const std::vector<std::string> four = tick_dumps(4);
+    ASSERT_GT(one.size(), 10u);
+    ASSERT_EQ(four.size(), one.size());
+    for (size_t i = 0; i < one.size(); ++i) {
+        ASSERT_EQ(four[i], one[i]) << "sample " << i;
+    }
+
+    Gpu gpu(smallGpu());
+    submitMixedWorkload(gpu);
+    ASSERT_TRUE(gpu.run(500'000'000ull).completed);
+    EXPECT_EQ(statsDump(gpu.stats()), one.back());
 }
 
 // ---------------------------------------------------------------------

@@ -173,32 +173,6 @@ class RefCache
         return comp;
     }
 
-    uint64_t
-    evictStreamOutsideWindow(StreamId stream, std::vector<Addr> *dirty)
-    {
-        const SetWindow *w = windowFor(stream);
-        if (w == nullptr) {
-            return 0;
-        }
-        uint64_t evicted = 0;
-        for (size_t i = 0; i < lines_.size(); ++i) {
-            Line &l = lines_[i];
-            if (!l.valid || l.stream != stream) {
-                continue;
-            }
-            const uint32_t set = static_cast<uint32_t>(i / geom_.ways);
-            if (set >= w->first && set < w->first + w->count) {
-                continue;
-            }
-            if (l.dirty && dirty != nullptr) {
-                dirty->push_back(l.tag * geom_.lineBytes);
-            }
-            l = Line{};
-            ++evicted;
-        }
-        return evicted;
-    }
-
     uint64_t accesses() const { return accesses_; }
     uint64_t hits() const { return hits_; }
     uint64_t sectorMisses() const { return sectorMisses_; }
@@ -512,11 +486,6 @@ TEST_P(CacheEquivalenceSweep, RandomSequenceMatchesReference)
                 static_cast<uint32_t>(rng.nextBelow(sets - count + 1));
             cache.setStreamSetWindow(stream, first, count);
             ref.setStreamSetWindow(stream, first, count);
-            std::vector<Addr> dirty_a;
-            std::vector<Addr> dirty_b;
-            EXPECT_EQ(cache.evictStreamOutsideWindow(stream, &dirty_a),
-                      ref.evictStreamOutsideWindow(stream, &dirty_b));
-            EXPECT_EQ(dirty_a, dirty_b);
             break;
         }
         case 4: { // drop all windows

@@ -433,7 +433,7 @@ TEST(CleanRunTest, WatchdogDoesNotChangeSimulatedCycles)
 // wakeup that would quietly shift timing. The invariant pass re-derives
 // every set. Here two L1 MSHR entries per SM keep LDST heads parking on
 // a full MSHR, so they unpark only through a memResponse; the sets must
-// stay exact on every cycle, on the direct and the staged engine.
+// stay exact on every cycle, stepping inline and on a two-lane pool.
 // ---------------------------------------------------------------------
 
 /** Counts SM-cycles with an LDST head parked (queued, but no work). */
@@ -481,8 +481,8 @@ TEST_P(WorkSetAuditTest, MshrBoundRunKeepsWorkSetsExactAtIntervalOne)
 INSTANTIATE_TEST_SUITE_P(Engines, WorkSetAuditTest,
                          ::testing::Values(1u, 2u),
                          [](const auto &info) {
-                             return info.param == 1 ? std::string("direct")
-                                                    : std::string("staged");
+                             return info.param == 1 ? std::string("inline")
+                                                    : std::string("pooled");
                          });
 
 // ---------------------------------------------------------------------
@@ -540,24 +540,6 @@ TEST(ValidationDeathTest, PartitionNamingUnknownStreamIsFatal)
     part.share[42] = 0.5;
     EXPECT_EXIT(gpu.setPartition(part), ::testing::ExitedWithCode(1),
                 "does not exist");
-}
-
-TEST(ValidationDeathTest, OnHangPanicAbortsWithReport)
-{
-    AddressSpace heap(0x8000'0000ull);
-    Gpu gpu(smallGpu());
-    const StreamId s = gpu.createStream("compute");
-
-    integrity::FaultConfig fc;
-    fc.corruptNthDependency = 1;
-    integrity::FaultInjector inj(fc);
-    gpu.setFaultInjector(&inj);
-    enqueueVio(gpu, s, heap);
-
-    integrity::RunOptions opts;
-    opts.checkInterval = 500;
-    opts.onHang = integrity::RunOptions::OnHang::Panic;
-    EXPECT_DEATH(gpu.run(10'000'000ull, opts), "stream-liveness");
 }
 
 } // namespace

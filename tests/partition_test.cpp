@@ -215,13 +215,11 @@ TEST(TapTest, SetWindowsActuallyConfineStreams)
     EXPECT_LE(l2.composition().validLines, 2u);
 }
 
-TEST(TapTest, ShrinkStrandsLinesAndEvictionWritesBackDirty)
+TEST(TapTest, ShrinkStrandsLines)
 {
     // Pins the stranded-line semantics: lines installed under a wide set
     // window stay resident after the window shrinks (new fills simply
-    // can't reach them), composition() reports them as stranded, and
-    // evictStrandedLines() flushes them with exactly one DRAM writeback
-    // per dirty line.
+    // can't reach them) and composition() reports them as stranded.
     L2Config cfg;
     cfg.numBanks = 1;
     cfg.bankGeometry = {16 * kLineBytes, 2, kLineBytes}; // 8 sets x 2
@@ -231,11 +229,10 @@ TEST(TapTest, ShrinkStrandsLinesAndEvictionWritesBackDirty)
     l2.setStreamSetWindow(2, 0, 8);
 
     Cycle now = 0;
-    auto touch = [&](StreamId s, Addr line, bool write) {
+    auto touch = [&](StreamId s, Addr line) {
         MemRequest req;
         req.line = line;
         req.stream = s;
-        req.write = write;
         req.completionKey = line;
         while (!l2.submit(req, now)) {
             ++now;
@@ -246,9 +243,9 @@ TEST(TapTest, ShrinkStrandsLinesAndEvictionWritesBackDirty)
             l2.step(now);
         }
     };
-    // Four lines landing in sets 0..3; the one in set 1 is dirty.
+    // Four lines landing in sets 0..3.
     for (int i = 0; i < 4; ++i) {
-        touch(2, static_cast<Addr>(i) * kLineBytes, i == 1);
+        touch(2, static_cast<Addr>(i) * kLineBytes);
     }
     ASSERT_EQ(l2.composition().validLines, 4u);
     EXPECT_EQ(l2.composition().strandedLines, 0u);
@@ -259,15 +256,6 @@ TEST(TapTest, ShrinkStrandsLinesAndEvictionWritesBackDirty)
     l2.setStreamSetWindow(2, 7, 1);
     EXPECT_EQ(l2.composition().strandedLines, 4u);
     EXPECT_EQ(l2.composition().validLines, 4u);
-
-    const uint64_t before_writes = stats.stream(2).dramWrites;
-    EXPECT_EQ(l2.evictStrandedLines(2, now), 4u);
-    EXPECT_EQ(l2.composition().strandedLines, 0u);
-    EXPECT_EQ(l2.composition().validLines, 0u);
-    EXPECT_EQ(stats.stream(2).dramWrites, before_writes + 1);
-
-    // Idempotent: nothing left to evict.
-    EXPECT_EQ(l2.evictStrandedLines(2, now), 0u);
 }
 
 } // namespace

@@ -629,7 +629,6 @@ TEST(ScenarioStress, DramSaturationSurvivesTheWatchdog)
 
     integrity::RunOptions opts;
     opts.checkInterval = 1024;   // scans many times inside one long wait
-    opts.onHang = integrity::RunOptions::OnHang::Report;
     const auto wr = watched.run(8'000'000'000ull, opts);
     ASSERT_TRUE(wr.completed)
         << (wr.hang ? wr.hang->render() : "no hang report");

@@ -61,8 +61,8 @@ TEST(Starvation, RayTraversalRetryWaitIsBounded)
     scenario::Materialized mat;
     scenario::submitScenario(sc, gpu, heap, mat);
 
-    // Default integrity options include the bounded-stall invariant
-    // (retryWaitBoundFactor 16 -> 16 * 46 SMs * 32 queue depth =
+    // The watchdog's checks include the bounded-stall invariant
+    // (kRetryWaitBoundFactor 16 -> 16 * 46 SMs * 32 queue depth =
     // 23,552 cycles at this config): the run must complete without the
     // checker tripping.
     integrity::RunOptions opts;
