@@ -1,24 +1,24 @@
-// Parallel cycle-engine throughput: simulated cycles per wall-clock second
-// at 1/2/4/8 worker threads on a compute-heavy many-SM machine, plus a
-// determinism cross-check (all thread counts must produce identical stats).
+// Cycle-engine throughput: simulated cycles per wall-clock second on a
+// compute-heavy many-SM machine, best of five runs, plus a determinism
+// cross-check (every repetition must produce identical stats).
 //
 // Runs two machine sizes by default — the historical 16-SM config and a
-// 64-SM config with a proportionally larger workload, where each worker
-// lane has enough per-cycle work to hide the fork/join barrier. Pass
+// 64-SM config with a proportionally larger workload. Pass
 // `--num-sms N` to run a single size.
 //
-// Emits BENCH_engine_throughput.json next to the binary.
+// Emits BENCH_engine_throughput.json in the working directory. Each
+// config keeps the trajectory's JSON shape: one `runs[]` entry at
+// `threads: 1`, the key tools/check_perf_regression.py gates on.
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "engine/engine_config.hpp"
 #include "workloads/cached.hpp"
 
 namespace crisp::bench
@@ -88,9 +88,6 @@ statsFingerprint(const StatsRegistry &stats)
 
 struct Measurement
 {
-    uint32_t threads = 1;
-    /** Lanes actually used after the host-core/SM clamp. */
-    uint32_t threadsEffective = 1;
     Cycle cycles = 0;
     double wallSec = 0.0;
     double cyclesPerSec = 0.0;
@@ -101,14 +98,11 @@ struct Measurement
 };
 
 Measurement
-measure(uint32_t num_sms, uint32_t threads)
+measure(uint32_t num_sms)
 {
     Measurement m;
     AddressSpace heap(0x8000'0000ull);
     Gpu gpu(bigGpu(num_sms));
-    engine::EngineConfig ec;
-    ec.threads = threads;
-    gpu.setEngine(ec);
     const StreamId s = gpu.createStream("compute");
     const auto b0 = std::chrono::steady_clock::now();
     const std::vector<KernelInfo> kernels =
@@ -125,8 +119,6 @@ measure(uint32_t num_sms, uint32_t threads)
     const auto t1 = std::chrono::steady_clock::now();
     fatal_if(!r.completed, "engine bench workload did not drain");
 
-    m.threads = threads;
-    m.threadsEffective = gpu.engineConfig().threads;
     m.cycles = r.cycles;
     m.wallSec = std::chrono::duration<double>(t1 - t0).count();
     m.cyclesPerSec = static_cast<double>(r.cycles) / m.wallSec;
@@ -137,10 +129,10 @@ measure(uint32_t num_sms, uint32_t threads)
 struct ConfigResult
 {
     uint32_t numSms = 0;
-    bool deterministic = true;
     double generationSec = -1.0;
     double replaySec = -1.0;
-    std::vector<Measurement> runs;
+    /** The fastest of the timed runs. */
+    Measurement best;
 };
 
 ConfigResult
@@ -152,7 +144,7 @@ runConfig(uint32_t num_sms)
     if (traceCache().enabled()) {
         // Cold-populate the trace cache up front so every measured run
         // replays: generation and replay drive different CtaGenerators,
-        // and mixing them would skew the thread-scaling comparison.
+        // and mixing them would skew the comparison between runs.
         AddressSpace warm_heap(0x8000'0000ull);
         bool hit = false;
         const auto w0 = std::chrono::steady_clock::now();
@@ -167,58 +159,32 @@ runConfig(uint32_t num_sms)
                     hit ? "warm" : "populated", warm_sec);
     }
     // One untimed warmup simulation: the first run on a quiet host pays
-    // page-cache and frequency-ramp costs that the later thread counts
-    // don't, which would systematically understate the threads=1 rate
-    // every other speedup is normalized to.
-    (void)measure(num_sms, 1);
-    // Best-of-5 per thread count, with repetitions interleaved
-    // round-robin across thread counts: individual runs are short enough
-    // that scheduler noise on a shared host swings them several percent,
-    // and slow load drift would otherwise bias whichever count happened
-    // to run during the quiet stretch. Min-wall is the standard estimator
-    // for the noise-free rate.
+    // page-cache and frequency-ramp costs that the timed runs don't.
+    (void)measure(num_sms);
+    // Best of 5: individual runs are short enough that scheduler noise
+    // on a shared host swings them several percent. Min-wall is the
+    // standard estimator for the noise-free rate.
     constexpr int kReps = 5;
-    const std::vector<uint32_t> counts = {1u, 2u, 4u, 8u};
-    std::vector<Measurement> best;
-    for (uint32_t threads : counts) {
-        best.push_back(measure(num_sms, threads));
-    }
+    cr.best = measure(num_sms);
     for (int rep = 1; rep < kReps; ++rep) {
-        for (size_t i = 0; i < counts.size(); ++i) {
-            Measurement next = measure(num_sms, counts[i]);
-            fatal_if(next.fingerprint != best[i].fingerprint ||
-                         next.cycles != best[i].cycles,
-                     "nondeterminism across repetitions");
-            if (next.wallSec < best[i].wallSec) {
-                best[i] = next;
-            }
+        Measurement next = measure(num_sms);
+        fatal_if(next.fingerprint != cr.best.fingerprint ||
+                     next.cycles != cr.best.cycles,
+                 "nondeterminism across repetitions");
+        if (next.wallSec < cr.best.wallSec) {
+            cr.best = next;
         }
     }
-    for (const Measurement &picked : best) {
-        cr.runs.push_back(picked);
-        const Measurement &m = cr.runs.back();
-        std::printf("threads=%u (eff %u)  cycles=%llu  wall=%.3fs  "
-                    "%.3fM cycles/s  speedup=%.2fx  build=%.3fs (%s)\n",
-                    m.threads, m.threadsEffective,
-                    static_cast<unsigned long long>(m.cycles), m.wallSec,
-                    m.cyclesPerSec / 1e6,
-                    m.cyclesPerSec / cr.runs.front().cyclesPerSec,
-                    m.buildSec, m.cacheHit ? "trace replay" : "generated");
+    const Measurement &m = cr.best;
+    double &build_sec = m.cacheHit ? cr.replaySec : cr.generationSec;
+    if (build_sec < 0) {
+        build_sec = m.buildSec;
     }
-    for (const Measurement &m : cr.runs) {
-        if (m.cycles != cr.runs.front().cycles ||
-            m.fingerprint != cr.runs.front().fingerprint) {
-            cr.deterministic = false;
-        }
-        if (!m.cacheHit && cr.generationSec < 0) {
-            cr.generationSec = m.buildSec;
-        }
-        if (m.cacheHit && cr.replaySec < 0) {
-            cr.replaySec = m.buildSec;
-        }
-    }
-    std::printf("deterministic across thread counts: %s\n\n",
-                cr.deterministic ? "yes" : "NO");
+    std::printf("cycles=%llu  wall=%.3fs  %.3fM cycles/s  build=%.3fs "
+                "(%s)\n\n",
+                static_cast<unsigned long long>(m.cycles), m.wallSec,
+                m.cyclesPerSec / 1e6, m.buildSec,
+                m.cacheHit ? "trace replay" : "generated");
     return cr;
 }
 
@@ -242,13 +208,9 @@ main(int argc, char **argv)
         }
     }
 
-    header("engine_throughput",
-           "parallel cycle-engine scaling, compute workload");
+    header("engine_throughput", "cycle-engine throughput, compute workload");
     const uint32_t cores = std::thread::hardware_concurrency();
-    std::printf("host cores: %u%s\n\n", cores,
-                cores < 4 ? "  (speedup needs >= 4; thread counts above "
-                            "the core count clamp to serial)"
-                          : "");
+    std::printf("host cores: %u\n\n", cores);
 
     std::vector<ConfigResult> configs;
     for (uint32_t num_sms : sizes) {
@@ -264,8 +226,9 @@ main(int argc, char **argv)
     std::fprintf(f, "  \"configs\": [\n");
     for (size_t c = 0; c < configs.size(); ++c) {
         const ConfigResult &cr = configs[c];
-        std::fprintf(f, "    {\"num_sms\": %u, \"deterministic\": %s,\n",
-                     cr.numSms, cr.deterministic ? "true" : "false");
+        // Every repetition matched the first (or the bench died above).
+        std::fprintf(f, "    {\"num_sms\": %u, \"deterministic\": true,\n",
+                     cr.numSms);
         if (cr.generationSec >= 0) {
             std::fprintf(f, "     \"generation_wall_sec\": %.6f,\n",
                          cr.generationSec);
@@ -274,25 +237,19 @@ main(int argc, char **argv)
             std::fprintf(f, "     \"replay_wall_sec\": %.6f,\n",
                          cr.replaySec);
         }
-        std::fprintf(f, "     \"runs\": [\n");
-        for (size_t i = 0; i < cr.runs.size(); ++i) {
-            const Measurement &m = cr.runs[i];
-            std::fprintf(
-                f,
-                "      {\"threads\": %u, \"threads_effective\": %u, "
-                "\"cycles\": %llu, "
-                "\"wall_sec\": %.6f, \"cycles_per_sec\": %.1f, "
-                "\"speedup\": %.3f, \"trace_cache_hit\": %s, "
-                "\"build_wall_sec\": %.6f}%s\n",
-                m.threads, m.threadsEffective,
-                static_cast<unsigned long long>(m.cycles), m.wallSec,
-                m.cyclesPerSec,
-                m.cyclesPerSec / cr.runs.front().cyclesPerSec,
-                m.cacheHit ? "true" : "false", m.buildSec,
-                i + 1 < cr.runs.size() ? "," : "");
-        }
-        std::fprintf(f, "     ]}%s\n",
-                     c + 1 < configs.size() ? "," : "");
+        const Measurement &m = cr.best;
+        std::fprintf(
+            f,
+            "     \"runs\": [\n"
+            "      {\"threads\": 1, \"threads_effective\": 1, "
+            "\"cycles\": %llu, "
+            "\"wall_sec\": %.6f, \"cycles_per_sec\": %.1f, "
+            "\"speedup\": 1.000, \"trace_cache_hit\": %s, "
+            "\"build_wall_sec\": %.6f}\n"
+            "     ]}%s\n",
+            static_cast<unsigned long long>(m.cycles), m.wallSec,
+            m.cyclesPerSec, m.cacheHit ? "true" : "false", m.buildSec,
+            c + 1 < configs.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -29,7 +29,6 @@
  *     --timeline FILE   dump the sampled counter time-series as CSV
  *                       (FILE.gpu<d> per device on a multi-GPU machine)
  *     --profile         print the simulator's wall-clock self-profile
- *     --threads N       worker threads stepping SM shards    (default 1)
  *     --quiet           suppress the banner
  *
  * Every N is a whole decimal number; anything else ("1e6", "-1", "4k")
@@ -74,7 +73,6 @@ struct Options
     Cycle sample = 0;
     std::string timeline;
     bool profile = false;
-    uint32_t threads = 1;
     bool quiet = false;
 };
 
@@ -120,8 +118,6 @@ parseArgs(int argc, char **argv)
             opt.timeline = need(i);
         } else if (a == "--profile") {
             opt.profile = true;
-        } else if (a == "--threads") {
-            opt.threads = wholeNumber<uint32_t>("--threads", need(i));
         } else if (a == "--quiet") {
             opt.quiet = true;
         } else if (a == "--help" || a == "-h") {
@@ -154,8 +150,7 @@ int
 simulate(const Options &opt, const scenario::Scenario &scn)
 {
     const uint32_t num_gpus = scn.gpu.numGpus;
-    GpuConfig cfg = scenario::gpuConfigFor(scn);
-    cfg.engine.threads = opt.threads;
+    const GpuConfig cfg = scenario::gpuConfigFor(scn);
 
     std::unique_ptr<Gpu> lone;
     std::unique_ptr<mgpu::MultiGpu> multi;

@@ -95,16 +95,6 @@ Histogram::merge(const Histogram &other)
     weightedSum_ += other.weightedSum_;
 }
 
-bool
-Histogram::selfConsistent() const
-{
-    uint64_t total = 0;
-    for (uint64_t b = 0; b <= maxValue_; ++b) {
-        total += buckets_[b];
-    }
-    return total == samples_;
-}
-
 void
 StreamStats::absorb(const StreamStats &delta)
 {

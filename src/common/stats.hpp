@@ -37,12 +37,6 @@ class Histogram
     /** Merge another histogram into this one (same max_value required). */
     void merge(const Histogram &other);
 
-    /**
-     * Conservation check: the sample count must equal the sum over
-     * buckets (every add/merge lands each sample in exactly one bucket).
-     */
-    bool selfConsistent() const;
-
   private:
     uint64_t maxValue_;
     uint64_t samples_ = 0;

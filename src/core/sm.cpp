@@ -1078,8 +1078,7 @@ void
 Sm::step(Cycle now)
 {
     // The fabric-facing memory phase (retry queue + LDST unit) already
-    // ran this cycle under the owner's arbiter, serially on the main
-    // thread before any SM stepped.
+    // ran this cycle under the owner's arbiter, before any SM stepped.
 
     // Commit due register writebacks (clears scoreboard entries). The heap
     // pops same-cycle writebacks in packed (slot, reg) order rather than

@@ -346,11 +346,11 @@ class Sm
      * Add every per-stream stat this SM wrote since the last fold into
      * the registry it was built with, then zero its own blocks. The SM
      * writes its stats nowhere else (step, launchCta, the memory phase
-     * and settleCycles all write the SM's blocks), so steps of different
-     * SMs may run on different threads. The fold only adds counters and
+     * and settleCycles all write the SM's blocks), so the step pass
+     * never touches shared counters. The fold only adds counters and
      * takes the min of firstCycle and the max of lastCycle, so its
-     * timing and the SM order cannot change a merged value. Not during a
-     * step pass: the owner folds on read (Gpu::stats()).
+     * timing and the SM order cannot change a merged value: the owner
+     * folds on read (Gpu::stats()).
      */
     void foldStats();
 

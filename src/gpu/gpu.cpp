@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.hpp"
-#include "engine/worker_pool.hpp"
 #include "gpu/machine.hpp"
 #include "integrity/checks.hpp"
 #include "integrity/fault_injector.hpp"
@@ -53,7 +52,6 @@ Gpu::Gpu(const GpuConfig &cfg) : cfg_(cfg)
     ldstPhaseScratch_.reserve(cfg_.numSms);
     memPhaseSms_ = WorkSet(cfg_.numSms);
     dueSms_.reserve(cfg_.numSms);
-    setEngine(cfg_.engine);
 }
 
 Gpu::~Gpu() = default;
@@ -72,21 +70,6 @@ Gpu::stats() const
         sm->foldStats();
     }
     return stats_;
-}
-
-void
-Gpu::setEngine(const engine::EngineConfig &engine,
-               engine::WorkerPool *shared_pool)
-{
-    fatal_if(cycle_ != 0,
-             "cycle engine must be configured before the first tick");
-    engine_ = engine;
-    engine_.threads = engine.lanesFor(numSms());
-    ownPool_.reset();
-    if (shared_pool == nullptr && engine_.threads > 1) {
-        ownPool_ = std::make_unique<engine::WorkerPool>(engine_.threads);
-    }
-    pool_ = shared_pool != nullptr ? shared_pool : ownPool_.get();
 }
 
 StreamId
@@ -574,9 +557,7 @@ Gpu::memoryPhase()
     // cycles under saturation — grants interleave one request per SM per
     // round. The rotation start is a pure function of the cycle number,
     // so idle fast-forward (which skips ticks entirely) cannot desync
-    // the arbiter between a ticked and a jumped run, and every thread
-    // count runs this exact phase: the request stream the L2 sees is
-    // identical for any thread count.
+    // the arbiter between a ticked and a jumped run.
     //
     // One scan builds both rotations: the retry rounds cannot add LDST
     // work, so an SM whose LDST unit is empty or parked sits out the
@@ -636,13 +617,12 @@ void
 Gpu::stepSms()
 {
     // The fabric-facing memory phase already ran under the arbiter in
-    // memoryPhase(), serially on the main thread, so no step below
-    // touches the fabric.
+    // memoryPhase(), so no step below touches the fabric.
 
-    // Only due SMs step. Nothing a step does reaches another SM (CTA
-    // completions wait for the merge), so the due list is fixed before
-    // any SM steps. A CTA launched this cycle made its SM due, so a CTA
-    // that launchCta retired at once reaches the merge as well.
+    // Only due SMs step, and the due list is fixed before any SM steps:
+    // nothing a step does reaches another SM, because CTA completions
+    // wait for the merge. A CTA launched this cycle made its SM due, so
+    // a CTA that launchCta retired at once reaches the merge as well.
     dueSms_.clear();
     for (auto &sm : sms_) {
         if (sm->due(cycle_)) {
@@ -650,32 +630,22 @@ Gpu::stepSms()
         }
     }
 
-    // SM stepping over the SM-private stages (writebacks, issue,
-    // execute), sharded across the pool when there is one. A step
-    // touches only its own SM's state: CTA completions land in the SM's
-    // list and stats in its own blocks. The shard→lane assignment is
-    // strided but the merge below runs in SM-id order, so outputs are
-    // independent of the lane count and of thread scheduling.
-    if (pool_) {
-        // Capture only `this`: the closure stays inside std::function's
-        // small-buffer storage, so the per-cycle dispatch never allocates.
-        pool_->run([this](uint32_t lane) {
-            const uint32_t lanes = pool_->lanes();
-            const size_t count = dueSms_.size();
-            for (size_t i = lane; i < count; i += lanes) {
-                dueSms_[i]->step(cycle_);
-            }
-        });
-    } else {
-        for (Sm *sm : dueSms_) {
-            sm->step(cycle_);
-        }
+    // Each step (writebacks, issue, execute) touches only its own SM's
+    // state: CTA completions land in the SM's list and stats in its own
+    // blocks.
+    for (Sm *sm : dueSms_) {
+        sm->step(cycle_);
     }
 
-    // Merge, main thread, SM-id order: every cross-SM effect of the
-    // step pass happens here. onCtaDone launches nothing, so the list
-    // it walks cannot grow under it. An SM that was not due committed
-    // nothing. Stats stay in the SMs' blocks until stats() reads them.
+    // Merge, SM-id order: every cross-SM effect of the step pass happens
+    // here, after every step of the cycle. So a kernel completion, the
+    // promotion it triggers or a controller's quota change never alters
+    // the machine an SM later in the same pass steps against, and a
+    // completion retired inside launchCta never lands while issueCtas()
+    // walks the stream's active kernels. onCtaDone launches nothing, so
+    // the list it walks cannot grow under it. An SM that was not due
+    // committed nothing. Stats stay in the SMs' blocks until stats()
+    // reads them.
     for (Sm *sm : dueSms_) {
         for (const auto &[stream, kernel] : sm->ctaDones()) {
             onCtaDone(sm->smId(), stream, kernel);

@@ -15,7 +15,6 @@
 #include "common/stats.hpp"
 #include "common/work_set.hpp"
 #include "core/sm.hpp"
-#include "engine/engine_config.hpp"
 #include "gpu/gpu_config.hpp"
 #include "integrity/report.hpp"
 #include "mem/l2_subsystem.hpp"
@@ -25,8 +24,21 @@ namespace crisp
 
 namespace engine
 {
-class WorkerPool;
-}
+
+/**
+ * Settings that have no effect: SMs always step on the calling thread.
+ * The benchmark harness (perfbench/harness.cpp) still sets these fields,
+ * so they stay until a change to the benchmark deletes them together
+ * with Gpu::setEngine and MultiGpu::setEngine.
+ */
+struct EngineConfig
+{
+    uint32_t threads = 1;
+    bool allowOversubscribe = false;
+    bool stagedFabric = false;
+};
+
+} // namespace engine
 
 namespace integrity
 {
@@ -161,7 +173,7 @@ class GpuController
         (void)id;
     }
     /** Runs in the SM step pass's merge, in the cycle the kernel's last
-     *  CTA commits, on every engine. */
+     *  CTA commits. */
     virtual void onKernelComplete(Gpu &gpu, StreamId stream, KernelId id)
     {
         (void)gpu;
@@ -262,17 +274,8 @@ class Gpu : public MemFabricPort
     /** The attached telemetry sink, or nullptr (controllers emit via this). */
     telemetry::TelemetrySink *telemetry() const { return telemetry_; }
 
-    /**
-     * Configure the cycle engine (thread count). Must be called before
-     * the first tick; threads are clamped per EngineConfig::lanesFor.
-     * The default EngineConfig steps SMs inline on the calling thread. A
-     * standalone GPU builds its own worker pool; the devices of a
-     * MultiGpu all step on the machine's @p shared_pool (not owned) and
-     * build none.
-     */
-    void setEngine(const engine::EngineConfig &engine,
-                   engine::WorkerPool *shared_pool = nullptr);
-    const engine::EngineConfig &engineConfig() const { return engine_; }
+    /** Does nothing; see engine::EngineConfig. */
+    void setEngine(const engine::EngineConfig &) {}
 
     /** Idle fast-forward bookkeeping: jumps taken and cycles skipped. */
     uint64_t fastForwardJumps() const { return ffJumps_; }
@@ -312,8 +315,7 @@ class Gpu : public MemFabricPort
     /**
      * The per-stream stats, exact on every read: each SM's own blocks
      * are folded in first (Sm::foldStats). The fold only moves counts,
-     * so the const overload folds too. Main thread only, and never
-     * during a step pass, whose SMs write those blocks.
+     * so the const overload folds too.
      */
     StatsRegistry &stats();
     const StatsRegistry &stats() const;
@@ -447,12 +449,11 @@ class Gpu : public MemFabricPort
     const std::vector<uint32_t> &allowedSms(StreamId stream);
     void sampleCounters();
     /**
-     * Round-robin fabric arbitration: the per-cycle memory phase, the
-     * same at every thread count. Grants rotate across SMs from a
-     * start derived purely from the cycle number (fast-forward safe),
-     * one request per SM per grant round, until no SM can make progress.
-     * Only members of memPhaseSms_ are visited. Main thread only, before
-     * any SM steps.
+     * Round-robin fabric arbitration: the per-cycle memory phase.
+     * Grants rotate across SMs from a start derived purely from the
+     * cycle number (fast-forward safe), one request per SM per grant
+     * round, until no SM can make progress. Only members of
+     * memPhaseSms_ are visited. Runs before any SM steps.
      */
     void memoryPhase();
     /** Add @p sm to memPhaseSms_ if it has memory-phase work. Called
@@ -465,10 +466,9 @@ class Gpu : public MemFabricPort
         }
     }
     /**
-     * The SM step pass: step every due SM (on pool_ when there is one),
-     * then merge in SM-id order on the main thread: deliver each SM's
-     * committed CTAs to onCtaDone and note its memory-phase work. The
-     * same pass on every engine.
+     * The SM step pass: step every due SM, then merge in SM-id order:
+     * deliver each SM's committed CTAs to onCtaDone and note its
+     * memory-phase work.
      */
     void stepSms();
 
@@ -526,12 +526,8 @@ class Gpu : public MemFabricPort
     uint32_t deviceId_ = 0;
     RemoteMemPort *remote_ = nullptr;
 
-    // --- Cycle engine ------------------------------------------------------
+    // --- Idle fast-forward -------------------------------------------------
 
-    engine::EngineConfig engine_;
-    /** Pool SM shards step on: ownPool_, or a MultiGpu's shared one. */
-    engine::WorkerPool *pool_ = nullptr;
-    std::unique_ptr<engine::WorkerPool> ownPool_;
     uint64_t ffJumps_ = 0;
     uint64_t ffCyclesSkipped_ = 0;
 

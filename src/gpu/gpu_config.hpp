@@ -4,7 +4,6 @@
 #include <string>
 
 #include "core/sm_config.hpp"
-#include "engine/engine_config.hpp"
 #include "mem/l2_subsystem.hpp"
 
 namespace crisp
@@ -29,8 +28,6 @@ struct GpuConfig
 
     SmConfig sm;
     L2Config l2;
-    /** Cycle-engine scheduling (thread count). */
-    engine::EngineConfig engine;
 
     /** DRAM bandwidth expressed in bytes per core clock cycle. */
     double dramBytesPerCycle() const

@@ -50,9 +50,7 @@ Machine::tick()
 {
     // Fabric first: deliveries land in bank queues / SMs before each
     // device's own memory phase and L2 step of the same cycle, mirroring
-    // the submit-before-step order inside one device. Everything but SM
-    // stepping inside each device's tick is main-thread serial, so
-    // determinism is per device and composes.
+    // the submit-before-step order inside one device.
     if (fabric_ != nullptr) {
         fabric_->step(now() + 1);
     }

@@ -159,7 +159,7 @@ InterGpuFabric::pump(Link &link, Cycle now, bool responses)
 {
     // Admit queued packets onto the wire until it is booked at least one
     // cycle ahead: sustained throughput tracks linkBytesPerCycle while
-    // every admission stays deterministic and main-thread-serial.
+    // every admission stays deterministic.
     // Responses carry the full line.
     while (!link.queue.empty() && link.wire.backlog(now) == 0) {
         MemRequest req = std::move(link.queue.front());

@@ -59,9 +59,8 @@ struct FabricConfig
  * derived purely from the cycle number — the same fairness scheme as the
  * intra-GPU memory phase (Gpu::memoryPhase), one level up.
  *
- * All state is stepped serially on the main thread by the machine's run
- * loop (before the device ticks of each cycle), so multi-threaded SM
- * stepping stays byte-identical.
+ * All state is stepped by the machine's run loop, before the device
+ * ticks of each cycle.
  */
 class InterGpuFabric : public RemoteMemPort
 {

@@ -32,14 +32,10 @@ MultiGpu::MultiGpu(const MultiGpuConfig &cfg) : cfg_(cfg)
     fatal_if(cfg_.streamIdStride == 0, "stream-id stride must be non-zero");
     fabric_ = std::make_unique<InterGpuFabric>(cfg_.fabric, cfg_.numGpus,
                                                cfg_.windowBytes);
-    // Devices start on the serial engine; setEngine below gives them the
-    // machine's one pool, so no device ever builds its own.
-    GpuConfig device_cfg = cfg_.gpu;
-    device_cfg.engine = {};
     std::vector<Gpu *> devices;
     devices_.reserve(cfg_.numGpus);
     for (uint32_t d = 0; d < cfg_.numGpus; ++d) {
-        devices_.push_back(std::make_unique<Gpu>(device_cfg));
+        devices_.push_back(std::make_unique<Gpu>(cfg_.gpu));
         Gpu &gpu = *devices_.back();
         gpu.setDeviceId(d);
         gpu.setStreamIdBase(d * cfg_.streamIdStride);
@@ -48,7 +44,6 @@ MultiGpu::MultiGpu(const MultiGpuConfig &cfg) : cfg_(cfg)
         devices.push_back(&gpu);
     }
     machine_ = std::make_unique<Machine>(std::move(devices), fabric_.get());
-    setEngine(cfg_.gpu.engine);
 }
 
 MultiGpu::~MultiGpu() = default;
@@ -80,20 +75,6 @@ MultiGpu::heapFor(uint32_t d, Addr local_base) const
     fatal_if(local_base >= cfg_.windowBytes,
              "heap base beyond the device window");
     return AddressSpace(windowBase(d) + local_base);
-}
-
-void
-MultiGpu::setEngine(const engine::EngineConfig &engine)
-{
-    engine::EngineConfig clamped = engine;
-    clamped.threads = engine.lanesFor(cfg_.gpu.numSms);
-    pool_.reset();
-    if (clamped.threads > 1) {
-        pool_ = std::make_unique<engine::WorkerPool>(clamped.threads);
-    }
-    for (auto &gpu : devices_) {
-        gpu->setEngine(clamped, pool_.get());
-    }
 }
 
 MultiGpu::RunResult

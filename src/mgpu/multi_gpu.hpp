@@ -4,8 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "engine/engine_config.hpp"
-#include "engine/worker_pool.hpp"
 #include "gpu/gpu.hpp"
 #include "gpu/machine.hpp"
 #include "graphics/address_space.hpp"
@@ -49,12 +47,11 @@ struct MultiGpuConfig
 };
 
 /**
- * Top level of a multi-GPU machine: owns N Gpu devices, the
- * InterGpuFabric between them and the one worker pool every device
- * steps its SM shards on. Stepping and running go through the shared
- * run loop (crisp::Machine), so a multi-GPU run gets the same idle
- * fast-forward, watchdog, hang report, audit and cancellation as a
- * single GPU, and threads 1/2/4 stay byte-identical.
+ * Top level of a multi-GPU machine: owns N Gpu devices and the
+ * InterGpuFabric between them. Stepping and running go through the
+ * shared run loop (crisp::Machine), so a multi-GPU run gets the same
+ * idle fast-forward, watchdog, hang report, audit and cancellation as a
+ * single GPU.
  */
 class MultiGpu
 {
@@ -79,12 +76,8 @@ class MultiGpu
      */
     AddressSpace heapFor(uint32_t d, Addr local_base = 0x1000'0000ull) const;
 
-    /**
-     * Configure the machine's cycle engine (before the first tick):
-     * lanes are clamped once for the whole machine and every device
-     * steps on one shared pool of that many lanes.
-     */
-    void setEngine(const engine::EngineConfig &engine);
+    /** Does nothing; see engine::EngineConfig. */
+    void setEngine(const engine::EngineConfig &) {}
 
     /** Advance the machine one cycle (fabric, then devices in id order). */
     void tick() { machine_->tick(); }
@@ -117,7 +110,6 @@ class MultiGpu
     MultiGpuConfig cfg_;
     std::unique_ptr<InterGpuFabric> fabric_;
     std::vector<std::unique_ptr<Gpu>> devices_;
-    std::unique_ptr<engine::WorkerPool> pool_;
     std::unique_ptr<Machine> machine_;
 };
 

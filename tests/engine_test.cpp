@@ -9,8 +9,6 @@
 
 #include "common/table.hpp"
 #include "core/sm.hpp"
-#include "engine/engine_config.hpp"
-#include "engine/worker_pool.hpp"
 #include "gpu/gpu.hpp"
 #include "graphics/pipeline.hpp"
 #include "isa/trace_builder.hpp"
@@ -27,35 +25,6 @@ namespace crisp
 {
 namespace
 {
-
-// ---------------------------------------------------------------------
-// Worker pool basics: every lane runs, results land, generations reuse
-// the same threads.
-// ---------------------------------------------------------------------
-
-TEST(WorkerPool, RunsEveryLaneEveryGeneration)
-{
-    engine::WorkerPool pool(4);
-    ASSERT_EQ(pool.lanes(), 4u);
-    std::vector<uint64_t> hits(pool.lanes(), 0);
-    for (int round = 0; round < 100; ++round) {
-        pool.run([&](uint32_t lane) { hits[lane] += lane + 1; });
-    }
-    for (uint32_t lane = 0; lane < pool.lanes(); ++lane) {
-        EXPECT_EQ(hits[lane], 100u * (lane + 1));
-    }
-}
-
-TEST(WorkerPool, SingleLaneRunsInline)
-{
-    engine::WorkerPool pool(1);
-    uint32_t ran = 0;
-    pool.run([&](uint32_t lane) {
-        EXPECT_EQ(lane, 0u);
-        ++ran;
-    });
-    EXPECT_EQ(ran, 1u);
-}
 
 // ---------------------------------------------------------------------
 // Fixtures: a fabric stub and a memory-heavy kernel for the bare-SM
@@ -226,93 +195,27 @@ submitMixedWorkload(Gpu &gpu)
     gpu.setPartition(part);
 }
 
-RunOutputs
-runMixedWorkload(const engine::EngineConfig &ec)
-{
-    Gpu gpu(smallGpu());
-    gpu.setEngine(ec);
-    submitMixedWorkload(gpu);
-
-    telemetry::TelemetryConfig tc;
-    tc.sampleInterval = 500;
-    telemetry::TelemetrySink sink(tc);
-    gpu.setTelemetry(&sink);
-
-    const auto r = gpu.run(500'000'000ull);
-    EXPECT_TRUE(r.completed);
-
-    RunOutputs out;
-    out.cycles = r.cycles;
-    out.stats = statsDump(gpu.stats());
-    out.timelineCsv = sink.series().toTable().toCsv();
-    out.trace = telemetry::chromeTraceJson(sink);
-    out.ffJumps = gpu.fastForwardJumps();
-    out.ffCycles = gpu.fastForwardCycles();
-    return out;
-}
-
-TEST(EngineDeterminism, ThreadCountDoesNotChangeOutputs)
-{
-    engine::EngineConfig serial;   // threads = 1
-
-    // Oversubscription opt-in: the point is to exercise the multi-lane
-    // code paths even on hosts with fewer cores than lanes, where the
-    // default clamp would silently fall back to serial.
-    engine::EngineConfig threads2;
-    threads2.threads = 2;
-    threads2.allowOversubscribe = true;
-
-    engine::EngineConfig threads4;
-    threads4.threads = 4;
-    threads4.allowOversubscribe = true;
-
-    const RunOutputs base = runMixedWorkload(serial);
-    ASSERT_GT(base.cycles, 0u);
-
-    for (const auto &ec : {threads2, threads4}) {
-        const RunOutputs got = runMixedWorkload(ec);
-        EXPECT_EQ(got.cycles, base.cycles);
-        EXPECT_EQ(got.stats, base.stats);
-        EXPECT_EQ(got.timelineCsv, base.timelineCsv);
-        EXPECT_EQ(got.trace, base.trace);
-    }
-}
-
 // Stats on read: each SM keeps its own per-stream blocks and
-// Gpu::stats() folds them in, so a read between any two ticks sees the
-// same registry at any thread count, and a tick loop run to done() reads
-// what run() does.
-TEST(EngineDeterminism, StatsReadsMatchAtEveryThreadCount)
+// Gpu::stats() folds them in, so reads between ticks do not disturb the
+// run, and a tick loop run to done() reads what run() does.
+TEST(EngineDeterminism, StatsReadsBetweenTicksMatchRun)
 {
-    auto tick_dumps = [](uint32_t threads) {
-        engine::EngineConfig ec;
-        ec.threads = threads;
-        ec.allowOversubscribe = true;
-        Gpu gpu(smallGpu());
-        gpu.setEngine(ec);
-        submitMixedWorkload(gpu);
-        std::vector<std::string> dumps;
-        while (!gpu.done()) {
-            gpu.tick();
-            if (gpu.now() % 97 == 0) {
-                dumps.push_back(statsDump(gpu.stats()));
-            }
+    Gpu ticked(smallGpu());
+    submitMixedWorkload(ticked);
+    size_t reads = 0;
+    while (!ticked.done()) {
+        ticked.tick();
+        if (ticked.now() % 97 == 0) {
+            (void)statsDump(ticked.stats());
+            ++reads;
         }
-        dumps.push_back(statsDump(gpu.stats()));
-        return dumps;
-    };
-    const std::vector<std::string> one = tick_dumps(1);
-    const std::vector<std::string> four = tick_dumps(4);
-    ASSERT_GT(one.size(), 10u);
-    ASSERT_EQ(four.size(), one.size());
-    for (size_t i = 0; i < one.size(); ++i) {
-        ASSERT_EQ(four[i], one[i]) << "sample " << i;
     }
+    ASSERT_GT(reads, 10u);
 
     Gpu gpu(smallGpu());
     submitMixedWorkload(gpu);
     ASSERT_TRUE(gpu.run(500'000'000ull).completed);
-    EXPECT_EQ(statsDump(gpu.stats()), one.back());
+    EXPECT_EQ(statsDump(gpu.stats()), statsDump(ticked.stats()));
 }
 
 // ---------------------------------------------------------------------

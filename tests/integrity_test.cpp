@@ -433,7 +433,7 @@ TEST(CleanRunTest, WatchdogDoesNotChangeSimulatedCycles)
 // wakeup that would quietly shift timing. The invariant pass re-derives
 // every set. Here two L1 MSHR entries per SM keep LDST heads parking on
 // a full MSHR, so they unpark only through a memResponse; the sets must
-// stay exact on every cycle, stepping inline and on a two-lane pool.
+// stay exact on every cycle.
 // ---------------------------------------------------------------------
 
 /** Counts SM-cycles with an LDST head parked (queued, but no work). */
@@ -454,16 +454,10 @@ class ParkedHeadCounter : public GpuController
     }
 };
 
-class WorkSetAuditTest : public ::testing::TestWithParam<uint32_t>
-{
-};
-
-TEST_P(WorkSetAuditTest, MshrBoundRunKeepsWorkSetsExactAtIntervalOne)
+TEST(WorkSetAuditTest, MshrBoundRunKeepsWorkSetsExactAtIntervalOne)
 {
     GpuConfig cfg = smallGpu();
     cfg.sm.l1MshrEntries = 2;
-    cfg.engine.threads = GetParam();
-    cfg.engine.allowOversubscribe = true;
     AddressSpace heap(0x8000'0000ull);
     Gpu gpu(cfg);
     enqueueVio(gpu, gpu.createStream("compute"), heap);
@@ -477,13 +471,6 @@ TEST_P(WorkSetAuditTest, MshrBoundRunKeepsWorkSetsExactAtIntervalOne)
     EXPECT_FALSE(r.hang.has_value()) << r.hang->render();
     EXPECT_GT(counter.parked, 1000u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, WorkSetAuditTest,
-                         ::testing::Values(1u, 2u),
-                         [](const auto &info) {
-                             return info.param == 1 ? std::string("inline")
-                                                    : std::string("pooled");
-                         });
 
 // ---------------------------------------------------------------------
 // Enqueue/partition validation (the integrity layer's front door): bad

@@ -89,8 +89,12 @@ TEST(WarpedSlicerTest, ResetsAtEachKernelLaunch)
     const StreamId b = gpu.createStream("cmp");
     // Three kernels on stream a: each launch restarts sampling.
     for (int i = 0; i < 3; ++i) {
-        gpu.enqueueKernel(a, buildComputeKernel(
-            memoryHeavyDesc("a" + std::to_string(i), 16, 0x1000000)));
+        // Appending, not `"a" + std::to_string(i)`: GCC 12 inlines that
+        // operator+ into a false -Wrestrict warning.
+        std::string name = "a";
+        name += std::to_string(i);
+        gpu.enqueueKernel(
+            a, buildComputeKernel(memoryHeavyDesc(name, 16, 0x1000000)));
     }
     gpu.enqueueKernel(b, buildComputeKernel(computeBoundDesc("b", 48)));
     PartitionConfig part;

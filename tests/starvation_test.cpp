@@ -1,11 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 #include <string>
-#include <tuple>
 
-#include "engine/engine_config.hpp"
 #include "gpu/gpu.hpp"
 #include "integrity/report.hpp"
 #include "scenario/build.hpp"
@@ -34,23 +31,6 @@ loadRayTraversal()
         std::string(CRISP_SCENARIO_DIR) + "/ray_traversal.json";
     EXPECT_TRUE(scenario::loadScenarioFile(path, sc, err)) << err.str();
     return sc;
-}
-
-std::string
-statsDump(const StatsRegistry &stats)
-{
-    std::ostringstream os;
-    for (const auto &[id, st] : stats.allStreams()) {
-        os << id << ':' << st.cycles << ',' << st.instructions << ','
-           << st.warpsLaunched << ',' << st.ctasLaunched << ','
-           << st.kernelsCompleted << ',' << st.l1Accesses << ','
-           << st.l1Hits << ',' << st.l1TexAccesses << ',' << st.l2Accesses
-           << ',' << st.l2Hits << ',' << st.dramReads << ','
-           << st.dramWrites << ',' << st.smemAccesses << ','
-           << st.smemBankConflicts << ',' << st.firstCycle << ','
-           << st.lastCycle << '\n';
-    }
-    return os.str();
 }
 
 TEST(Starvation, RayTraversalRetryWaitIsBounded)
@@ -86,31 +66,6 @@ TEST(Starvation, RayTraversalRetryWaitIsBounded)
     // drain; 20,000 leaves headroom for timing drift while still
     // failing loudly on any return of ordered draining.
     EXPECT_LT(max_wait, 20'000u);
-}
-
-TEST(Starvation, RayTraversalIsThreadCountInvariant)
-{
-    const auto run = [](uint32_t threads) {
-        const scenario::Scenario sc = loadRayTraversal();
-        Gpu gpu(scenario::gpuConfigFor(sc));
-        engine::EngineConfig ec;
-        ec.threads = threads;
-        ec.allowOversubscribe = true;
-        gpu.setEngine(ec);
-        AddressSpace heap;
-        scenario::Materialized mat;
-        scenario::submitScenario(sc, gpu, heap, mat);
-        const auto r = gpu.run(50'000'000ull);
-        EXPECT_TRUE(r.completed);
-        return std::make_tuple(r.cycles, statsDump(gpu.stats()));
-    };
-
-    // The arbiter runs in the serial memory phase of both engines, so
-    // the grant order — and with it every stat — is byte-identical for
-    // any worker count.
-    const auto serial = run(1);
-    EXPECT_EQ(serial, run(2));
-    EXPECT_EQ(serial, run(4));
 }
 
 } // namespace

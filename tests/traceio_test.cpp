@@ -146,8 +146,11 @@ TEST(TraceRoundTrip, RandomKernelsSurviveWriteReadBitExactly)
         std::vector<KernelInfo> kernels;
         const uint64_t n = 1 + rng.nextBelow(4);
         for (uint64_t k = 0; k < n; ++k) {
-            kernels.push_back(
-                randomKernel(rng, "k" + std::to_string(k)));
+            // Appending, not `"k" + std::to_string(k)`: GCC 12 inlines
+            // that operator+ into a false -Wrestrict warning.
+            std::string name = "k";
+            name += std::to_string(k);
+            kernels.push_back(randomKernel(rng, name));
         }
         packOrDie(path, kernels);
 
