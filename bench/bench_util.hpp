@@ -2,10 +2,8 @@
 #define CRISP_BENCH_BENCH_UTIL_HPP
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <string>
@@ -13,6 +11,7 @@
 
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "gpu/gpu.hpp"
 #include "graphics/pipeline.hpp"
@@ -67,13 +66,7 @@ auditInterval()
     if (env == nullptr) {
         return 4096;
     }
-    Cycle value = 0;
-    const char *end = env + std::strlen(env);
-    const auto [stop, ec] = std::from_chars(env, end, value);
-    fatal_if(ec != std::errc() || stop != end,
-             "CRISP_AUDIT_INTERVAL needs a whole decimal number, got "
-             "\"%s\"", env);
-    return value;
+    return wholeNumber<Cycle>("CRISP_AUDIT_INTERVAL", env);
 }
 
 /** Run to completion with the counter audit attached (benches only). */

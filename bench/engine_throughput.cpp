@@ -12,13 +12,13 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/parse.hpp"
 #include "workloads/cached.hpp"
 
 namespace crisp::bench
@@ -201,7 +201,9 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--num-sms" && i + 1 < argc) {
-            sizes = {static_cast<uint32_t>(std::atoi(argv[++i]))};
+            const uint32_t n = wholeNumber<uint32_t>("--num-sms", argv[++i]);
+            fatal_if(n == 0, "--num-sms needs at least one SM");
+            sizes = {n};
         } else {
             std::fprintf(stderr, "usage: %s [--num-sms N]\n", argv[0]);
             return 2;

@@ -35,15 +35,14 @@
  * is rejected with the flag's name.
  */
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/logging.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "gpu/gpu.hpp"
 #include "gpu/machine.hpp"
@@ -75,19 +74,6 @@ struct Options
     bool profile = false;
     bool quiet = false;
 };
-
-/** @p text as a whole decimal number; anything else is fatal. */
-template <typename T>
-T
-wholeNumber(const char *flag, const char *text)
-{
-    T value = 0;
-    const char *end = text + std::strlen(text);
-    const auto [stop, ec] = std::from_chars(text, end, value);
-    fatal_if(ec != std::errc() || stop != end,
-             "%s needs a whole decimal number, got \"%s\"", flag, text);
-    return value;
-}
 
 Options
 parseArgs(int argc, char **argv)

@@ -147,30 +147,39 @@ Texture2D::buildContent(uint64_t seed)
 
     // Procedural content: a layered pattern of large colour patches with
     // high-frequency detail, so downsampling (mipmapping) changes values
-    // smoothly and rendered output is visually interpretable.
+    // smoothly and rendered output is visually interpretable. The detail
+    // term is a per-column sine times a per-row cosine, so both come from
+    // tables built once per layer.
+    std::vector<int> cell_x(width_);
+    std::vector<float> sin_x(width_);
+    std::vector<int> cell_y(height_);
+    std::vector<float> cos_y(height_);
     for (uint32_t layer = 0; layer < layers_; ++layer) {
         const float hue = rng.nextDouble() * 6.0f;
         const float checker = 8.0f + static_cast<float>(rng.nextBelow(24));
+        const float g_scale = 0.5f + 0.5f * std::sin(hue);
+        const float b_scale = 0.5f + 0.5f * std::cos(hue);
+        for (uint32_t x = 0; x < width_; ++x) {
+            const float u = static_cast<float>(x) / width_;
+            cell_x[x] = static_cast<int>(u * checker);
+            sin_x[x] = 0.15f * std::sin(u * 97.0f + hue);
+        }
         for (uint32_t y = 0; y < height_; ++y) {
+            const float v = static_cast<float>(y) / height_;
+            cell_y[y] = static_cast<int>(v * checker);
+            cos_y[y] = std::cos(v * 83.0f + hue);
+        }
+        Texel *row = data_[0].data() +
+                     static_cast<size_t>(layer) * height_ * width_;
+        for (uint32_t y = 0; y < height_; ++y, row += width_) {
             for (uint32_t x = 0; x < width_; ++x) {
-                const float u = static_cast<float>(x) / width_;
-                const float v = static_cast<float>(y) / height_;
-                const int cx = static_cast<int>(u * checker);
-                const int cy = static_cast<int>(v * checker);
-                const float base = ((cx + cy) % 2 == 0) ? 0.85f : 0.35f;
-                const float detail =
-                    0.15f * std::sin(u * 97.0f + hue) *
-                    std::cos(v * 83.0f + hue);
-                Texel t;
+                const float base =
+                    ((cell_x[x] + cell_y[y]) % 2 == 0) ? 0.85f : 0.35f;
+                const float detail = sin_x[x] * cos_y[y];
+                Texel &t = row[x];
                 t.r = std::clamp(base + detail, 0.0f, 1.0f);
-                t.g = std::clamp(
-                    base * (0.5f + 0.5f * std::sin(hue)) + detail, 0.0f,
-                    1.0f);
-                t.b = std::clamp(
-                    base * (0.5f + 0.5f * std::cos(hue)) - detail, 0.0f,
-                    1.0f);
-                data_[0][(static_cast<size_t>(layer) * height_ + y) *
-                             width_ + x] = t;
+                t.g = std::clamp(base * g_scale + detail, 0.0f, 1.0f);
+                t.b = std::clamp(base * b_scale - detail, 0.0f, 1.0f);
             }
         }
     }
@@ -186,34 +195,34 @@ Texture2D::buildMipChain()
         const uint32_t h = levelHeightRaw(l);
         data_[l].resize(static_cast<size_t>(w) * h * layers_);
         for (uint32_t layer = 0; layer < layers_; ++layer) {
-            for (uint32_t y = 0; y < h; ++y) {
+            const Texel *src =
+                data_[l - 1].data() + static_cast<size_t>(layer) * ph * pw;
+            Texel *dst = data_[l].data() + static_cast<size_t>(layer) * h * w;
+            for (uint32_t y = 0; y < h; ++y, dst += w) {
+                // 2x2 box filter from the previous level, edges clamped.
+                const Texel *row0 =
+                    src + static_cast<size_t>(std::min(2 * y, ph - 1)) * pw;
+                const Texel *row1 =
+                    src +
+                    static_cast<size_t>(std::min(2 * y + 1, ph - 1)) * pw;
                 for (uint32_t x = 0; x < w; ++x) {
-                    // 2x2 box filter from the previous level.
+                    const uint32_t x0 = std::min(2 * x, pw - 1);
+                    const uint32_t x1 = std::min(2 * x + 1, pw - 1);
+                    const Texel *taps[4] = {row0 + x0, row0 + x1, row1 + x0,
+                                            row1 + x1};
                     Texel acc;
                     acc.a = 0.0f;
-                    int count = 0;
-                    for (uint32_t dy = 0; dy < 2; ++dy) {
-                        for (uint32_t dx = 0; dx < 2; ++dx) {
-                            const uint32_t sx = std::min(2 * x + dx, pw - 1);
-                            const uint32_t sy = std::min(2 * y + dy, ph - 1);
-                            const Texel &s =
-                                data_[l - 1]
-                                     [(static_cast<size_t>(layer) * ph + sy) *
-                                          pw + sx];
-                            acc.r += s.r;
-                            acc.g += s.g;
-                            acc.b += s.b;
-                            acc.a += s.a;
-                            ++count;
-                        }
+                    for (const Texel *s : taps) {
+                        acc.r += s->r;
+                        acc.g += s->g;
+                        acc.b += s->b;
+                        acc.a += s->a;
                     }
-                    const float inv = 1.0f / static_cast<float>(count);
-                    acc.r *= inv;
-                    acc.g *= inv;
-                    acc.b *= inv;
-                    acc.a *= inv;
-                    data_[l][(static_cast<size_t>(layer) * h + y) * w + x] =
-                        acc;
+                    acc.r *= 0.25f;
+                    acc.g *= 0.25f;
+                    acc.b *= 0.25f;
+                    acc.a *= 0.25f;
+                    dst[x] = acc;
                 }
             }
         }
