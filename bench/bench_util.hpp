@@ -17,8 +17,6 @@
 #include "graphics/pipeline.hpp"
 #include "partition/scheme.hpp"
 #include "telemetry/sink.hpp"
-#include "traceio/cache.hpp"
-#include "workloads/cached.hpp"
 #include "workloads/compute.hpp"
 #include "workloads/oracle.hpp"
 #include "workloads/scenes.hpp"
@@ -162,31 +160,18 @@ seriesMax(const telemetry::CounterSeries &series, const std::string &col)
     return best;
 }
 
-/**
- * The bench-wide trace cache. Off unless CRISP_TRACE_CACHE names a
- * directory, in which case every compute workload a bench builds is
- * packed on first use and replayed bit-for-bit afterwards (goldens are
- * unchanged either way — replay is byte-identical to generation).
- */
-inline traceio::TraceCache &
-traceCache()
-{
-    static traceio::TraceCache cache = traceio::TraceCache::fromEnv();
-    return cache;
-}
-
 /** Named builder for the three compute workloads of §V-B. */
 inline std::vector<KernelInfo>
 buildComputeByName(const std::string &name, AddressSpace &heap)
 {
     if (name == "VIO") {
-        return buildVioCached(traceCache(), heap, /*frames=*/2);
+        return buildVio(heap, /*frames=*/2);
     }
     if (name == "HOLO") {
-        return buildHoloCached(traceCache(), heap);
+        return buildHolo(heap);
     }
     if (name == "NN") {
-        return buildNnCached(traceCache(), heap, /*layers=*/4);
+        return buildNn(heap, /*layers=*/4);
     }
     fatal("unknown compute workload %s", name.c_str());
 }

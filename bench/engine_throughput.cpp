@@ -19,7 +19,6 @@
 
 #include "bench_util.hpp"
 #include "common/parse.hpp"
-#include "workloads/cached.hpp"
 
 namespace crisp::bench
 {
@@ -41,37 +40,26 @@ bigGpu(uint32_t num_sms)
 }
 
 /** Compute-heavy workload sized to keep @p num_sms SMs busy (16 CTAs per
- *  SM per kernel). Routed through the trace cache (CRISP_TRACE_CACHE) so
- *  the bench can report generation vs replay build cost. */
+ *  SM per kernel). Each CTA's trace is generated when it launches, so the
+ *  timed run includes generation. */
 std::vector<KernelInfo>
-buildWorkload(AddressSpace &heap, uint32_t num_sms, bool *cache_hit)
+buildWorkload(AddressSpace &heap, uint32_t num_sms)
 {
-    const uint32_t ctas = 16 * num_sms;
-    const std::string key = computeCacheKey(
-        "engine_dense",
-        "k=4/ctas=" + std::to_string(ctas) +
-            "/tpc=256/regs=48/iter=8/fp32=24/int=8",
-        heap.allocatedEnd());
-    return traceCache().loadOrBuild(
-        key, heap,
-        [ctas](AddressSpace &h) {
-            std::vector<KernelInfo> kernels;
-            for (int i = 0; i < 4; ++i) {
-                ComputeKernelDesc d;
-                d.name = "dense" + std::to_string(i);
-                d.ctas = ctas;
-                d.threadsPerCta = 256;
-                d.regsPerThread = 48;
-                d.iterations = 8;
-                d.fp32Ops = 24;
-                d.intOps = 8;
-                d.loads = {{MemPatternKind::Broadcast, h.alloc(1 << 16),
-                            1 << 16, 4, 2, 128}};
-                kernels.push_back(buildComputeKernel(d));
-            }
-            return kernels;
-        },
-        cache_hit);
+    std::vector<KernelInfo> kernels;
+    for (int i = 0; i < 4; ++i) {
+        ComputeKernelDesc d;
+        d.name = "dense" + std::to_string(i);
+        d.ctas = 16 * num_sms;
+        d.threadsPerCta = 256;
+        d.regsPerThread = 48;
+        d.iterations = 8;
+        d.fp32Ops = 24;
+        d.intOps = 8;
+        d.loads = {{MemPatternKind::Broadcast, heap.alloc(1 << 16), 1 << 16,
+                    4, 2, 128}};
+        kernels.push_back(buildComputeKernel(d));
+    }
+    return kernels;
 }
 
 std::string
@@ -91,9 +79,6 @@ struct Measurement
     Cycle cycles = 0;
     double wallSec = 0.0;
     double cyclesPerSec = 0.0;
-    /** Wall-clock cost of obtaining the workload (generate or replay). */
-    double buildSec = 0.0;
-    bool cacheHit = false;
     std::string fingerprint;
 };
 
@@ -104,13 +89,7 @@ measure(uint32_t num_sms)
     AddressSpace heap(0x8000'0000ull);
     Gpu gpu(bigGpu(num_sms));
     const StreamId s = gpu.createStream("compute");
-    const auto b0 = std::chrono::steady_clock::now();
-    const std::vector<KernelInfo> kernels =
-        buildWorkload(heap, num_sms, &m.cacheHit);
-    m.buildSec = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - b0)
-                     .count();
-    for (const KernelInfo &k : kernels) {
+    for (const KernelInfo &k : buildWorkload(heap, num_sms)) {
         gpu.enqueueKernel(s, k);
     }
 
@@ -129,8 +108,6 @@ measure(uint32_t num_sms)
 struct ConfigResult
 {
     uint32_t numSms = 0;
-    double generationSec = -1.0;
-    double replaySec = -1.0;
     /** The fastest of the timed runs. */
     Measurement best;
 };
@@ -141,23 +118,6 @@ runConfig(uint32_t num_sms)
     ConfigResult cr;
     cr.numSms = num_sms;
     std::printf("-- num_sms=%u --\n", num_sms);
-    if (traceCache().enabled()) {
-        // Cold-populate the trace cache up front so every measured run
-        // replays: generation and replay drive different CtaGenerators,
-        // and mixing them would skew the comparison between runs.
-        AddressSpace warm_heap(0x8000'0000ull);
-        bool hit = false;
-        const auto w0 = std::chrono::steady_clock::now();
-        buildWorkload(warm_heap, num_sms, &hit);
-        const double warm_sec = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() - w0)
-                                    .count();
-        if (!hit) {
-            cr.generationSec = warm_sec;
-        }
-        std::printf("trace cache %s in %.3fs\n",
-                    hit ? "warm" : "populated", warm_sec);
-    }
     // One untimed warmup simulation: the first run on a quiet host pays
     // page-cache and frequency-ramp costs that the timed runs don't.
     (void)measure(num_sms);
@@ -176,15 +136,9 @@ runConfig(uint32_t num_sms)
         }
     }
     const Measurement &m = cr.best;
-    double &build_sec = m.cacheHit ? cr.replaySec : cr.generationSec;
-    if (build_sec < 0) {
-        build_sec = m.buildSec;
-    }
-    std::printf("cycles=%llu  wall=%.3fs  %.3fM cycles/s  build=%.3fs "
-                "(%s)\n\n",
+    std::printf("cycles=%llu  wall=%.3fs  %.3fM cycles/s\n\n",
                 static_cast<unsigned long long>(m.cycles), m.wallSec,
-                m.cyclesPerSec / 1e6, m.buildSec,
-                m.cacheHit ? "trace replay" : "generated");
+                m.cyclesPerSec / 1e6);
     return cr;
 }
 
@@ -223,22 +177,12 @@ main(int argc, char **argv)
     fatal_if(f == nullptr, "cannot write BENCH_engine_throughput.json");
     std::fprintf(f, "{\n  \"bench\": \"engine_throughput\",\n");
     std::fprintf(f, "  \"host_cores\": %u,\n", cores);
-    std::fprintf(f, "  \"trace_cache_enabled\": %s,\n",
-                 traceCache().enabled() ? "true" : "false");
     std::fprintf(f, "  \"configs\": [\n");
     for (size_t c = 0; c < configs.size(); ++c) {
         const ConfigResult &cr = configs[c];
         // Every repetition matched the first (or the bench died above).
         std::fprintf(f, "    {\"num_sms\": %u, \"deterministic\": true,\n",
                      cr.numSms);
-        if (cr.generationSec >= 0) {
-            std::fprintf(f, "     \"generation_wall_sec\": %.6f,\n",
-                         cr.generationSec);
-        }
-        if (cr.replaySec >= 0) {
-            std::fprintf(f, "     \"replay_wall_sec\": %.6f,\n",
-                         cr.replaySec);
-        }
         const Measurement &m = cr.best;
         std::fprintf(
             f,
@@ -246,12 +190,10 @@ main(int argc, char **argv)
             "      {\"threads\": 1, \"threads_effective\": 1, "
             "\"cycles\": %llu, "
             "\"wall_sec\": %.6f, \"cycles_per_sec\": %.1f, "
-            "\"speedup\": 1.000, \"trace_cache_hit\": %s, "
-            "\"build_wall_sec\": %.6f}\n"
+            "\"speedup\": 1.000}\n"
             "     ]}%s\n",
             static_cast<unsigned long long>(m.cycles), m.wallSec,
-            m.cyclesPerSec, m.cacheHit ? "true" : "false", m.buildSec,
-            c + 1 < configs.size() ? "," : "");
+            m.cyclesPerSec, c + 1 < configs.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

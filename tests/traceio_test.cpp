@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <thread>
 #include <vector>
@@ -10,12 +9,10 @@
 #include "common/rng.hpp"
 #include "gpu/gpu.hpp"
 #include "integrity/report.hpp"
-#include "traceio/cache.hpp"
 #include "traceio/format.hpp"
 #include "traceio/reader.hpp"
 #include "traceio/replay.hpp"
 #include "traceio/writer.hpp"
-#include "workloads/cached.hpp"
 #include "workloads/compute.hpp"
 
 namespace crisp
@@ -394,152 +391,76 @@ TEST(TraceReplay, StreamStatsAreByteIdenticalToLiveGeneration)
                                replay.stats().stream(rs));
 }
 
-// --- Trace cache -----------------------------------------------------------
+// --- Concurrent reads ------------------------------------------------------
 
-class TraceCacheTest : public ::testing::Test
+TEST(TraceReaderTest, ConcurrentReadCtaMatchesSerial)
 {
-  protected:
-    void
-    SetUp() override
-    {
-        dir_ = tempPath("trace-cache");
-        std::filesystem::remove_all(dir_);
+    // readCta is documented thread-safe: calls share one stream under
+    // ctaMutex_. Two threads decode every CTA of one packed trace
+    // through one shared reader, in opposite orders so their reads
+    // interleave, and every result must equal the serial decode.
+    Rng rng(0x5eed);
+    std::vector<KernelInfo> kernels;
+    for (int k = 0; k < 6; ++k) {
+        std::string name = "k";
+        name += std::to_string(k);
+        kernels.push_back(randomKernel(rng, name));
     }
+    const std::string path = tempPath("concurrent.crtr");
+    packOrDie(path, kernels);
 
-    std::string dir_;
-};
-
-TEST_F(TraceCacheTest, MissPopulatesThenHitReplaysIdentically)
-{
-    traceio::TraceCache cache(dir_);
-    ASSERT_TRUE(cache.enabled());
-
-    AddressSpace heap_a(0x8000'0000ull);
-    const std::vector<KernelInfo> built =
-        buildNnCached(cache, heap_a, /*layers=*/2);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().hits, 0u);
-
-    AddressSpace heap_b(0x8000'0000ull);
-    const std::vector<KernelInfo> replayed =
-        buildNnCached(cache, heap_b, /*layers=*/2);
-    EXPECT_EQ(cache.stats().hits, 1u);
-
-    // The replayed workload is the built one, bit for bit, and the heap
-    // advanced exactly as live generation advanced it.
-    EXPECT_EQ(heap_a.allocatedEnd(), heap_b.allocatedEnd());
-    ASSERT_EQ(built.size(), replayed.size());
-    for (size_t k = 0; k < built.size(); ++k) {
-        ASSERT_EQ(built[k].numCtas(), replayed[k].numCtas());
-        EXPECT_EQ(built[k].name, replayed[k].name);
-        for (uint32_t c = 0; c < built[k].numCtas(); ++c) {
-            EXPECT_EQ(built[k].source->generate(c),
-                      replayed[k].source->generate(c));
+    const traceio::TraceReader reader(path);
+    ASSERT_TRUE(reader.valid()) << reader.error().render();
+    struct Ref
+    {
+        size_t kernel;
+        uint32_t cta;
+    };
+    std::vector<Ref> refs;
+    std::vector<CtaTrace> serial;
+    for (size_t k = 0; k < reader.kernelCount(); ++k) {
+        for (uint32_t c = 0; c < reader.kernel(k).ctaOffsets.size(); ++c) {
+            CtaTrace cta;
+            TraceError err;
+            ASSERT_TRUE(reader.readCta(k, c, cta, err)) << err.render();
+            refs.push_back({k, c});
+            serial.push_back(std::move(cta));
         }
     }
-}
+    ASSERT_GT(refs.size(), 1u);
 
-TEST_F(TraceCacheTest, DifferentParametersMissSeparately)
-{
-    traceio::TraceCache cache(dir_);
-    AddressSpace heap(0x8000'0000ull);
-    buildNnCached(cache, heap, 2);
-    AddressSpace heap2(0x8000'0000ull);
-    buildNnCached(cache, heap2, 3); // different layer count: its own key
-    EXPECT_EQ(cache.stats().misses, 2u);
-    EXPECT_EQ(cache.stats().hits, 0u);
-}
-
-TEST_F(TraceCacheTest, CorruptCacheEntryIsRejectedAndRebuilt)
-{
-    traceio::TraceCache cache(dir_);
-    AddressSpace heap(0x8000'0000ull);
-    buildHoloCached(cache, heap, 2);
-    EXPECT_EQ(cache.stats().misses, 1u);
-
-    const std::string path = cache.pathForKey(
-        computeCacheKey("holo", "points=2", 0x8000'0000ull));
-    ASSERT_TRUE(std::filesystem::exists(path));
-    std::vector<uint8_t> bytes = readAll(path);
-    bytes[bytes.size() / 2] ^= 0xff;
-    writeAll(path, bytes);
-
-    AddressSpace heap2(0x8000'0000ull);
-    bool hit = true;
-    cache.loadOrBuild(computeCacheKey("holo", "points=2", 0x8000'0000ull),
-                      heap2,
-                      [](AddressSpace &h) { return buildHolo(h, 2); },
-                      &hit);
-    EXPECT_FALSE(hit);
-    EXPECT_EQ(cache.stats().rejects, 1u);
-    EXPECT_EQ(cache.stats().misses, 2u);
-
-    // The rebuild replaced the damaged file with a valid one.
-    traceio::TraceReader reader(path);
-    EXPECT_TRUE(reader.valid()) << reader.error().render();
-}
-
-TEST_F(TraceCacheTest, DisabledCacheBuildsLive)
-{
-    traceio::TraceCache cache;
-    EXPECT_FALSE(cache.enabled());
-    AddressSpace heap(0x8000'0000ull);
-    bool hit = true;
-    const std::vector<KernelInfo> kernels = cache.loadOrBuild(
-        "whatever", heap, [](AddressSpace &h) { return buildHolo(h, 2); },
-        &hit);
-    EXPECT_FALSE(hit);
-    EXPECT_FALSE(kernels.empty());
-    EXPECT_EQ(cache.stats().misses, 0u); // disabled: not even a miss
-}
-
-TEST_F(TraceCacheTest, ConcurrentPopulateOfOneKeyIsSafe)
-{
-    // Two threads race loadOrBuild on the same key, repeatedly, on a
-    // fresh entry each round. Whoever loses the tmp-file rename race
-    // must treat it as a miss-that-populated (counted in
-    // populateRaces), never as a failure, and the surviving entry must
-    // always be readable.
-    constexpr int kRounds = 6;
-    traceio::TraceCache cache(dir_);
-    ASSERT_TRUE(cache.enabled());
-
-    for (int round = 0; round < kRounds; ++round) {
-        const std::string key = computeCacheKey(
-            "race", "round=" + std::to_string(round), 0x8000'0000ull);
-        std::atomic<int> ready{0};
-        std::atomic<bool> go{false};
-        auto populate = [&] {
-            ready.fetch_add(1);
-            while (!go.load()) {
-            }
-            AddressSpace heap(0x8000'0000ull);
-            const std::vector<KernelInfo> kernels = cache.loadOrBuild(
-                key, heap,
-                [](AddressSpace &h) { return buildHolo(h, 2); });
-            EXPECT_FALSE(kernels.empty());
-        };
-        std::thread a(populate), b(populate);
+    constexpr int kPasses = 16;
+    std::atomic<int> ready{0};
+    auto decodeAll = [&](bool reverse, std::vector<std::string> &failures) {
+        ready.fetch_add(1);
         while (ready.load() != 2) {
         }
-        go.store(true);
-        a.join();
-        b.join();
+        for (int pass = 0; pass < kPasses; ++pass) {
+            for (size_t n = 0; n < refs.size(); ++n) {
+                const size_t i = reverse ? refs.size() - 1 - n : n;
+                TraceError err;
+                CtaTrace cta;
+                if (!reader.readCta(refs[i].kernel, refs[i].cta, cta, err)) {
+                    failures.push_back(err.render());
+                } else if (cta != serial[i]) {
+                    std::string what = "kernel ";
+                    what += std::to_string(refs[i].kernel);
+                    what += " CTA ";
+                    what += std::to_string(refs[i].cta);
+                    what += " differs from the serial decode";
+                    failures.push_back(std::move(what));
+                }
+            }
+        }
+    };
+    std::vector<std::string> forward_failures, backward_failures;
+    std::thread a([&] { decodeAll(false, forward_failures); });
+    std::thread b([&] { decodeAll(true, backward_failures); });
+    a.join();
+    b.join();
 
-        // The entry exists and is valid regardless of who won.
-        traceio::TraceReader reader(cache.pathForKey(key));
-        EXPECT_TRUE(reader.valid()) << reader.error().render();
-    }
-
-    const auto &s = cache.stats();
-    // A lost rename race is a populate race, never a store failure,
-    // and every loadOrBuild call is accounted as a hit or a miss.
-    EXPECT_EQ(s.storeFailures.load(), 0u);
-    EXPECT_EQ(s.rejects.load(), 0u);
-    EXPECT_EQ(s.hits.load() + s.misses.load(),
-              uint64_t(2 * kRounds));
-    EXPECT_GE(s.misses.load(), uint64_t(kRounds));
-    EXPECT_LE(s.populateRaces.load(), s.misses.load());
+    EXPECT_TRUE(forward_failures.empty()) << forward_failures.front();
+    EXPECT_TRUE(backward_failures.empty()) << backward_failures.front();
 }
 
 } // namespace

@@ -17,30 +17,12 @@
 # Every bench runs under timeout(1) (BENCH_TIMEOUT seconds, default
 # 600), so a hung bench fails the suite with its name instead of
 # wedging CI until the runner-level kill — which reports nothing.
-#
-# Trace-cache replay is the default: CRISP_TRACE_CACHE points at a
-# suite-local directory unless the caller already set it, so the first
-# run cold-populates the cache and later runs replay packed traces
-# instead of regenerating workloads. Replay is gated by the same CSV
-# byte-identity as everything else — a replayed trace that drifts from
-# generation fails the suite. Set CRISP_TRACE_CACHE= (empty) to force
-# generation.
 set -euo pipefail
 
 BUILD=${1:?usage: tools/run_golden_suite.sh BUILD_DIR [--update]}
 MODE=${2:-}
 BENCH_TIMEOUT=${BENCH_TIMEOUT:-600}
 cd "$(dirname "$0")/.."
-
-if [ -z "${CRISP_TRACE_CACHE+x}" ]; then
-    export CRISP_TRACE_CACHE="${BUILD}/trace_cache"
-fi
-if [ -n "${CRISP_TRACE_CACHE}" ]; then
-    mkdir -p "${CRISP_TRACE_CACHE}"
-    echo "trace cache: ${CRISP_TRACE_CACHE}"
-else
-    echo "trace cache: disabled (CRISP_TRACE_CACHE empty)"
-fi
 
 # If anything aborts the suite mid-bench (set -e, a signal, the
 # runner's own kill), name the bench in flight: a suite that dies
