@@ -1,7 +1,6 @@
 #include "graphics/framebuffer.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 
 #include "common/logging.hpp"
@@ -23,6 +22,7 @@ Framebuffer::Framebuffer(uint32_t width, uint32_t height, AddressSpace &heap)
 void
 Framebuffer::clear(const Texel &c)
 {
+    pending_.clear();
     for (size_t i = 0; i < depth_.size(); ++i) {
         depth_[i] = 1.0f;
         color_[4 * i + 0] = static_cast<uint8_t>(c.r * 255.0f);
@@ -52,7 +52,36 @@ Framebuffer::depthAt(uint32_t x, uint32_t y) const
 }
 
 void
+Framebuffer::deferColor(ColorPass pass)
+{
+    pending_.push_back(std::move(pass));
+}
+
+void
+Framebuffer::resolveColor() const
+{
+    if (pending_.empty()) {
+        return;
+    }
+    std::vector<ColorPass> passes;
+    passes.swap(pending_);
+    const ColorSink sink = [this](uint32_t x, uint32_t y, const Texel &c) {
+        storeColor(x, y, c);
+    };
+    for (const ColorPass &pass : passes) {
+        pass(sink);
+    }
+}
+
+void
 Framebuffer::writeColor(uint32_t x, uint32_t y, const Texel &c)
+{
+    resolveColor();
+    storeColor(x, y, c);
+}
+
+void
+Framebuffer::storeColor(uint32_t x, uint32_t y, const Texel &c) const
 {
     panic_if(x >= width_ || y >= height_, "color write out of bounds");
     const size_t i = (static_cast<size_t>(y) * width_ + x) * 4;
@@ -66,6 +95,7 @@ Texel
 Framebuffer::colorAt(uint32_t x, uint32_t y) const
 {
     panic_if(x >= width_ || y >= height_, "color read out of bounds");
+    resolveColor();
     const size_t i = (static_cast<size_t>(y) * width_ + x) * 4;
     return {color_[i] / 255.0f, color_[i + 1] / 255.0f,
             color_[i + 2] / 255.0f, color_[i + 3] / 255.0f};
@@ -91,6 +121,7 @@ Framebuffer::writePpm(const std::string &path) const
         warn("cannot write PPM to %s", path.c_str());
         return false;
     }
+    resolveColor();
     f << "P6\n" << width_ << " " << height_ << "\n255\n";
     for (size_t i = 0; i < depth_.size(); ++i) {
         f.put(static_cast<char>(color_[4 * i]));
@@ -98,20 +129,6 @@ Framebuffer::writePpm(const std::string &path) const
         f.put(static_cast<char>(color_[4 * i + 2]));
     }
     return static_cast<bool>(f);
-}
-
-double
-Framebuffer::diff(const Framebuffer &other) const
-{
-    panic_if(width_ != other.width_ || height_ != other.height_,
-             "framebuffer size mismatch in diff");
-    uint64_t total = 0;
-    for (size_t i = 0; i < color_.size(); ++i) {
-        total += static_cast<uint64_t>(
-            std::abs(static_cast<int>(color_[i]) -
-                     static_cast<int>(other.color_[i])));
-    }
-    return static_cast<double>(total) / static_cast<double>(color_.size());
 }
 
 } // namespace crisp

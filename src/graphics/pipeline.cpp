@@ -213,6 +213,7 @@ class FsCtaGenerator : public CtaGenerator
         // raster unit holds per-primitive parameters on-chip, so the
         // traffic scales with primitives, not fragments.
         std::vector<uint32_t> tris;
+        tris.reserve(lanes);
         for (const Fragment &f : frags) {
             if (std::find(tris.begin(), tris.end(), f.tri) == tris.end()) {
                 tris.push_back(f.tri);
@@ -251,6 +252,8 @@ class FsCtaGenerator : public CtaGenerator
         const uint32_t corners = filter == TexFilter::Trilinear ? 8
             : filter == TexFilter::Bilinear ? 4
                                             : 1;
+        std::vector<Addr> fp;
+        fp.reserve(corners);
         for (uint32_t t = 0; t < n_tex; ++t) {
             const Texture2D &tex = *textures[t];
             // Per-lane footprints: bilinear filtering fetches all four
@@ -258,11 +261,14 @@ class FsCtaGenerator : public CtaGenerator
             // where the texture unit's merging and the L1's reuse of
             // overlapping footprints come from.
             std::vector<std::vector<Addr>> per_corner(corners);
+            for (std::vector<Addr> &addrs : per_corner) {
+                addrs.reserve(lanes);
+            }
             for (const Fragment &f : frags) {
                 const float lod = d.lodEnabled
                     ? Sampler::computeLod(tex, f.duvdx, f.duvdy)
                     : 0.0f;
-                std::vector<Addr> fp;
+                fp.clear();
                 Sampler::footprint(tex, f.uv, lod, f.layer, filter, fp);
                 for (uint32_t c = 0; c < corners; ++c) {
                     per_corner[c].push_back(fp[c]);
@@ -483,7 +489,7 @@ RenderPipeline::submit(const Scene &scene)
         }
         report.raster = rast.stats();
 
-        // --- Stage 6: fragment warp formation and functional shading ----
+        // --- Stage 6: fragment warp formation ----------------------------
         std::vector<TileBin> bins = rast.takeBins();
         std::vector<std::vector<Fragment>> warps;
         for (TileBin &bin : bins) {
@@ -500,12 +506,6 @@ RenderPipeline::submit(const Scene &scene)
                                  return (a.y % 2) * 2 + (a.x % 2) <
                                         (b.y % 2) * 2 + (b.x % 2);
                              });
-            for (const Fragment &f : bin.frags) {
-                fb_.writeColor(f.x, f.y,
-                               shadeFragment(mat, f, tri_shade[f.tri],
-                                             cfg_.lodEnabled,
-                                             cfg_.functionalFilter));
-            }
             for (size_t first = 0; first < bin.frags.size();
                  first += kWarpSize) {
                 const size_t last =
@@ -527,6 +527,29 @@ RenderPipeline::submit(const Scene &scene)
                                        warps.begin() + last);
         }
         report.fsCtas = fs_data->ctas.size();
+
+        // Functional shading runs at the first use of the colors. CTAs,
+        // warps, fragments is the write order: tile bin by tile bin,
+        // quad-major within a bin.
+        if (!fs_data->ctas.empty()) {
+            fb_.deferColor(
+                [data = std::shared_ptr<const FsKernelData>(fs_data),
+                 shade = std::move(tri_shade),
+                 filter = cfg_.functionalFilter](
+                    const Framebuffer::ColorSink &write) {
+                    for (const auto &cta : data->ctas) {
+                        for (const auto &warp : cta) {
+                            for (const Fragment &f : warp) {
+                                write(f.x, f.y,
+                                      shadeFragment(*data->material, f,
+                                                    shade[f.tri],
+                                                    data->lodEnabled,
+                                                    filter));
+                            }
+                        }
+                    }
+                });
+        }
 
         // --- Kernel construction -----------------------------------------
         const uint32_t drawcall_id = ++nextDrawcall_;

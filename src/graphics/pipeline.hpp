@@ -89,24 +89,35 @@ struct RenderSubmission
 /**
  * The CRISP rendering pipeline (Fig 2).
  *
- * Functionally executes every stage at submit time — vertex batching with
- * in-batch dedup, vertex shading, primitive assembly with frustum/backface
- * culling, ITR tile binning, edge-function rasterization with early-Z and
- * analytic LoD, mipmapped texture sampling, framebuffer writes — and emits
- * SASS-like trace kernels (one vertex + one fragment kernel per drawcall)
- * for the Accel-Sim-class timing model. Fixed-function stages appear in the
- * traces only through the memory traffic they recreate (attribute writes
- * and reads through L2); the ROP is skipped entirely (§III).
+ * Functionally executes the geometry stages at submit time — vertex
+ * batching with in-batch dedup, vertex shading, primitive assembly with
+ * frustum/backface culling, ITR tile binning, edge-function rasterization
+ * with early-Z and analytic LoD — and emits SASS-like trace kernels (one
+ * vertex + one fragment kernel per drawcall) for the Accel-Sim-class
+ * timing model. Fixed-function stages appear in the traces only through
+ * the memory traffic they recreate (attribute writes and reads through
+ * L2); the ROP is skipped entirely (§III).
+ *
+ * The timing model never reads colors, so functional fragment shading
+ * (mipmapped texture sampling and the framebuffer color writes) is queued
+ * on the framebuffer and runs at the first color read (see
+ * Framebuffer::deferColor); a frame whose image is never read is never
+ * shaded, and its textures never build their content.
  *
  * The Scene must outlive any Gpu run that replays the returned kernels
- * (trace generators reference its textures).
+ * (trace generators reference its textures) and any color read of the
+ * frame (the deferred shading samples its materials' textures); its
+ * materials and textures must not change in between.
  */
 class RenderPipeline
 {
   public:
     RenderPipeline(const PipelineConfig &cfg, AddressSpace &heap);
 
-    /** Render a frame: fills the framebuffer and returns the kernels. */
+    /**
+     * Render a frame: writes depth, queues the color shading on the
+     * framebuffer (dropping the previous frame's) and returns the kernels.
+     */
     RenderSubmission submit(const Scene &scene);
 
     Framebuffer &framebuffer() { return fb_; }

@@ -47,7 +47,8 @@ Texture2D::Texture2D(std::string name, uint32_t width, uint32_t height,
       width_(width),
       height_(height),
       layers_(layers),
-      fmt_(fmt)
+      fmt_(fmt),
+      patternSeed_(pattern_seed)
 {
     fatal_if(width == 0 || height == 0 || layers == 0,
              "texture %s has a zero dimension", name_.c_str());
@@ -76,9 +77,6 @@ Texture2D::Texture2D(std::string name, uint32_t width, uint32_t height,
     }
     sizeBytes_ = offset;
     base_ = heap.alloc(sizeBytes_);
-
-    buildContent(pattern_seed);
-    buildMipChain();
 }
 
 // levelWidth/levelHeight must be usable from the constructor before
@@ -128,6 +126,10 @@ Texture2D::texelAddr(uint32_t level, uint32_t layer, uint32_t x,
 Texel
 Texture2D::fetch(uint32_t level, uint32_t layer, int32_t x, int32_t y) const
 {
+    std::call_once(contentBuilt_, [this] {
+        buildContent();
+        buildMipChain();
+    });
     level = std::min(level, numLevels() - 1);
     layer = std::min(layer, layers_ - 1);
     const int32_t w = static_cast<int32_t>(levelWidthRaw(level));
@@ -139,11 +141,11 @@ Texture2D::fetch(uint32_t level, uint32_t layer, int32_t x, int32_t y) const
 }
 
 void
-Texture2D::buildContent(uint64_t seed)
+Texture2D::buildContent() const
 {
     data_.resize(numLevels());
     data_[0].resize(static_cast<size_t>(width_) * height_ * layers_);
-    Rng rng(seed * 0x51ed2701u + 11);
+    Rng rng(patternSeed_ * 0x51ed2701u + 11);
 
     // Procedural content: a layered pattern of large colour patches with
     // high-frequency detail, so downsampling (mipmapping) changes values
@@ -186,7 +188,7 @@ Texture2D::buildContent(uint64_t seed)
 }
 
 void
-Texture2D::buildMipChain()
+Texture2D::buildMipChain() const
 {
     for (uint32_t l = 1; l < numLevels(); ++l) {
         const uint32_t pw = levelWidthRaw(l - 1);
@@ -227,13 +229,6 @@ Texture2D::buildMipChain()
             }
         }
     }
-}
-
-uint64_t
-Texture2D::levelBytes(uint32_t level) const
-{
-    return static_cast<uint64_t>(levelWidthRaw(level)) *
-           levelHeightRaw(level) * layers_ * texFormatBytes(fmt_);
 }
 
 } // namespace crisp

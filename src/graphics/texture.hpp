@@ -2,6 +2,7 @@
 #define CRISP_GRAPHICS_TEXTURE_HPP
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -48,14 +49,17 @@ struct Texel
  * Mip level L is the base image downsampled by 2^L per axis; the driver
  * generates levels 0..log2(dim) with a box filter before execution (§VI-B).
  * The texture owns a region of the simulated address space so the sampler
- * can compute the byte address of every texel; the same storage also holds
- * functional texel values so examples can render actual images.
+ * can compute the byte address of every texel. Texel values exist only for
+ * rendering actual images: the timing model reads addresses alone, so the
+ * procedural content and its mip chain are built once, at the first
+ * fetch(), and a texture that is never fetched never builds them.
  */
 class Texture2D
 {
   public:
     /**
-     * Create a texture with procedural content.
+     * Create a texture with procedural content (built at the first fetch;
+     * the geometry and the heap allocation are fixed here).
      *
      * @param layers number of array layers (Planets' 3D texture uses > 1)
      * @param mipmapped generate the full chain; false keeps only level 0
@@ -86,13 +90,15 @@ class Texture2D
     Addr texelAddr(uint32_t level, uint32_t layer, uint32_t x,
                    uint32_t y) const;
 
-    /** Functional texel fetch with wrap addressing. */
+    /**
+     * Functional texel fetch with wrap addressing. The first call builds
+     * every level's content; it is safe to call from several threads.
+     */
     Texel fetch(uint32_t level, uint32_t layer, int32_t x, int32_t y) const;
 
   private:
-    void buildContent(uint64_t seed);
-    void buildMipChain();
-    uint64_t levelBytes(uint32_t level) const;
+    void buildContent() const;
+    void buildMipChain() const;
 
     uint32_t levelWidthRaw(uint32_t level) const
     {
@@ -110,12 +116,14 @@ class Texture2D
     uint32_t height_;
     uint32_t layers_;
     TexFormat fmt_;
+    uint64_t patternSeed_;
     Addr base_ = 0;
     uint64_t sizeBytes_ = 0;
     /** Byte offset of each level from base (all layers contiguous). */
     std::vector<uint64_t> levelOffsets_;
     /** Functional storage: per level, layers * w * h texels. */
-    std::vector<std::vector<Texel>> data_;
+    mutable std::vector<std::vector<Texel>> data_;
+    mutable std::once_flag contentBuilt_;
 };
 
 } // namespace crisp

@@ -16,6 +16,13 @@ TraceBuilder::TraceBuilder(uint32_t thread_count)
 }
 
 TraceBuilder &
+TraceBuilder::reserve(size_t count)
+{
+    trace_.instrs.reserve(count);
+    return *this;
+}
+
+TraceBuilder &
 TraceBuilder::mask(uint32_t active_mask)
 {
     curMask_ = active_mask & fullMask_;

@@ -20,6 +20,9 @@ class TraceBuilder
   public:
     explicit TraceBuilder(uint32_t thread_count = kWarpSize);
 
+    /** Make room for @p count instructions in the warp being built. */
+    TraceBuilder &reserve(size_t count);
+
     /** Restrict subsequent instructions to the given active mask. */
     TraceBuilder &mask(uint32_t active_mask);
 

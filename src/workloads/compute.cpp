@@ -72,6 +72,17 @@ class ComputeCtaGenerator : public CtaGenerator
     {
         const ComputeKernelDesc &d = desc_;
         CtaTrace cta;
+        // Instructions per main-loop iteration and per divergent-tail
+        // iteration, so each warp's trace is allocated once.
+        uint32_t loads = 0;
+        for (const MemPattern &p : d.loads) {
+            loads += p.count;
+        }
+        const uint32_t alu_ops = d.intOps + d.fp32Ops + d.sfuOps;
+        const size_t per_iter = loads + d.smemStores + d.smemLoads +
+                                alu_ops + d.tensorOps +
+                                (d.barrierPerIteration ? 2 : 0);
+        const size_t per_tail_iter = loads + alu_ops;
         const uint32_t warps = (d.threadsPerCta + kWarpSize - 1) / kWarpSize;
         for (uint32_t w = 0; w < warps; ++w) {
             const uint32_t lanes =
@@ -80,6 +91,24 @@ class ComputeCtaGenerator : public CtaGenerator
             const uint64_t thread_base =
                 static_cast<uint64_t>(cta_index) * d.threadsPerCta +
                 w * kWarpSize;
+
+            // Per-lane extra-iteration budgets of the divergent tail
+            // below, from a hash; the tail runs while any budget remains.
+            std::vector<uint32_t> budget;
+            uint32_t tail_iters = 0;
+            if (d.divergenceMaxExtraIters > 0) {
+                budget.resize(lanes);
+                for (uint32_t l = 0; l < lanes; ++l) {
+                    budget[l] = static_cast<uint32_t>(
+                        mix64(d.divergenceSeed ^
+                              ((thread_base + l) *
+                               0x9e3779b97f4a7c15ull)) %
+                        (d.divergenceMaxExtraIters + 1));
+                    tail_iters = std::max(tail_iters, budget[l]);
+                }
+            }
+            tb.reserve(d.iterations * per_iter + tail_iters * per_tail_iter +
+                       (d.hasStore ? d.store.count : 0) + 1);
 
             for (uint32_t it = 0; it < d.iterations; ++it) {
                 uint8_t load_reg = 2;
@@ -133,19 +162,10 @@ class ComputeCtaGenerator : public CtaGenerator
             }
 
             if (d.divergenceMaxExtraIters > 0) {
-                // Divergent traversal tail: per-lane extra-iteration
-                // budgets from a hash, then keep iterating with only the
+                // Divergent traversal tail: keep iterating with only the
                 // lanes whose budget remains — the warp's active mask
                 // shrinks as "rays" terminate. No barriers or shared
                 // memory here: diverged lanes cannot rendezvous.
-                std::vector<uint32_t> budget(lanes);
-                for (uint32_t l = 0; l < lanes; ++l) {
-                    budget[l] = static_cast<uint32_t>(
-                        mix64(d.divergenceSeed ^
-                              ((thread_base + l) *
-                               0x9e3779b97f4a7c15ull)) %
-                        (d.divergenceMaxExtraIters + 1));
-                }
                 for (uint32_t e = 0; e < d.divergenceMaxExtraIters; ++e) {
                     uint32_t active_mask = 0;
                     for (uint32_t l = 0; l < lanes; ++l) {

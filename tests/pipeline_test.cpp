@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+
 #include "gpu/gpu.hpp"
 #include "graphics/pipeline.hpp"
 #include "workloads/scenes.hpp"
@@ -274,6 +277,127 @@ TEST(PipelineTest, SceneBuildersProduceRenderableScenes)
     }
 }
 
+
+/** FNV-1a over the RGBA8 color buffer, read back through colorAt. */
+uint64_t
+imageHash(const Framebuffer &fb)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (uint32_t y = 0; y < fb.height(); ++y) {
+        for (uint32_t x = 0; x < fb.width(); ++x) {
+            const Texel c = fb.colorAt(x, y);
+            for (const float v : {c.r, c.g, c.b, c.a}) {
+                h ^= static_cast<uint64_t>(std::lround(v * 255.0f));
+                h *= 0x100000001b3ull;
+            }
+        }
+    }
+    return h;
+}
+
+TEST(PipelineTest, ImagesMatchPinnedHashes)
+{
+    // Every evaluation scene at 160x90, with LoD on and off, under each
+    // functional filter. One pipeline per configuration renders the six
+    // scenes in turn, so all but the first image follow an earlier frame
+    // on the same framebuffer. The hashes pin the images the pipeline
+    // produced when it shaded every fragment inside submit().
+    static const std::array<uint64_t, 36> kPinned = {
+        // LoD on, nearest: SPH, PL, MT, SPL, PT, IT.
+        0xf6e135dc62ca6c5aull, 0xbb2b4a5d15767a40ull, 0x30eeb73eb69ee081ull,
+        0x1540302f7c17907cull, 0x9bd7307f1363997bull, 0xfb2f1e2ecd667423ull,
+        // LoD on, bilinear: SPH, PL, MT, SPL, PT, IT.
+        0xeb87252fd82b2f1full, 0x36822d1345be4dc1ull, 0x1ca456d0588901f0ull,
+        0x40036b31d6315184ull, 0xb591b4a6bdda7233ull, 0x6cc0f5fd8f575346ull,
+        // LoD on, trilinear: SPH, PL, MT, SPL, PT, IT.
+        0x22913ef4a439c6d3ull, 0x95f0dca0ef7aab7aull, 0x5e3db0a4f14517cdull,
+        0x68b1b83b8ce86c76ull, 0xadd5b986303441d1ull, 0x37fd18fa0b897326ull,
+        // LoD off, nearest: SPH, PL, MT, SPL, PT, IT.
+        0x5e2c4a4cb39311c8ull, 0x4c4ea03566520b59ull, 0x3bf24f4f6162f8daull,
+        0x8e3be825cb194477ull, 0xf265598c647c1e0full, 0x10c3f14353466c55ull,
+        // LoD off, bilinear: SPH, PL, MT, SPL, PT, IT.
+        0xa7770b5f458132b3ull, 0x82e4ea5361c0f5b0ull, 0xa8e18b8989f5d9acull,
+        0xea386434ba6f8cf6ull, 0x4b85ab808d5752f8ull, 0xdafc7150cbbe7191ull,
+        // LoD off, trilinear: SPH, PL, MT, SPL, PT, IT.
+        0xa7770b5f458132b3ull, 0x82e4ea5361c0f5b0ull, 0xa8e18b8989f5d9acull,
+        0xea386434ba6f8cf6ull, 0x4b85ab808d5752f8ull, 0xdafc7150cbbe7191ull,
+    };
+    AddressSpace heap;
+    std::vector<Scene> scenes;
+    for (const std::string &name : allSceneNames()) {
+        scenes.push_back(buildSceneByName(name, heap));
+    }
+    size_t i = 0;
+    for (const bool lod : {true, false}) {
+        for (const TexFilter filter :
+             {TexFilter::Nearest, TexFilter::Bilinear,
+              TexFilter::Trilinear}) {
+            PipelineConfig cfg;
+            cfg.width = 160;
+            cfg.height = 90;
+            cfg.lodEnabled = lod;
+            cfg.functionalFilter = filter;
+            RenderPipeline pipe(cfg, heap);
+            for (const Scene &scene : scenes) {
+                pipe.submit(scene);
+                const uint64_t h = imageHash(pipe.framebuffer());
+                EXPECT_EQ(h, kPinned[i])
+                    << "image " << i << " (" << scene.name << ", lod "
+                    << lod << ", filter " << static_cast<int>(filter)
+                    << ") hash 0x" << std::hex << h;
+                ++i;
+            }
+        }
+    }
+}
+
+TEST(PipelineTest, SecondSubmitReplacesFirstImage)
+{
+    AddressSpace heap;
+    Scene second = tinyScene(heap, ShaderKind::Pbr);
+    RenderPipeline pipe(tinyConfig(), heap);
+    uint64_t first_hash = 0;
+    {
+        // The first frame is never read; its scene is gone before the
+        // second submit, which must drop the frame's color work unrun.
+        Scene first = minifiedScene(heap);
+        RenderPipeline alone(tinyConfig(), heap);
+        alone.submit(first);
+        first_hash = imageHash(alone.framebuffer());
+        pipe.submit(first);
+    }
+    pipe.submit(second);
+
+    RenderPipeline fresh(tinyConfig(), heap);
+    fresh.submit(second);
+    const uint64_t second_hash = imageHash(fresh.framebuffer());
+    EXPECT_NE(first_hash, second_hash);
+    EXPECT_EQ(imageHash(pipe.framebuffer()), second_hash);
+}
+
+TEST(PipelineTest, DirectWriteAfterSubmitLandsOnTop)
+{
+    AddressSpace heap;
+    Scene scene = tinyScene(heap);
+    const Texel red{1.0f, 0.0f, 0.0f, 1.0f};
+    RenderPipeline pipe(tinyConfig(), heap);
+    pipe.submit(scene);
+    pipe.framebuffer().writeColor(48, 48, red);
+
+    // The same frame with its colors read before the write.
+    RenderPipeline read_first(tinyConfig(), heap);
+    read_first.submit(scene);
+    const Texel shaded = read_first.framebuffer().colorAt(48, 48);
+    ASSERT_NE(shaded.g, 0.0f);
+    read_first.framebuffer().writeColor(48, 48, red);
+
+    const Texel c = pipe.framebuffer().colorAt(48, 48);
+    EXPECT_FLOAT_EQ(c.r, 1.0f);
+    EXPECT_FLOAT_EQ(c.g, 0.0f);
+    EXPECT_FLOAT_EQ(c.b, 0.0f);
+    EXPECT_EQ(imageHash(pipe.framebuffer()),
+              imageHash(read_first.framebuffer()));
+}
 
 TEST(PipelineTest, DepthTrafficOptionAddsEarlyZAccesses)
 {
