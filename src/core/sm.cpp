@@ -1,7 +1,6 @@
 #include "core/sm.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -27,7 +26,8 @@ Sm::Sm(uint32_t sm_id, const SmConfig &cfg, MemFabricPort *fabric,
       fabric_(fabric),
       stats_(stats),
       l1_({cfg.l1SizeBytes, cfg.l1Ways, kLineBytes}),
-      l1Mshr_(cfg.l1MshrEntries, cfg.l1MshrTargets)
+      l1Mshr_(cfg.l1MshrEntries, cfg.l1MshrTargets),
+      smemBanks_(cfg.smemBanks)
 {
     panic_if(fabric_ == nullptr || stats_ == nullptr,
              "SM requires a fabric port and stats registry");
@@ -45,12 +45,13 @@ Sm::Sm(uint32_t sm_id, const SmConfig &cfg, MemFabricPort *fabric,
     for (uint32_t s = cfg_.maxWarps; s-- > 0;) {
         freeSlots_.push_back(s);
     }
-    unitFreeAt_.resize(static_cast<size_t>(OpClass::NumClasses));
-    for (OpClass cls : {OpClass::FP32, OpClass::INT, OpClass::SFU,
-                        OpClass::Tensor}) {
-        unitFreeAt_[static_cast<size_t>(cls)].assign(cfg_.unitsFor(cls), 0);
+    static_assert(static_cast<size_t>(OpClass::FP32) == 0 &&
+                      static_cast<size_t>(OpClass::Tensor) == kAluClasses - 1,
+                  "the ALU op classes index units_");
+    for (size_t c = 0; c < kAluClasses; ++c) {
+        const OpClass cls = static_cast<OpClass>(c);
+        units_[c] = UnitPool(cfg_.unitsFor(cls), cfg_.intervalFor(cls));
     }
-    unitMinFree_.assign(static_cast<size_t>(OpClass::NumClasses), 0);
     schedOrder_.resize(cfg_.numSchedulers);
     for (auto &order : schedOrder_) {
         order.reserve(cfg_.maxWarps / cfg_.numSchedulers + 1);
@@ -60,8 +61,6 @@ Sm::Sm(uint32_t sm_id, const SmConfig &cfg, MemFabricPort *fabric,
     for (uint32_t s = 0; s < cfg_.maxWarps; ++s) {
         schedSlots_[s % cfg_.numSchedulers] |= slotBit(s);
     }
-    smemBankScratch_.assign(cfg_.smemBanks, 0);
-    smemSeenScratch_.reserve(kWarpSize);
 }
 
 int
@@ -245,7 +244,9 @@ Sm::launchCta(const KernelInfo &kernel, KernelId kernel_id,
     }
     liveCtaSlots_.push_back(key);
     CtaState &cta = ctaPool_[key];
+    const uint32_t stream_idx = streamIdxOf(kernel.stream);
     cta.stream = kernel.stream;
+    cta.streamIdx = stream_idx;
     cta.kernel = kernel_id;
     cta.footprint = fp;
     cta.liveWarps = 0;
@@ -287,7 +288,8 @@ Sm::launchCta(const KernelInfo &kernel, KernelId kernel_id,
     }
     wakeCycle_ = 0;
 
-    auto &st = streamStats(kernel.stream);
+    StreamSlot &stream_slot = streamSlots_[stream_idx];
+    StreamStats &st = stream_slot.stats;
     st.ctasLaunched++;
     if (st.firstCycle == 0) {
         st.firstCycle = now;
@@ -308,6 +310,7 @@ Sm::launchCta(const KernelInfo &kernel, KernelId kernel_id,
         warp.slot = slot;
         warp.ctaKey = key;
         warp.stream = kernel.stream;
+        warp.streamIdx = stream_idx;
         warp.live = true;
         warp.prio = prio;
         warp.prioStream = prio < 0;
@@ -320,7 +323,7 @@ Sm::launchCta(const KernelInfo &kernel, KernelId kernel_id,
         cta.liveWarps++;
         activeWarps_++;
         liveMask_ |= slotBit(slot);
-        ++liveWarpsByStream_[kernel.stream];
+        ++stream_slot.liveWarps;
         schedOrderInsert(warp);
         st.warpsLaunched++;
     }
@@ -365,7 +368,7 @@ bool
 Sm::idle() const
 {
     return activeWarps_ == 0 && ldstQueue_.empty() && liveTrackers_ == 0 &&
-           writebackHeap_.empty() && fabricRetry_.empty();
+           writebacks_.empty() && fabricRetry_.empty();
 }
 
 uint32_t
@@ -402,20 +405,30 @@ Sm::usedThreadsOf(StreamId stream) const
 uint64_t
 Sm::issuedInstrsOf(StreamId stream) const
 {
-    auto it = issuedByStream_.find(stream);
-    return it == issuedByStream_.end() ? 0 : it->second;
+    for (const StreamSlot &slot : streamSlots_) {
+        if (slot.stream == stream) {
+            return slot.issued;
+        }
+    }
+    return 0;
+}
+
+uint32_t
+Sm::streamIdxOf(StreamId stream)
+{
+    for (uint32_t i = 0; i < streamSlots_.size(); ++i) {
+        if (streamSlots_[i].stream == stream) {
+            return i;
+        }
+    }
+    streamSlots_.emplace_back().stream = stream;
+    return static_cast<uint32_t>(streamSlots_.size() - 1);
 }
 
 void
 Sm::scheduleWriteback(uint32_t slot, uint8_t reg, Cycle when)
 {
-    panic_if(when >= (1ull << 40) || slot > 0xffff,
-             "writeback (cycle %llu, slot %u) overflows the heap packing",
-             static_cast<unsigned long long>(when), slot);
-    writebackHeap_.push_back((when << 24) |
-                             (static_cast<uint64_t>(slot) << 8) | reg);
-    std::push_heap(writebackHeap_.begin(), writebackHeap_.end(),
-                   std::greater<uint64_t>());
+    writebacks_.push(when, slot, reg);
     wakeCycle_ = std::min(wakeCycle_, when);
 }
 
@@ -435,10 +448,10 @@ Sm::finishWarp(WarpState &warp, Cycle now)
     activeWarps_--;
     liveMask_ &= ~slotBit(warp.slot);
     schedOrderRemove(warp);
-    auto lw = liveWarpsByStream_.find(warp.stream);
-    panic_if(lw == liveWarpsByStream_.end() || lw->second == 0,
+    StreamSlot &stream_slot = streamSlots_[warp.streamIdx];
+    panic_if(stream_slot.liveWarps == 0,
              "warp finished with no live-warp count");
-    --lw->second;
+    --stream_slot.liveWarps;
     CtaState &cta = ctaPool_[warp.ctaKey];
     panic_if(cta.liveWarps == 0, "warp finished with no live CTA");
     cta.liveWarps--;
@@ -457,7 +470,7 @@ Sm::finishWarp(WarpState &warp, Cycle now)
         for (uint32_t slot : cta.warpSlots) {
             freeSlots_.push_back(slot);
         }
-        auto &st = streamStats(cta.stream);
+        StreamStats &st = stream_slot.stats;
         st.lastCycle = std::max(st.lastCycle, now);
         ctaDones_.emplace_back(cta.stream, cta.kernel);
         auto live_it = std::find(liveCtaSlots_.begin(), liveCtaSlots_.end(),
@@ -471,28 +484,6 @@ Sm::finishWarp(WarpState &warp, Cycle now)
         // The exiting warp was the last one not waiting: release.
         releaseBarrier(cta);
     }
-}
-
-uint32_t
-Sm::smemConflictCycles(const TraceInstr &instr) const
-{
-    // Serialization equals the maximum number of distinct 4B words that
-    // map to the same bank across the active lanes. Member scratch: this
-    // runs per shared-memory instruction, so it must not allocate.
-    std::fill(smemBankScratch_.begin(), smemBankScratch_.end(), 0);
-    smemSeenScratch_.clear();
-    uint32_t worst = 1;
-    for (Addr a : instr.addrs) {
-        const Addr word = a / 4;
-        if (std::find(smemSeenScratch_.begin(), smemSeenScratch_.end(),
-                      word) != smemSeenScratch_.end()) {
-            continue;   // broadcast within the warp is conflict-free
-        }
-        smemSeenScratch_.push_back(word);
-        const uint32_t bank = static_cast<uint32_t>(word % cfg_.smemBanks);
-        worst = std::max(worst, ++smemBankScratch_[bank]);
-    }
-    return worst;
 }
 
 size_t
@@ -522,6 +513,7 @@ Sm::issueMemory(WarpState &warp, const TraceInstr &instr, Cycle now)
 
     LdstEntry entry;
     entry.stream = warp.stream;
+    entry.streamIdx = warp.streamIdx;
     entry.cls = instr.dataClass;
     entry.write = store;
     entry.texture = texture;
@@ -592,23 +584,19 @@ Sm::tryIssue(WarpState &warp, Cycle now, Cycle &wake)
         return false;
     }
 
+    StreamSlot &stream_slot = streamSlots_[warp.streamIdx];
     const OpClass cls = opcodeClass(instr.opcode);
     switch (cls) {
       case OpClass::FP32:
       case OpClass::INT:
       case OpClass::SFU:
       case OpClass::Tensor: {
-        // Cached pool minimum: a busy pool (the common rejection) is one
-        // compare instead of a scan.
-        if (unitMinFree_[static_cast<size_t>(cls)] > now) {
-            wake = std::min(wake, unitMinFree_[static_cast<size_t>(cls)]);
+        UnitPool &pool = units_[static_cast<size_t>(cls)];
+        if (pool.minFree() > now) {
+            wake = std::min(wake, pool.minFree());
             return false;
         }
-        auto &pool = unitFreeAt_[static_cast<size_t>(cls)];
-        auto unit = std::min_element(pool.begin(), pool.end());
-        *unit = now + cfg_.intervalFor(cls);
-        unitMinFree_[static_cast<size_t>(cls)] =
-            *std::min_element(pool.begin(), pool.end());
+        pool.take(now);
         if (instr.hasDst()) {
             warp.pendingWrites.set(instr.dst);
             scheduleWriteback(warp.slot, instr.dst,
@@ -621,9 +609,9 @@ Sm::tryIssue(WarpState &warp, Cycle now, Cycle &wake)
             wake = std::min(wake, smemPortFreeAt_);
             return false;
         }
-        const uint32_t serial = smemConflictCycles(instr);
+        const uint32_t serial = smemBanks_.conflictCycles(instr.addrs);
         smemPortFreeAt_ = now + serial;
-        auto &st = streamStats(warp.stream);
+        StreamStats &st = stream_slot.stats;
         st.smemAccesses++;
         st.smemBankConflicts += serial - 1;
         if (instr.hasDst()) {
@@ -665,9 +653,8 @@ Sm::tryIssue(WarpState &warp, Cycle now, Cycle &wake)
     }
 
     warp.pc++;
-    auto &st = streamStats(warp.stream);
-    st.instructions++;
-    issuedByStream_[warp.stream]++;
+    stream_slot.stats.instructions++;
+    stream_slot.issued++;
 
     if (instr.opcode == Opcode::EXIT || warp.pc >= warp.trace.instrs.size()) {
         finishWarp(warp, now);
@@ -733,7 +720,7 @@ Sm::stepLdstOne(Cycle now)
         return LdstOutcome::Idle;
     }
     LdstEntry &entry = ldstQueue_.front();
-    auto &st = streamStats(entry.stream);
+    StreamStats &st = streamSlots_[entry.streamIdx].stats;
     const Addr line = entry.lines.back();
 
     if (entry.write) {
@@ -759,53 +746,62 @@ Sm::stepLdstOne(Cycle now)
         // never counts, so a parked store cannot inflate either counter.
         l1_.access(line, true, entry.stream, entry.cls, false);
         st.l1Accesses++;
-    } else if (loadRefused(line, entry.stream)) {
-        // The L1 refuses this load until memResponse or a new head.
-        ldstParked_ = true;
-        return LdstOutcome::Blocked;
-    } else if (l1Mshr_.pending(line)) {
-        // Load path through the unified L1: merge into a pending miss.
-        const auto outcome = l1Mshr_.allocate(line, entry.tracker, now);
-        panic_if(outcome != Mshr::Outcome::Merged,
-                 "L1 MSHR merge failed after capacity check");
-        st.l1Accesses++;
-        st.l1MshrMerges++;
-        if (entry.texture) {
-            st.l1TexAccesses++;
-        }
     } else {
-        auto res = l1_.access(line, false, entry.stream, entry.cls,
-                              /*allocate_on_miss=*/false);
-        st.l1Accesses++;
-        if (entry.texture) {
-            st.l1TexAccesses++;
+        // Load path through the unified L1. One MSHR probe serves the
+        // refusal test, the merge test and the allocation: the L1 tag
+        // access in between never touches the MSHR.
+        const Mshr::Lookup at = l1Mshr_.lookup(line);
+        if (loadRefused(at, line, entry.stream)) {
+            // The L1 refuses this load until memResponse or a new head.
+            ldstParked_ = true;
+            return LdstOutcome::Blocked;
         }
-        if (res.hit) {
-            st.l1Hits++;
-            LoadTracker *tracker = findTracker(entry.tracker);
-            panic_if(tracker == nullptr, "L1 hit for dead tracker");
-            if (--tracker->remaining == 0) {
-                scheduleWriteback(tracker->warpSlot, tracker->reg,
-                                  now + cfg_.l1HitLatency);
-                freeTracker(static_cast<uint32_t>(
-                    entry.tracker & ((1ull << kTrackerIdxBits) - 1)));
+        if (at.pending) {
+            // Merge into a pending miss.
+            const auto outcome =
+                l1Mshr_.allocate(at, line, entry.tracker, now);
+            panic_if(outcome != Mshr::Outcome::Merged,
+                     "L1 MSHR merge failed after capacity check");
+            st.l1Accesses++;
+            st.l1MshrMerges++;
+            if (entry.texture) {
+                st.l1TexAccesses++;
             }
         } else {
-            const auto outcome = l1Mshr_.allocate(line, entry.tracker, now);
-            panic_if(outcome != Mshr::Outcome::NewEntry,
-                     "L1 MSHR allocate failed after capacity check");
-            MemRequest req;
-            req.line = line;
-            req.write = false;
-            req.stream = entry.stream;
-            req.dataClass = entry.cls;
-            req.smId = smId_;
-            req.completionKey = line;
-            if (!fabric_->submitToL2(req, now)) {
-                // Fabric refused: the MSHR entry stays allocated; park
-                // the request in the egress queue and re-send later.
-                fabricRetry_.push_back(req);
-                fabricRetryParkedAt_.push_back(now);
+            auto res = l1_.access(line, false, entry.stream, entry.cls,
+                                  /*allocate_on_miss=*/false);
+            st.l1Accesses++;
+            if (entry.texture) {
+                st.l1TexAccesses++;
+            }
+            if (res.hit) {
+                st.l1Hits++;
+                LoadTracker *tracker = findTracker(entry.tracker);
+                panic_if(tracker == nullptr, "L1 hit for dead tracker");
+                if (--tracker->remaining == 0) {
+                    scheduleWriteback(tracker->warpSlot, tracker->reg,
+                                      now + cfg_.l1HitLatency);
+                    freeTracker(static_cast<uint32_t>(
+                        entry.tracker & ((1ull << kTrackerIdxBits) - 1)));
+                }
+            } else {
+                const auto outcome =
+                    l1Mshr_.allocate(at, line, entry.tracker, now);
+                panic_if(outcome != Mshr::Outcome::NewEntry,
+                         "L1 MSHR allocate failed after capacity check");
+                MemRequest req;
+                req.line = line;
+                req.write = false;
+                req.stream = entry.stream;
+                req.dataClass = entry.cls;
+                req.smId = smId_;
+                req.completionKey = line;
+                if (!fabric_->submitToL2(req, now)) {
+                    // Fabric refused: the MSHR entry stays allocated; park
+                    // the request in the egress queue and re-send later.
+                    fabricRetry_.push_back(req);
+                    fabricRetryParkedAt_.push_back(now);
+                }
             }
         }
     }
@@ -913,8 +909,9 @@ Sm::probe(Cycle now) const
           case OpClass::INT:
           case OpClass::SFU:
           case OpClass::Tensor: {
-            const auto &pool = unitFreeAt_[static_cast<size_t>(cls)];
-            if (*std::min_element(pool.begin(), pool.end()) > now) {
+            // The pool minimum the issue path tests, so a hang report
+            // cannot disagree with issue.
+            if (units_[static_cast<size_t>(cls)].minFree() > now) {
                 p.waitExecUnit++;
             } else {
                 p.ready++;
@@ -1065,7 +1062,8 @@ Sm::auditAccounting(std::string *detail) const
         const LdstEntry *head =
             ldstQueue_.empty() ? nullptr : &ldstQueue_.front();
         if (head == nullptr || head->write ||
-            !loadRefused(head->lines.back(), head->stream)) {
+            !loadRefused(l1Mshr_.lookup(head->lines.back()),
+                         head->lines.back(), head->stream)) {
             return fail(formatMessage(
                 "SM %u LDST head parked but no longer blocked on the L1 "
                 "MSHR", smId_));
@@ -1080,22 +1078,15 @@ Sm::step(Cycle now)
     // The fabric-facing memory phase (retry queue + LDST unit) already
     // ran this cycle under the owner's arbiter, before any SM stepped.
 
-    // Commit due register writebacks (clears scoreboard entries). The heap
-    // pops same-cycle writebacks in packed (slot, reg) order rather than
-    // the old multimap's insertion order; each pop clears a distinct
-    // scoreboard bit, so the tie order is unobservable.
-    while (!writebackHeap_.empty() && (writebackHeap_.front() >> 24) <= now) {
-        std::pop_heap(writebackHeap_.begin(), writebackHeap_.end(),
-                      std::greater<uint64_t>());
-        const uint64_t packed = writebackHeap_.back();
-        writebackHeap_.pop_back();
-        const uint8_t reg = static_cast<uint8_t>(packed & 0xff);
-        const uint32_t slot = static_cast<uint32_t>((packed >> 8) & 0xffff);
+    // Commit due register writebacks (clears scoreboard entries). Each
+    // pop clears a distinct scoreboard bit, so their order is
+    // unobservable.
+    writebacks_.popDue(now, [this](uint32_t slot, uint8_t reg) {
         if (reg != kNoReg) {
             warps_[slot].pendingWrites.reset(reg);
         }
         scoreboardParked_ &= ~slotBit(slot);
-    }
+    });
 
     // Count active cycles per stream (streams with live warps this
     // cycle), plus any cycles the SM slept through.
@@ -1103,8 +1094,7 @@ Sm::step(Cycle now)
 
     // A step that issues nothing sleeps until the next writeback or the
     // earliest cycle a refused warp's blocker clears.
-    Cycle wake = writebackHeap_.empty() ? kNeverCycle
-                                        : writebackHeap_.front() >> 24;
+    Cycle wake = writebacks_.nextDue();
 
     // Fault injection: a frozen issue stage stops dead while writebacks
     // and in-flight memory continue, so the SM quietly stops committing —
@@ -1174,9 +1164,9 @@ Sm::step(Cycle now)
 void
 Sm::foldStats()
 {
-    for (auto &[stream, st] : statsBlocks_) {
-        stats_->stream(stream).absorb(st);
-        st = StreamStats{};
+    for (StreamSlot &slot : streamSlots_) {
+        stats_->stream(slot.stream).absorb(slot.stats);
+        slot.stats = StreamStats{};
     }
 }
 
@@ -1188,9 +1178,9 @@ Sm::settleCycles(Cycle now)
     }
     const uint64_t count = now - countedThrough_;
     countedThrough_ = now;
-    for (const auto &[stream, live] : liveWarpsByStream_) {
-        if (live > 0) {
-            streamStats(stream).cycles += count;
+    for (StreamSlot &slot : streamSlots_) {
+        if (slot.liveWarps > 0) {
+            slot.stats.cycles += count;
         }
     }
 }

@@ -2,6 +2,7 @@
 #define CRISP_CORE_SM_HPP
 
 #include <algorithm>
+#include <array>
 #include <bitset>
 #include <deque>
 #include <map>
@@ -13,6 +14,9 @@
 #include "common/flat_map.hpp"
 #include "common/stats.hpp"
 #include "core/sm_config.hpp"
+#include "core/smem_banks.hpp"
+#include "core/unit_pool.hpp"
+#include "core/writeback_wheel.hpp"
 #include "isa/trace.hpp"
 #include "mem/cache.hpp"
 #include "mem/mem_request.hpp"
@@ -377,6 +381,7 @@ class Sm
         uint32_t slot = 0;
         uint32_t ctaKey = 0;
         StreamId stream = 0;
+        uint32_t streamIdx = 0;     ///< Index into streamSlots_.
         bool live = false;
         bool atBarrier = false;
         /** Stream issue priority, cached so the scheduler order and the
@@ -392,6 +397,7 @@ class Sm
     struct CtaState
     {
         StreamId stream = 0;
+        uint32_t streamIdx = 0;     ///< Index into streamSlots_.
         KernelId kernel = 0;
         CtaFootprint footprint;
         uint32_t liveWarps = 0;
@@ -417,6 +423,7 @@ class Sm
     {
         uint64_t tracker = 0;
         StreamId stream = 0;
+        uint32_t streamIdx = 0;     ///< Index into streamSlots_.
         DataClass cls = DataClass::Unknown;
         bool write = false;
         bool texture = false;
@@ -437,14 +444,15 @@ class Sm
      *  write pending on (RAW/WAW). */
     static bool scoreboardHazard(const WarpState &warp,
                                  const TraceInstr &instr);
-    /** True when the L1 refuses a load of @p line for @p stream: a merge
-     *  into a pending miss whose targets are full, or a miss with every
-     *  MSHR entry taken. stepLdstOne parks the head on it; the audit
-     *  re-checks a parked head with it. */
-    bool loadRefused(Addr line, StreamId stream) const
+    /** True when the L1 refuses a load of @p line for @p stream, whose
+     *  L1 MSHR lookup is @p at: a merge into a pending miss whose targets
+     *  are full, or a miss with every MSHR entry taken. stepLdstOne parks
+     *  the head on it; the audit re-checks a parked head with it. */
+    bool loadRefused(const Mshr::Lookup &at, Addr line,
+                     StreamId stream) const
     {
-        return l1Mshr_.wouldStall(line) &&
-            (l1Mshr_.pending(line) || !l1_.probe(line, stream));
+        return l1Mshr_.wouldStall(at) &&
+            (at.pending || !l1_.probe(line, stream));
     }
     /** Mask bit of a warp slot in the park masks. */
     static constexpr uint64_t slotBit(uint32_t slot)
@@ -464,8 +472,8 @@ class Sm
     void freeTracker(uint32_t idx);
     std::vector<Addr> takePooledLines();
     void recycleLines(std::vector<Addr> &&lines);
-    /** This SM's stats block for @p stream (see foldStats()). */
-    StreamStats &streamStats(StreamId stream) { return statsBlocks_[stream]; }
+    /** Index of @p stream's slot in streamSlots_, added on first use. */
+    uint32_t streamIdxOf(StreamId stream);
     /** Also wakes the SM by @p when, so the writeback commits on time. */
     void scheduleWriteback(uint32_t slot, uint8_t reg, Cycle when);
     void finishWarp(WarpState &warp, Cycle now);
@@ -478,7 +486,6 @@ class Sm
         Idle        ///< Queue empty or L1 port budget exhausted.
     };
     LdstOutcome stepLdstOne(Cycle now);
-    uint32_t smemConflictCycles(const TraceInstr &instr) const;
 
     uint32_t smId_;
     SmConfig cfg_;
@@ -520,10 +527,23 @@ class Sm
     SmallFlatMap<StreamId, CtaFootprint> usedByStream_;
     SmallFlatMap<StreamId, SmQuota> quotas_;
     SmallFlatMap<StreamId, int> issuePriority_;
-    SmallFlatMap<StreamId, uint64_t> issuedByStream_;
-    /** Live-warp count per stream (drives active-cycle counting without
-     *  walking the CTA table every cycle). */
-    SmallFlatMap<StreamId, uint32_t> liveWarpsByStream_;
+
+    /** Per-stream state of one stream that has launched a CTA here.
+     *  Warps, CTAs and LDST entries carry their stream's slot index, so
+     *  the per-issue and per-line paths index instead of searching. */
+    struct StreamSlot
+    {
+        StreamId stream = 0;
+        /** Live warps (drives active-cycle counting without walking the
+         *  CTA table every cycle). */
+        uint32_t liveWarps = 0;
+        /** Instructions issued over the SM's life (sampling phases). */
+        uint64_t issued = 0;
+        /** Stats written since the last foldStats(). */
+        StreamStats stats;
+    };
+    /** In first-launch order; a slot lives as long as the SM. */
+    std::vector<StreamSlot> streamSlots_;
 
     // Per-scheduler issue order: live slots sorted by (prio, age), kept
     // incrementally so the per-cycle GTO pass is a walk, not a sort.
@@ -531,22 +551,19 @@ class Sm
     /** Greedy pick per scheduler (kNoSlotIndex = none). */
     std::vector<uint32_t> greedySlot_;
 
-    // Execution unit pools: busy-until per unit, indexed by OpClass, plus
-    // a cached pool minimum so a busy-pool rejection is one compare.
-    std::vector<std::vector<Cycle>> unitFreeAt_;
-    std::vector<Cycle> unitMinFree_;
+    // Execution unit pools of the ALU classes (FP32, INT, SFU, Tensor),
+    // indexed by OpClass. A busy-pool rejection is one compare.
+    static constexpr size_t kAluClasses = 4;
+    std::array<UnitPool, kAluClasses> units_;
     // Shared-memory port: serialized by bank conflicts, independent of the
     // ALU pipes (compute kernels heavy on shared memory do not steal issue
     // bandwidth from rendering's address math).
     Cycle smemPortFreeAt_ = 0;
-    mutable std::vector<uint32_t> smemBankScratch_;
-    mutable std::vector<Addr> smemSeenScratch_;
 
-    // Pending register writebacks: min-heap of (cycle << 24 | slot << 8 |
-    // reg). Same-cycle writebacks commute (each clears a distinct
-    // scoreboard bit), so the heap's tie order is unobservable and the
-    // per-insert node allocation of the old multimap goes away.
-    std::vector<uint64_t> writebackHeap_;
+    // Pending register writebacks. Same-cycle writebacks commute (each
+    // clears a distinct scoreboard bit), so their pop order is
+    // unobservable.
+    WritebackWheel writebacks_;
 
     // LDST unit.
     std::deque<LdstEntry> ldstQueue_;
@@ -577,12 +594,11 @@ class Sm
 
     /** Committed CTAs awaiting the owner's merge (see ctaDones()). */
     std::vector<std::pair<StreamId, KernelId>> ctaDones_;
-    /** Per-stream stats written since the last foldStats(). */
-    SmallFlatMap<StreamId, StreamStats> statsBlocks_;
 
     // Unified L1 data cache.
     SetAssocCache l1_;
     Mshr l1Mshr_;
+    SmemBanks smemBanks_;
 };
 
 } // namespace crisp

@@ -94,6 +94,10 @@ class VsCtaGenerator : public CtaGenerator
         for (uint32_t first = 0; first < count; first += kWarpSize) {
             const uint32_t lanes = std::min(kWarpSize, count - first);
             TraceBuilder tb(lanes);
+            // LDC, three LDGs, the instance LDG, the ALU ops, two STGs
+            // and EXIT.
+            tb.reserve(7 + (d.instanceCount > 1 ? 1 : 0) + d.cost.intOps +
+                       d.cost.fp32Ops);
 
             // Uniforms (combined MVP) through the constant cache.
             tb.memUniform(Opcode::LDC, 1, d.uniformAddr, 16,
@@ -103,6 +107,9 @@ class VsCtaGenerator : public CtaGenerator
             std::vector<Addr> idx_addrs;
             std::vector<Addr> v0_addrs;
             std::vector<Addr> v1_addrs;
+            idx_addrs.reserve(lanes);
+            v0_addrs.reserve(lanes);
+            v1_addrs.reserve(lanes);
             for (uint32_t l = 0; l < lanes; ++l) {
                 const uint32_t slot = first + l;
                 idx_addrs.push_back(d.ibAddr +
@@ -141,6 +148,8 @@ class VsCtaGenerator : public CtaGenerator
             // (consumed by rasterizers on other SMs).
             std::vector<Addr> o0;
             std::vector<Addr> o1;
+            o0.reserve(lanes);
+            o1.reserve(lanes);
             for (uint32_t l = 0; l < lanes; ++l) {
                 const Addr out = d.attrBase + (slot_base + first + l) *
                                                   VsKernelData::kOutStride;
@@ -202,7 +211,17 @@ class FsCtaGenerator : public CtaGenerator
     buildWarp(const FsKernelData &d, const std::vector<Fragment> &frags)
     {
         const uint32_t lanes = static_cast<uint32_t>(frags.size());
+        const auto &textures = d.material->textures;
+        const uint32_t n_tex = static_cast<uint32_t>(textures.size());
+        const TexFilter filter = d.material->filter;
+        const uint32_t corners = filter == TexFilter::Trilinear ? 8
+            : filter == TexFilter::Bilinear ? 4
+                                            : 1;
         TraceBuilder tb(lanes);
+        // LDC, three attribute LDGs, the ALU ops, a TEX per corner per
+        // texture, the depth LDG/STG pair, the color STG and EXIT.
+        tb.reserve(6 + d.cost.intOps + d.cost.fp32Ops + d.cost.sfuOps +
+                   n_tex * corners + (d.emitDepthTraffic ? 2 : 0));
 
         tb.memUniform(Opcode::LDC, 1, d.uniformAddr, 16,
                       DataClass::Pipeline);
@@ -242,16 +261,10 @@ class FsCtaGenerator : public CtaGenerator
             tb.alu(Opcode::IMAD, 5, 2, 3);
         }
 
-        const auto &textures = d.material->textures;
-        const uint32_t n_tex = static_cast<uint32_t>(textures.size());
         const uint32_t alu_per_tex =
             n_tex > 0 ? d.cost.fp32Ops / (n_tex + 1) : d.cost.fp32Ops;
 
         uint32_t fp_left = d.cost.fp32Ops;
-        const TexFilter filter = d.material->filter;
-        const uint32_t corners = filter == TexFilter::Trilinear ? 8
-            : filter == TexFilter::Bilinear ? 4
-                                            : 1;
         std::vector<Addr> fp;
         fp.reserve(corners);
         for (uint32_t t = 0; t < n_tex; ++t) {

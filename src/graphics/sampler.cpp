@@ -55,12 +55,6 @@ texelCoords(const Texture2D &tex, uint32_t level, const Vec2 &uv,
     fy = sy - static_cast<float>(y);
 }
 
-int32_t
-wrap(int32_t v, int32_t dim)
-{
-    return ((v % dim) + dim) % dim;
-}
-
 } // namespace
 
 namespace
@@ -80,8 +74,9 @@ bilinearCorners(const Texture2D &tex, uint32_t level, const Vec2 &uv,
     texelCoords(tex, level, uv, x, y, fx, fy);
     for (int32_t dy = 0; dy < 2; ++dy) {
         for (int32_t dx = 0; dx < 2; ++dx) {
-            out.push_back(tex.texelAddr(level, layer, wrap(x + dx, w),
-                                        wrap(y + dy, h)));
+            out.push_back(tex.texelAddr(level, layer,
+                                        wrapTexelCoord(x + dx, w),
+                                        wrapTexelCoord(y + dy, h)));
         }
     }
 }
@@ -113,8 +108,8 @@ Sampler::footprint(const Texture2D &tex, const Vec2 &uv, float lod,
         float fx;
         float fy;
         texelCoords(tex, level, uv, x, y, fx, fy);
-        const int32_t nx = wrap(x + (fx >= 0.5f ? 1 : 0), w);
-        const int32_t ny = wrap(y + (fy >= 0.5f ? 1 : 0), h);
+        const int32_t nx = wrapTexelCoord(x + (fx >= 0.5f ? 1 : 0), w);
+        const int32_t ny = wrapTexelCoord(y + (fy >= 0.5f ? 1 : 0), h);
         out.push_back(tex.texelAddr(level, layer, nx, ny));
         return;
     }

@@ -1,6 +1,7 @@
 #include "graphics/texture.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.hpp"
@@ -66,6 +67,11 @@ Texture2D::Texture2D(std::string name, uint32_t width, uint32_t height,
     uint32_t tile_w;
     uint32_t tile_h;
     texTileDims(fmt_, tile_w, tile_h);
+    panic_if(tile_w != tile_h || !std::has_single_bit(tile_w),
+             "texel addressing needs square power-of-two tiles");
+    tileShift_ = static_cast<uint32_t>(std::countr_zero(tile_w));
+    texelShift_ =
+        static_cast<uint32_t>(std::countr_zero(texFormatBytes(fmt_)));
     uint64_t offset = 0;
     for (uint32_t l = 0; l < levels; ++l) {
         levelOffsets_.push_back(offset);
@@ -107,20 +113,17 @@ Texture2D::texelAddr(uint32_t level, uint32_t layer, uint32_t x,
     y = std::min(y, h - 1);
 
     // Block-linear addressing: tiles are row-major, texels row-major
-    // within a tile, layers stacked per level.
-    uint32_t tile_w;
-    uint32_t tile_h;
-    texTileDims(fmt_, tile_w, tile_h);
-    const uint64_t tiles_x = (w + tile_w - 1) / tile_w;
-    const uint64_t tiles_y = (h + tile_h - 1) / tile_h;
-    const uint64_t tile_index =
-        (static_cast<uint64_t>(y) / tile_h) * tiles_x + x / tile_w;
-    const uint64_t in_tile =
-        (static_cast<uint64_t>(y) % tile_h) * tile_w + x % tile_w;
-    const uint64_t layer_bytes =
-        tiles_x * tiles_y * tile_w * tile_h * texFormatBytes(fmt_);
+    // within a tile, layers stacked per level. Tile edges and texel
+    // sizes are powers of two, so every product and quotient is a shift.
+    const uint32_t ts = tileShift_;
+    const uint32_t edge_mask = (1u << ts) - 1;
+    const uint64_t tiles_x = (w + edge_mask) >> ts;
+    const uint64_t tiles_y = (h + edge_mask) >> ts;
+    const uint64_t tile_index = (y >> ts) * tiles_x + (x >> ts);
+    const uint64_t in_tile = ((y & edge_mask) << ts) | (x & edge_mask);
+    const uint64_t layer_bytes = (tiles_x * tiles_y) << (2 * ts + texelShift_);
     return base_ + levelOffsets_[level] + layer * layer_bytes +
-           (tile_index * tile_w * tile_h + in_tile) * texFormatBytes(fmt_);
+           (((tile_index << (2 * ts)) | in_tile) << texelShift_);
 }
 
 Texel
@@ -134,9 +137,8 @@ Texture2D::fetch(uint32_t level, uint32_t layer, int32_t x, int32_t y) const
     layer = std::min(layer, layers_ - 1);
     const int32_t w = static_cast<int32_t>(levelWidthRaw(level));
     const int32_t h = static_cast<int32_t>(levelHeightRaw(level));
-    // Wrap addressing.
-    x = ((x % w) + w) % w;
-    y = ((y % h) + h) % h;
+    x = wrapTexelCoord(x, w);
+    y = wrapTexelCoord(y, h);
     return data_[level][(static_cast<size_t>(layer) * h + y) * w + x];
 }
 

@@ -33,6 +33,26 @@ uint32_t texFormatBytes(TexFormat fmt);
  */
 void texTileDims(TexFormat fmt, uint32_t &tile_w, uint32_t &tile_h);
 
+/**
+ * Wrap addressing: @p v mod @p dim in [0, dim). Coordinates at most one
+ * period outside, which is all a bilinear footprint reaches, cost a
+ * compare and an add; only farther ones divide.
+ */
+inline int32_t
+wrapTexelCoord(int32_t v, int32_t dim)
+{
+    if (v >= 0 && v < dim) {
+        return v;
+    }
+    if (v < 0 && v >= -dim) {
+        return v + dim;
+    }
+    if (v >= dim && v - dim < dim) {
+        return v - dim;
+    }
+    return ((v % dim) + dim) % dim;
+}
+
 /** A sampled RGBA colour in [0,1]. */
 struct Texel
 {
@@ -119,6 +139,9 @@ class Texture2D
     uint64_t patternSeed_;
     Addr base_ = 0;
     uint64_t sizeBytes_ = 0;
+    /** log2 of the square tile edge and of the texel size in bytes. */
+    uint32_t tileShift_ = 0;
+    uint32_t texelShift_ = 0;
     /** Byte offset of each level from base (all layers contiguous). */
     std::vector<uint64_t> levelOffsets_;
     /** Functional storage: per level, layers * w * h texels. */

@@ -28,35 +28,35 @@ VectorCtaSource::generate(uint32_t cta_index) const
 namespace
 {
 
+template <uint32_t Granule>
 void
-coalesce(const TraceInstr &instr, uint32_t granule, std::vector<Addr> &out)
+coalesce(const TraceInstr &instr, std::vector<Addr> &out)
 {
+    static_assert((Granule & (Granule - 1)) == 0, "granules are 2^n bytes");
     out.clear();
     if (instr.addrs.empty()) {
         return;
     }
     const uint32_t bytes = std::max<uint32_t>(instr.accessBytes, 1);
     out.reserve(instr.addrs.size());
-    // Most warps touch lines in ascending lane order: drop a repeat of
-    // the last line kept, and sort only when a line arrives out of order.
-    bool ascending = true;
+    // The granules come out sorted and distinct. Most warps touch them in
+    // ascending lane order, so a granule lands at the back after one
+    // compare; one that arrives out of order walks back to its place (an
+    // instruction touches few granules).
     for (Addr a : instr.addrs) {
-        const Addr first = a / granule;
-        const Addr last = (a + bytes - 1) / granule;
+        const Addr first = a / Granule;
+        const Addr last = (a + bytes - 1) / Granule;
         for (Addr blk = first; blk <= last; ++blk) {
-            const Addr line = blk * granule;
-            if (!out.empty()) {
-                if (line == out.back()) {
-                    continue;
-                }
-                ascending = ascending && line > out.back();
+            const Addr line = blk * Granule;
+            size_t pos = out.size();
+            while (pos > 0 && out[pos - 1] > line) {
+                --pos;
             }
-            out.push_back(line);
+            if (pos > 0 && out[pos - 1] == line) {
+                continue;
+            }
+            out.insert(out.begin() + static_cast<ptrdiff_t>(pos), line);
         }
-    }
-    if (!ascending) {
-        std::sort(out.begin(), out.end());
-        out.erase(std::unique(out.begin(), out.end()), out.end());
     }
 }
 
@@ -66,21 +66,21 @@ std::vector<Addr>
 coalesceToLines(const TraceInstr &instr)
 {
     std::vector<Addr> out;
-    coalesce(instr, kLineBytes, out);
+    coalesce<kLineBytes>(instr, out);
     return out;
 }
 
 void
 coalesceToLines(const TraceInstr &instr, std::vector<Addr> &out)
 {
-    coalesce(instr, kLineBytes, out);
+    coalesce<kLineBytes>(instr, out);
 }
 
 std::vector<Addr>
 coalesceToSectors(const TraceInstr &instr)
 {
     std::vector<Addr> out;
-    coalesce(instr, kSectorBytes, out);
+    coalesce<kSectorBytes>(instr, out);
     return out;
 }
 

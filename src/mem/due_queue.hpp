@@ -1,9 +1,10 @@
 #ifndef CRISP_MEM_DUE_QUEUE_HPP
 #define CRISP_MEM_DUE_QUEUE_HPP
 
-#include <algorithm>
-#include <deque>
+#include <cstddef>
+#include <iterator>
 #include <utility>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -22,6 +23,9 @@ namespace crisp
  * due cycle (a fault-injected delay re-insert) goes in after the last
  * entry at or below its own, exactly where the multimap would put an
  * equal key, so the pop order is the multimap's for any push sequence.
+ *
+ * The FIFO is a ring buffer of power-of-two capacity that only grows,
+ * so a queue that has reached its working depth never allocates again.
  */
 template <typename T>
 class DueQueue
@@ -29,38 +33,43 @@ class DueQueue
   public:
     using Entry = std::pair<Cycle, T>;
 
-    bool empty() const { return items_.empty(); }
-    size_t size() const { return items_.size(); }
+    bool empty() const { return size_ == 0; }
+    size_t size() const { return size_; }
 
     void
     push(Cycle due, T item)
     {
-        if (items_.empty() || items_.back().first <= due) {
-            items_.emplace_back(due, std::move(item));
-            return;
+        if (size_ == ring_.size()) {
+            grow();
         }
-        auto pos = std::upper_bound(
-            items_.begin(), items_.end(), due,
-            [](Cycle at, const Entry &e) { return at < e.first; });
-        items_.emplace(pos, due, std::move(item));
+        // Walk back from the tail over the entries due later; a producer
+        // in due order never walks.
+        size_t pos = size_;
+        while (pos > 0 && at(pos - 1).first > due) {
+            at(pos) = std::move(at(pos - 1));
+            --pos;
+        }
+        at(pos) = Entry(due, std::move(item));
+        ++size_;
     }
 
     /** Due cycle of the earliest entry (the queue must not be empty). */
-    Cycle frontDue() const { return items_.front().first; }
+    Cycle frontDue() const { return at(0).first; }
 
     /** True when the earliest entry is due at or before @p now. */
     bool
     dueBy(Cycle now) const
     {
-        return !items_.empty() && items_.front().first <= now;
+        return size_ != 0 && at(0).first <= now;
     }
 
     /** Remove and return the earliest entry. */
     Entry
     pop()
     {
-        Entry e = std::move(items_.front());
-        items_.pop_front();
+        Entry e = std::move(at(0));
+        head_ = (head_ + 1) & (ring_.size() - 1);
+        --size_;
         return e;
     }
 
@@ -68,16 +77,83 @@ class DueQueue
     bool
     ordered() const
     {
-        return std::is_sorted(
-            items_.begin(), items_.end(),
-            [](const Entry &a, const Entry &b) { return a.first < b.first; });
+        for (size_t i = 1; i < size_; ++i) {
+            if (at(i).first < at(i - 1).first) {
+                return false;
+            }
+        }
+        return true;
     }
 
-    auto begin() const { return items_.begin(); }
-    auto end() const { return items_.end(); }
+    /** Front-to-back walk over the entries. */
+    class const_iterator
+    {
+      public:
+        using iterator_category = std::forward_iterator_tag;
+        using value_type = Entry;
+        using difference_type = std::ptrdiff_t;
+        using pointer = const Entry *;
+        using reference = const Entry &;
+
+        const_iterator() = default;
+        const_iterator(const DueQueue *queue, size_t pos)
+            : queue_(queue), pos_(pos)
+        {
+        }
+        reference operator*() const { return queue_->at(pos_); }
+        pointer operator->() const { return &queue_->at(pos_); }
+        const_iterator &
+        operator++()
+        {
+            ++pos_;
+            return *this;
+        }
+        const_iterator
+        operator++(int)
+        {
+            const_iterator old = *this;
+            ++pos_;
+            return old;
+        }
+        bool
+        operator==(const const_iterator &o) const
+        {
+            return pos_ == o.pos_;
+        }
+
+      private:
+        const DueQueue *queue_ = nullptr;
+        size_t pos_ = 0;
+    };
+
+    const_iterator begin() const { return {this, 0}; }
+    const_iterator end() const { return {this, size_}; }
 
   private:
-    std::deque<Entry> items_;
+    /** The @p i-th entry from the front. */
+    Entry &at(size_t i) { return ring_[(head_ + i) & (ring_.size() - 1)]; }
+    const Entry &
+    at(size_t i) const
+    {
+        return ring_[(head_ + i) & (ring_.size() - 1)];
+    }
+
+    /** Double the capacity (16 at first), unrolling the ring to start at
+     *  slot 0. */
+    void
+    grow()
+    {
+        std::vector<Entry> bigger(ring_.empty() ? 16 : ring_.size() * 2);
+        for (size_t i = 0; i < size_; ++i) {
+            bigger[i] = std::move(at(i));
+        }
+        ring_ = std::move(bigger);
+        head_ = 0;
+    }
+
+    std::vector<Entry> ring_;
+    size_t head_ = 0;
+    size_t size_ = 0;
 };
 
 } // namespace crisp

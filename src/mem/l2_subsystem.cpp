@@ -161,10 +161,14 @@ L2Subsystem::serviceBank(uint32_t b, Cycle now, Cycle occupancy)
     MemRequest &req = queue.front();
     auto &st = stats_->stream(req.stream);
 
-    if (mshrs_[b].pending(req.line)) {
+    // One MSHR probe serves the merge test, the capacity test and the
+    // allocation: nothing below touches the MSHR before allocate().
+    Mshr &mshr = mshrs_[b];
+    const Mshr::Lookup at = mshr.lookup(req.line);
+    if (at.pending) {
         // Merge with the in-flight fill.
         const auto outcome =
-            mshrs_[b].allocate(req.line, encodeTarget(req), now);
+            mshr.allocate(at, req.line, encodeTarget(req), now);
         if (outcome == Mshr::Outcome::Stall) {
             return;   // retry next cycle
         }
@@ -183,7 +187,7 @@ L2Subsystem::serviceBank(uint32_t b, Cycle now, Cycle occupancy)
         return;
     }
 
-    if (mshrs_[b].full()) {
+    if (mshr.full()) {
         // No MSHR space for a potential miss: stall before touching the
         // tag array so a retried miss still pays the DRAM round trip.
         return;
@@ -214,8 +218,7 @@ L2Subsystem::serviceBank(uint32_t b, Cycle now, Cycle occupancy)
         dram_.service(now, kLineBytes, res.evictedLine);
         st.dramWrites++;
     }
-    const auto outcome =
-        mshrs_[b].allocate(req.line, encodeTarget(req), now);
+    const auto outcome = mshr.allocate(at, req.line, encodeTarget(req), now);
     panic_if(outcome != Mshr::Outcome::NewEntry,
              "MSHR allocate failed after capacity check");
     st.dramReads++;

@@ -46,16 +46,16 @@ Mshr::hashSlot(Addr line) const
                (line * 0x9E3779B97F4A7C15ull) >> 32) & tableMask_;
 }
 
-uint32_t
-Mshr::findSlot(Addr line) const
+Mshr::Lookup
+Mshr::lookup(Addr line) const
 {
     for (uint32_t slot = hashSlot(line);; slot = (slot + 1) & tableMask_) {
         const uint32_t idx = table_[slot];
         if (idx == kNil) {
-            return kNil;
+            return {slot, false};
         }
         if (pool_[idx].line == line) {
-            return slot;
+            return {slot, true};
         }
     }
 }
@@ -84,11 +84,10 @@ Mshr::eraseSlot(uint32_t slot)
 }
 
 Mshr::Outcome
-Mshr::allocate(Addr line, uint64_t key, Cycle now)
+Mshr::allocate(const Lookup &at, Addr line, uint64_t key, Cycle now)
 {
-    const uint32_t slot = findSlot(line);
-    if (slot != kNil) {
-        Entry &e = pool_[table_[slot]];
+    if (at.pending) {
+        Entry &e = pool_[table_[at.slot]];
         if (e.keys.size() >= maxTargets_) {
             return Outcome::Stall;
         }
@@ -117,11 +116,9 @@ Mshr::allocate(Addr line, uint64_t key, Cycle now)
         orderHead_ = idx;
     }
     orderTail_ = idx;
-    uint32_t probe = hashSlot(line);
-    while (table_[probe] != kNil) {
-        probe = (probe + 1) & tableMask_;
-    }
-    table_[probe] = idx;
+    // The lookup's probe ended on the first free slot of the line's
+    // cluster: exactly where a fresh linear probe would insert.
+    table_[at.slot] = idx;
     ++used_;
     if (key != kVoidKey) {
         ++responseTargets_;
@@ -130,40 +127,25 @@ Mshr::allocate(Addr line, uint64_t key, Cycle now)
     return Outcome::NewEntry;
 }
 
-bool
-Mshr::pending(Addr line) const
-{
-    return findSlot(line) != kNil;
-}
-
 std::vector<uint64_t>
 Mshr::keysFor(Addr line) const
 {
-    const uint32_t slot = findSlot(line);
-    if (slot == kNil) {
+    const Lookup at = lookup(line);
+    if (!at.pending) {
         return {};
     }
-    return pool_[table_[slot]].keys;
-}
-
-bool
-Mshr::wouldStall(Addr line) const
-{
-    const uint32_t slot = findSlot(line);
-    if (slot != kNil) {
-        return pool_[table_[slot]].keys.size() >= maxTargets_;
-    }
-    return used_ >= numEntries_;
+    return pool_[table_[at.slot]].keys;
 }
 
 const std::vector<uint64_t> &
 Mshr::fill(Addr line)
 {
     fillScratch_.clear();
-    const uint32_t slot = findSlot(line);
-    if (slot == kNil) {
+    const Lookup at = lookup(line);
+    if (!at.pending) {
         return fillScratch_;
     }
+    const uint32_t slot = at.slot;
     const uint32_t idx = table_[slot];
     Entry &e = pool_[idx];
     fillScratch_.assign(e.keys.begin(), e.keys.end());

@@ -53,11 +53,32 @@ class Mshr
         Stall       ///< No entry/target space; caller must retry later.
     };
 
+    /**
+     * Where @p line sits in the hash table: the slot of its entry when a
+     * fill is pending, else the free slot an allocation would take. One
+     * probe serves every question a request asks (pending? would it
+     * stall? allocate), so a cache level probes once per line. Valid
+     * until the next allocate() or fill() on this Mshr.
+     */
+    struct Lookup
+    {
+        uint32_t slot = 0;      ///< Entry's table slot, or the free one.
+        bool pending = false;   ///< A fill for the line is outstanding.
+    };
+    Lookup lookup(Addr line) const;
+
     /** Record a miss for @p line with completion @p key at cycle @p now. */
-    Outcome allocate(Addr line, uint64_t key, Cycle now = 0);
+    Outcome allocate(Addr line, uint64_t key, Cycle now = 0)
+    {
+        return allocate(lookup(line), line, key, now);
+    }
+
+    /** allocate() at a fresh lookup(@p line) result @p at. */
+    Outcome allocate(const Lookup &at, Addr line, uint64_t key,
+                     Cycle now = 0);
 
     /** True if a fill for @p line is already outstanding. */
-    bool pending(Addr line) const;
+    bool pending(Addr line) const { return lookup(line).pending; }
 
     /**
      * Target keys currently waiting on @p line (empty when the line is
@@ -72,7 +93,15 @@ class Mshr
      * entry is free. Side-effect-free; the fast-forward wake computation
      * uses it to classify a blocked LDST head without mutating the MSHR.
      */
-    bool wouldStall(Addr line) const;
+    bool wouldStall(Addr line) const { return wouldStall(lookup(line)); }
+
+    /** wouldStall() at a fresh lookup() result @p at. */
+    bool
+    wouldStall(const Lookup &at) const
+    {
+        return at.pending ? pool_[table_[at.slot]].keys.size() >= maxTargets_
+                          : used_ >= numEntries_;
+    }
 
     /**
      * The fill arrived: pops and returns all completion keys waiting on
@@ -130,8 +159,6 @@ class Mshr
     };
 
     uint32_t hashSlot(Addr line) const;
-    /** Hash-table slot holding @p line, or kNil. */
-    uint32_t findSlot(Addr line) const;
     /** Backward-shift deletion starting at table slot @p slot. */
     void eraseSlot(uint32_t slot);
 

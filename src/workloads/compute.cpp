@@ -22,19 +22,31 @@ mix64(uint64_t x)
     return x;
 }
 
-/** Compute one lane's address for a pattern. */
+/** Elements of a pattern's region. */
+uint64_t
+patternElems(const MemPattern &p)
+{
+    return std::max<uint64_t>(1, p.regionBytes / p.accessBytes);
+}
+
+/** (@p a + @p b) mod @p m for a, b < m, without overflow. */
+uint64_t
+addMod(uint64_t a, uint64_t b, uint64_t m)
+{
+    return a >= m - b ? a - (m - b) : a + b;
+}
+
+/** Compute one lane's address for a non-streaming pattern (streaming
+ *  lanes are stepped, see appendPatternAddrs). */
 Addr
 patternAddr(const MemPattern &p, uint64_t global_thread, uint32_t access,
             uint32_t iteration)
 {
-    const uint64_t elems = std::max<uint64_t>(
-        1, p.regionBytes / p.accessBytes);
+    const uint64_t elems = patternElems(p);
     uint64_t index = 0;
     switch (p.kind) {
       case MemPatternKind::Streaming:
-        index = global_thread * p.count + access +
-                static_cast<uint64_t>(iteration) * elems / 7;
-        break;
+        panic("streaming lanes are stepped, not computed one by one");
       case MemPatternKind::Stencil: {
         // Neighborhood taps around the thread's pixel: offsets alternate
         // horizontally and vertically.
@@ -57,6 +69,50 @@ patternAddr(const MemPattern &p, uint64_t global_thread, uint32_t access,
     }
     return p.base + (index % elems) * p.accessBytes;
 }
+
+} // namespace
+
+void
+appendPatternAddrs(const MemPattern &p, uint64_t thread_base, uint32_t lanes,
+                   uint32_t access, uint32_t iteration, uint32_t active_mask,
+                   std::vector<Addr> &out)
+{
+    if (p.kind != MemPatternKind::Streaming) {
+        for (uint32_t l = 0; l < lanes; ++l) {
+            if (active_mask & (1u << l)) {
+                out.push_back(patternAddr(p, thread_base + l, access,
+                                          iteration));
+            }
+        }
+        return;
+    }
+    // Streaming: lane l reads element (thread_base + l) * count + access
+    // + iteration * elems / 7 (mod 2^64, then mod elems). Lane l + 1's raw
+    // index is lane l's plus count, so the reduced index steps by count
+    // mod elems with one conditional subtraction instead of a 64-bit
+    // division per lane. Where the raw sum wraps past 2^64 the reduction
+    // loses 2^64 mod elems.
+    const uint64_t elems = patternElems(p);
+    const uint64_t step = p.count % elems;
+    uint64_t raw = thread_base * p.count + access +
+                   static_cast<uint64_t>(iteration) * elems / 7;
+    uint64_t index = raw % elems;
+    for (uint32_t l = 0; l < lanes; ++l) {
+        if (active_mask & (1u << l)) {
+            out.push_back(p.base + index * p.accessBytes);
+        }
+        const uint64_t next = raw + p.count;
+        index = addMod(index, step, elems);
+        if (next < raw) {
+            const uint64_t lost = (0 - elems) % elems;
+            index = addMod(index, (elems - lost) % elems, elems);
+        }
+        raw = next;
+    }
+}
+
+namespace
+{
 
 /** Trace generator for a declarative compute kernel. */
 class ComputeCtaGenerator : public CtaGenerator
@@ -116,10 +172,8 @@ class ComputeCtaGenerator : public CtaGenerator
                     for (uint32_t a = 0; a < p.count; ++a) {
                         std::vector<Addr> addrs;
                         addrs.reserve(lanes);
-                        for (uint32_t l = 0; l < lanes; ++l) {
-                            addrs.push_back(
-                                patternAddr(p, thread_base + l, a, it));
-                        }
+                        appendPatternAddrs(p, thread_base, lanes, a, it,
+                                           ~0u, addrs);
                         tb.mem(Opcode::LDG, load_reg, std::move(addrs),
                                p.accessBytes, DataClass::Compute);
                         load_reg = static_cast<uint8_t>(
@@ -180,13 +234,10 @@ class ComputeCtaGenerator : public CtaGenerator
                     for (const MemPattern &p : d.loads) {
                         for (uint32_t a = 0; a < p.count; ++a) {
                             std::vector<Addr> addrs;
-                            for (uint32_t l = 0; l < lanes; ++l) {
-                                if (active_mask & (1u << l)) {
-                                    addrs.push_back(patternAddr(
-                                        p, thread_base + l, a,
-                                        d.iterations + e));
-                                }
-                            }
+                            addrs.reserve(__builtin_popcount(active_mask));
+                            appendPatternAddrs(p, thread_base, lanes, a,
+                                               d.iterations + e,
+                                               active_mask, addrs);
                             tb.mem(Opcode::LDG, 4, std::move(addrs),
                                    p.accessBytes, DataClass::Compute);
                         }
@@ -210,10 +261,8 @@ class ComputeCtaGenerator : public CtaGenerator
                 for (uint32_t a = 0; a < d.store.count; ++a) {
                     std::vector<Addr> addrs;
                     addrs.reserve(lanes);
-                    for (uint32_t l = 0; l < lanes; ++l) {
-                        addrs.push_back(
-                            patternAddr(d.store, thread_base + l, a, 0));
-                    }
+                    appendPatternAddrs(d.store, thread_base, lanes, a, 0,
+                                       ~0u, addrs);
                     tb.mem(Opcode::STG, 10, std::move(addrs),
                            d.store.accessBytes, DataClass::Compute);
                 }

@@ -86,6 +86,17 @@ struct ComputeKernelDesc
     uint64_t divergenceSeed = 0;
 };
 
+/**
+ * Append, for one access @p access of loop iteration @p iteration, the
+ * address of each lane of a @p lanes-wide warp whose first thread is
+ * @p thread_base, skipping lanes whose bit in @p active_mask is clear.
+ * These are the addresses the compute generator gives its loads and
+ * stores.
+ */
+void appendPatternAddrs(const MemPattern &p, uint64_t thread_base,
+                        uint32_t lanes, uint32_t access, uint32_t iteration,
+                        uint32_t active_mask, std::vector<Addr> &out);
+
 /** Materialize a synthetic kernel as a launchable trace kernel. */
 KernelInfo buildComputeKernel(const ComputeKernelDesc &desc);
 

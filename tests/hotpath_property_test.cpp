@@ -8,12 +8,17 @@
 // operation sequences against reference models transcribed from the
 // original implementations. The L2's due-cycle FIFOs (DueQueue) are
 // pinned the same way against the std::multimap they replaced, and the
-// work-set walk (WorkSet) against a full scan.
+// work-set walk (WorkSet) against a full scan. The SM's per-instruction
+// structures are pinned against the forms they replaced: the writeback
+// wheel against a min-heap, the unit-pool ring against a min_element
+// scan, the MSHR's single-probe lookup against the reference MSHR, and
+// the shared-memory lane-linear fast path against the general scan.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <map>
 #include <unordered_map>
 #include <vector>
@@ -21,7 +26,11 @@
 #include "audit/audit.hpp"
 #include "common/rng.hpp"
 #include "common/work_set.hpp"
+#include "core/smem_banks.hpp"
+#include "core/unit_pool.hpp"
+#include "core/writeback_wheel.hpp"
 #include "gpu/gpu.hpp"
+#include "isa/trace_builder.hpp"
 #include "mem/cache.hpp"
 #include "mem/due_queue.hpp"
 #include "mem/mshr.hpp"
@@ -688,6 +697,62 @@ TEST(MshrEquivalence, TableWrapsAndReusesSlotsWithoutCollisionLoss)
     }
 }
 
+TEST_P(MshrEquivalenceSweep, SingleProbeMatchesReference)
+{
+    // The cache levels' per-line pattern: one lookup() answers the
+    // refusal and merge tests and then drives the allocation.
+    const auto [entries, targets] = GetParam();
+    Mshr mshr(entries, targets);
+    RefMshr ref(entries, targets);
+    Rng rng(0x1b0b ^ entries ^ (targets << 8));
+    const uint64_t distinct_lines = entries * 2;
+    Cycle now = 0;
+    std::vector<Addr> live;
+    uint64_t stalls = 0;
+    uint64_t merges = 0;
+    for (int op = 0; op < 30000; ++op) {
+        const Addr line = (1 + rng.nextBelow(distinct_lines)) * kLineBytes;
+        if (rng.nextBelow(5) == 0 && !live.empty()) {
+            const Addr victim = live[rng.nextBelow(live.size())];
+            EXPECT_EQ(mshr.fill(victim), ref.fill(victim));
+            live.erase(std::find(live.begin(), live.end(), victim));
+            continue;
+        }
+        ++now;
+        const Mshr::Lookup at = mshr.lookup(line);
+        ASSERT_EQ(at.pending, ref.pending(line));
+        ASSERT_EQ(mshr.wouldStall(at), ref.wouldStall(line));
+        if (mshr.wouldStall(at)) {
+            ++stalls;
+            // A refused request acts on nothing; the next probe is fresh.
+            if (rng.nextBelow(2) == 0) {
+                continue;
+            }
+        }
+        const uint64_t key = rng.next();
+        const auto a = mshr.allocate(at, line, key, now);
+        ASSERT_EQ(a, ref.allocate(line, key, now));
+        merges += a == Mshr::Outcome::Merged;
+        if (a == Mshr::Outcome::NewEntry) {
+            live.push_back(line);
+        }
+        ASSERT_EQ(mshr.entriesInUse(), ref.entriesInUse());
+        ASSERT_EQ(mshr.responseTargets(), ref.responseTargets());
+        ASSERT_EQ(mshr.oldestAllocation(), ref.oldestAllocation());
+    }
+    EXPECT_EQ(mshr.primaryAllocations(), ref.primaryAllocations());
+    EXPECT_EQ(mshr.mergedAllocations(), ref.mergedAllocations());
+    EXPECT_GT(stalls, 0u);
+    EXPECT_GT(merges, 0u);
+    const auto ea = mshr.entries();
+    const auto eb = ref.entries();
+    ASSERT_EQ(ea.size(), eb.size());
+    for (size_t i = 0; i < ea.size(); ++i) {
+        EXPECT_EQ(ea[i].line, eb[i].line);
+        EXPECT_EQ(ea[i].keys, eb[i].keys);
+    }
+}
+
 // ---------------------------------------------------------------------
 // DueQueue equivalence: the L2's fill and response FIFOs replaced
 // std::multimap<Cycle, T> event queues. Replay the L2's usage — mostly
@@ -765,6 +830,346 @@ TEST(DueQueueEquivalence, OutOfOrderPushLandsAfterEqualKeys)
         order.push_back(queue.pop().second);
     }
     EXPECT_EQ(order, (std::vector<int>{6, 1, 2, 3, 5, 4}));
+}
+
+TEST(DueQueueEquivalence, RingWrapAroundWithDelayReinsertsMatchesMultimap)
+{
+    // A shallow queue cycled thousands of times: the ring's head wraps
+    // over and over, and delay re-inserts land behind later entries
+    // across the wrap point.
+    DueQueue<uint64_t> queue;
+    std::multimap<Cycle, uint64_t> ref;
+    Rng rng(0x7a9);
+    uint64_t next_id = 0;
+    uint64_t delayed = 0;
+    for (Cycle now = 1; now < 20000; ++now) {
+        if (rng.nextBelow(3) != 0) {
+            const Cycle due = now + 5;
+            queue.push(due, next_id);
+            ref.emplace(due, next_id);
+            ++next_id;
+        }
+        while (queue.dueBy(now)) {
+            const auto [due, id] = queue.pop();
+            auto node = ref.extract(ref.begin());
+            ASSERT_EQ(due, node.key());
+            ASSERT_EQ(id, node.mapped());
+            if (rng.nextBelow(4) == 0) {
+                // Behind every queued entry or among them.
+                const Cycle later = now + 1 + rng.nextBelow(8);
+                queue.push(later, id);
+                ref.emplace(later, id);
+                ++delayed;
+            }
+        }
+        ASSERT_EQ(queue.size(), ref.size());
+        ASSERT_TRUE(queue.ordered());
+        ASSERT_TRUE(std::equal(queue.begin(), queue.end(), ref.begin(),
+                               ref.end(), [](const auto &a, const auto &b) {
+                                   return a.first == b.first &&
+                                       a.second == b.second;
+                               }));
+    }
+    // The queue never held more than a few entries, so 20k pushes went
+    // round the ring many times.
+    EXPECT_GT(next_id, 10000u);
+    EXPECT_GT(delayed, 1000u);
+}
+
+// ---------------------------------------------------------------------
+// Writeback wheel against the min-heap of packed (cycle, slot, reg) it
+// replaced. The SM pops what is due at each step and sleeps until the
+// earliest writeback left; both must agree after every pop, for bursts
+// of same-cycle writebacks, writebacks past the wheel's span, ones
+// scheduled for a cycle already popped, and long sleeps.
+// ---------------------------------------------------------------------
+
+class HeapWritebacks
+{
+  public:
+    void
+    push(Cycle when, uint32_t slot, uint8_t reg)
+    {
+        heap_.push_back((when << 24) | (static_cast<uint64_t>(slot) << 8) |
+                        reg);
+        std::push_heap(heap_.begin(), heap_.end(), std::greater<uint64_t>());
+    }
+
+    /** Pop everything due by @p now as sorted (slot << 8 | reg). */
+    std::vector<uint32_t>
+    popDue(Cycle now)
+    {
+        std::vector<uint32_t> out;
+        while (!heap_.empty() && (heap_.front() >> 24) <= now) {
+            std::pop_heap(heap_.begin(), heap_.end(),
+                          std::greater<uint64_t>());
+            out.push_back(static_cast<uint32_t>(heap_.back() & 0xffffff));
+            heap_.pop_back();
+        }
+        std::sort(out.begin(), out.end());
+        return out;
+    }
+
+    Cycle
+    nextDue() const
+    {
+        return heap_.empty() ? kNeverCycle : heap_.front() >> 24;
+    }
+
+    size_t size() const { return heap_.size(); }
+
+  private:
+    std::vector<uint64_t> heap_;
+};
+
+std::vector<uint32_t>
+wheelPopDue(WritebackWheel &wheel, Cycle now)
+{
+    std::vector<uint32_t> out;
+    wheel.popDue(now, [&out](uint32_t slot, uint8_t reg) {
+        out.push_back((slot << 8) | reg);
+    });
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+TEST(WritebackWheelEquivalence, RandomScheduleMatchesHeap)
+{
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+        WritebackWheel wheel;
+        HeapWritebacks heap;
+        Rng rng(0xb0b ^ (seed << 16));
+        Cycle now = 0;
+        uint64_t far = 0;
+        uint64_t late = 0;
+        uint64_t popped = 0;
+        for (int step = 0; step < 20000; ++step) {
+            // Pushes between steps: ALU-like latencies, bursts on one
+            // cycle, long latencies past the span, and late ones for a
+            // cycle the last pop already covered.
+            const uint64_t pushes = rng.nextBelow(5);
+            const Cycle burst = now + 1 + rng.nextBelow(8);
+            for (uint64_t i = 0; i < pushes; ++i) {
+                Cycle when;
+                switch (rng.nextBelow(6)) {
+                  case 0:
+                    when = burst;
+                    break;
+                  case 1:
+                    when = now + WritebackWheel::kSpan +
+                           rng.nextBelow(3 * WritebackWheel::kSpan);
+                    ++far;
+                    break;
+                  case 2:
+                    when = now > 3 ? now - rng.nextBelow(3) : now;
+                    ++late;
+                    break;
+                  default:
+                    when = now + 1 + rng.nextBelow(40);
+                    break;
+                }
+                const uint32_t slot =
+                    static_cast<uint32_t>(rng.nextBelow(64));
+                const uint8_t reg = rng.nextBelow(8) == 0
+                    ? kNoReg
+                    : static_cast<uint8_t>(rng.nextBelow(255));
+                wheel.push(when, slot, reg);
+                heap.push(when, slot, reg);
+            }
+            ASSERT_EQ(wheel.nextDue(), heap.nextDue());
+            // Step: usually the next cycle, sometimes a sleep until the
+            // earliest writeback, sometimes a sleep far past it.
+            switch (rng.nextBelow(4)) {
+              case 0:
+                if (heap.nextDue() != kNeverCycle) {
+                    now = std::max(now + 1, heap.nextDue());
+                    break;
+                }
+                [[fallthrough]];
+              case 1:
+                now += 1 + rng.nextBelow(3 * WritebackWheel::kSpan);
+                break;
+              default:
+                ++now;
+                break;
+            }
+            const std::vector<uint32_t> got = wheelPopDue(wheel, now);
+            ASSERT_EQ(got, heap.popDue(now)) << "seed " << seed
+                                             << " cycle " << now;
+            popped += got.size();
+            ASSERT_EQ(wheel.size(), heap.size());
+            ASSERT_EQ(wheel.empty(), heap.size() == 0);
+            ASSERT_EQ(wheel.nextDue(), heap.nextDue());
+        }
+        EXPECT_GT(far, 1000u);
+        EXPECT_GT(late, 1000u);
+        EXPECT_GT(popped, 10000u);
+    }
+}
+
+TEST(WritebackWheelEquivalence, OnlyFarWritebacksRefileOntoTheWheel)
+{
+    // Nothing inside the window: every writeback starts on the far list
+    // and must reach the wheel (or pop) as the clock walks to it.
+    WritebackWheel wheel;
+    HeapWritebacks heap;
+    for (uint32_t i = 0; i < 50; ++i) {
+        const Cycle when = 1000 + 37 * i;
+        wheel.push(when, i, static_cast<uint8_t>(i));
+        heap.push(when, i, static_cast<uint8_t>(i));
+    }
+    for (Cycle now = 0; now < 3000; now += 7) {
+        ASSERT_EQ(wheelPopDue(wheel, now), heap.popDue(now)) << now;
+        ASSERT_EQ(wheel.nextDue(), heap.nextDue()) << now;
+    }
+    EXPECT_TRUE(wheel.empty());
+}
+
+/** Cycles a one-warp chain of @p n dependent SFU ops takes on an SM
+ *  whose SFU latency is @p latency. */
+Cycle
+sfuChainCycles(uint32_t n, Cycle latency)
+{
+    GpuConfig cfg;
+    cfg.name = "chain";
+    cfg.numSms = 1;
+    cfg.l2.numBanks = 1;
+    cfg.sm.sfuLatency = latency;
+    cfg.finalize();
+    Gpu gpu(cfg);
+    TraceBuilder tb;
+    tb.aluChain(Opcode::MUFU_SIN, 4, 5, n);
+    tb.exit();
+    CtaTrace cta;
+    cta.warps.push_back(tb.take());
+    KernelInfo k;
+    k.name = "chain";
+    k.grid = {1, 1, 1};
+    k.cta = {32, 1, 1};
+    k.regsPerThread = 16;
+    k.source = std::make_shared<VectorCtaSource>(
+        std::vector<CtaTrace>{std::move(cta)});
+    const StreamId s = gpu.createStream("compute");
+    gpu.enqueueKernel(s, std::move(k));
+    const auto result = gpu.run(10'000'000);
+    EXPECT_TRUE(result.completed);
+    return result.cycles;
+}
+
+TEST(WritebackWheelEquivalence, WritebacksPastTheSpanCommitOnTime)
+{
+    // Each extra dependent op waits exactly one latency for its source,
+    // whether the writeback lands inside the wheel's span or past it.
+    for (Cycle latency : {Cycle{5}, Cycle{WritebackWheel::kSpan - 1},
+                          Cycle{WritebackWheel::kSpan},
+                          Cycle{WritebackWheel::kSpan + 1}, Cycle{300}}) {
+        EXPECT_EQ(sfuChainCycles(20, latency) - sfuChainCycles(10, latency),
+                  10 * latency)
+            << "latency " << latency;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Unit-pool ring against the min_element scan it replaced: the same
+// earliest-free time at every issue attempt, over random issue timing.
+// ---------------------------------------------------------------------
+
+TEST(UnitPoolEquivalence, RingMatchesMinElementScan)
+{
+    Rng rng(0x0b1);
+    for (uint32_t units = 1; units <= UnitPool::kMaxUnits; ++units) {
+        for (uint32_t interval : {0u, 1u, 2u, 8u, 33u}) {
+            UnitPool ring(units, interval);
+            std::vector<Cycle> scan(units, 0);
+            Cycle now = 0;
+            uint64_t issued = 0;
+            for (int step = 0; step < 5000; ++step) {
+                now += rng.nextBelow(4) == 0 ? rng.nextBelow(50) : 0;
+                const Cycle min_free =
+                    *std::min_element(scan.begin(), scan.end());
+                ASSERT_EQ(ring.minFree(), min_free)
+                    << units << " units, interval " << interval;
+                if (min_free > now) {
+                    ++now;
+                    continue;
+                }
+                *std::min_element(scan.begin(), scan.end()) = now + interval;
+                ring.take(now);
+                ++issued;
+            }
+            EXPECT_GT(issued, 100u);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Shared-memory bank conflicts: the lane-linear fast path against the
+// general distinct-word scan.
+// ---------------------------------------------------------------------
+
+uint32_t
+referenceSmemConflicts(const std::vector<Addr> &addrs, uint32_t banks)
+{
+    std::vector<uint32_t> counts(banks, 0);
+    std::vector<Addr> seen;
+    uint32_t worst = 1;
+    for (Addr a : addrs) {
+        const Addr word = a / 4;
+        if (std::find(seen.begin(), seen.end(), word) != seen.end()) {
+            continue;
+        }
+        seen.push_back(word);
+        worst = std::max(worst, ++counts[word % banks]);
+    }
+    return worst;
+}
+
+TEST(SmemBanksEquivalence, FastPathMatchesGeneralScan)
+{
+    Rng rng(0x5ee);
+    for (uint32_t banks : {1u, 4u, 16u, 32u, 33u}) {
+        SmemBanks model(banks);
+        for (int trial = 0; trial < 3000; ++trial) {
+            const uint32_t lanes =
+                static_cast<uint32_t>(rng.nextBelow(kWarpSize + 1));
+            const Addr base = rng.nextBelow(1 << 16);
+            std::vector<Addr> addrs;
+            switch (trial % 5) {
+              case 0:   // lane-linear words, byte-aligned or not
+                for (uint32_t l = 0; l < lanes; ++l) {
+                    addrs.push_back(base + 4 * l);
+                }
+                break;
+              case 1:   // broadcast
+                addrs.assign(lanes, base);
+                break;
+              case 2:   // strided: 2, 8 or 33 words apart
+                for (uint32_t l = 0; l < lanes; ++l) {
+                    const uint32_t stride = 4 * (trial % 3 == 0   ? 2
+                                                 : trial % 3 == 1 ? 8
+                                                                  : 33);
+                    addrs.push_back(base + stride * l);
+                }
+                break;
+              case 3:   // linear but one lane repeats its neighbour
+                for (uint32_t l = 0; l < lanes; ++l) {
+                    addrs.push_back(base + 4 * l);
+                }
+                if (lanes > 1) {
+                    addrs[rng.nextBelow(lanes - 1) + 1] = addrs[0];
+                }
+                break;
+              default:  // random words in a small window
+                for (uint32_t l = 0; l < lanes; ++l) {
+                    addrs.push_back(base + rng.nextBelow(512));
+                }
+                break;
+            }
+            ASSERT_EQ(model.conflictCycles(addrs),
+                      referenceSmemConflicts(addrs, banks))
+                << "banks " << banks << " trial " << trial;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

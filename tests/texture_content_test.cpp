@@ -1,6 +1,8 @@
-// Bit-identity pin for the table-driven texture build. It keeps the
-// straightforward formula (one sine and one cosine per texel, a mip chain
-// that clamps every tap) as a reference and compares every texel exactly.
+// Bit-identity pins for the texture's fast paths. The table-driven build
+// is compared texel by texel against the straightforward formula (one
+// sine and one cosine per texel, a mip chain that clamps every tap); the
+// shift-based texel addressing against the division form; the wrap fast
+// path against the modulo form.
 
 #include <gtest/gtest.h>
 
@@ -150,6 +152,86 @@ TEST(TextureContentIdentity, MatchesPerTexelTrigAtEveryLevel)
                     }
                 }
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Texel addressing: the block-linear division form.
+
+Addr
+referenceTexelAddr(const Texture2D &tex, uint32_t level, uint32_t layer,
+                   uint32_t x, uint32_t y)
+{
+    const uint32_t w = tex.levelWidth(level);
+    const uint32_t h = tex.levelHeight(level);
+    x = std::min(x, w - 1);
+    y = std::min(y, h - 1);
+    uint32_t tile_w;
+    uint32_t tile_h;
+    texTileDims(tex.format(), tile_w, tile_h);
+    const uint32_t bpp = texFormatBytes(tex.format());
+    uint64_t level_offset = 0;
+    for (uint32_t l = 0; l < level; ++l) {
+        const uint64_t tx = (tex.levelWidth(l) + tile_w - 1) / tile_w;
+        const uint64_t ty = (tex.levelHeight(l) + tile_h - 1) / tile_h;
+        level_offset += tx * ty * tile_w * tile_h * tex.layers() * bpp;
+    }
+    const uint64_t tiles_x = (w + tile_w - 1) / tile_w;
+    const uint64_t tiles_y = (h + tile_h - 1) / tile_h;
+    const uint64_t tile_index =
+        (static_cast<uint64_t>(y) / tile_h) * tiles_x + x / tile_w;
+    const uint64_t in_tile =
+        (static_cast<uint64_t>(y) % tile_h) * tile_w + x % tile_w;
+    const uint64_t layer_bytes = tiles_x * tiles_y * tile_w * tile_h * bpp;
+    return tex.baseAddr() + level_offset + layer * layer_bytes +
+           (tile_index * tile_w * tile_h + in_tile) * bpp;
+}
+
+TEST(TexelAddrIdentity, MatchesDivisionFormForEveryFormatLevelAndLayer)
+{
+    const Dims dims[] = {
+        {64, 64, 1}, {37, 19, 3}, {1, 1, 1}, {3, 128, 2},
+        {100, 7, 1}, {9, 5, 2},   {513, 33, 1},
+    };
+    for (TexFormat fmt : {TexFormat::R8, TexFormat::RG8, TexFormat::RGBA8,
+                          TexFormat::RGBA16F}) {
+        for (const Dims &d : dims) {
+            AddressSpace heap;
+            heap.alloc(1000);   // a base that is not the heap origin
+            Texture2D tex("t", d.w, d.h, fmt, heap, d.layers, true, 1);
+            for (uint32_t level = 0; level < tex.numLevels(); ++level) {
+                const uint32_t w = tex.levelWidth(level);
+                const uint32_t h = tex.levelHeight(level);
+                for (uint32_t layer = 0; layer < d.layers; ++layer) {
+                    // Two texels past each edge exercise the clamp.
+                    for (uint32_t y = 0; y < h + 2; ++y) {
+                        for (uint32_t x = 0; x < w + 2; ++x) {
+                            ASSERT_EQ(tex.texelAddr(level, layer, x, y),
+                                      referenceTexelAddr(tex, level, layer,
+                                                         x, y))
+                                << "format " << static_cast<int>(fmt)
+                                << " " << d.w << "x" << d.h << " level "
+                                << level << " layer " << layer << " ("
+                                << x << "," << y << ")";
+                        }
+                    }
+                    // Far-out coordinates clamp as well.
+                    ASSERT_EQ(tex.texelAddr(level, layer, ~0u, ~0u),
+                              referenceTexelAddr(tex, level, layer, ~0u,
+                                                 ~0u));
+                }
+            }
+        }
+    }
+}
+
+TEST(WrapTexelCoordIdentity, MatchesModuloFormWithinThreePeriods)
+{
+    for (int32_t d : {1, 2, 3, 7, 8, 64, 100, 513}) {
+        for (int32_t v = -3 * d; v <= 3 * d; ++v) {
+            ASSERT_EQ(wrapTexelCoord(v, d), ((v % d) + d) % d)
+                << "v " << v << " dim " << d;
         }
     }
 }

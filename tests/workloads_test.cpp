@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
+#include "common/rng.hpp"
+#include "graphics/pipeline.hpp"
 #include "workloads/compute.hpp"
 #include "workloads/oracle.hpp"
 #include "workloads/scenes.hpp"
@@ -299,6 +302,167 @@ TEST(ComputeKernels, TimewarpGatherIsIrregular)
         }
     }
     FAIL() << "no gather load found";
+}
+
+// ---------------------------------------------------------------------
+// Streaming lanes are stepped from lane 0; this is the per-lane formula
+// they replaced, one 64-bit division per lane.
+
+Addr
+referenceStreamingAddr(const MemPattern &p, uint64_t global_thread,
+                       uint32_t access, uint32_t iteration)
+{
+    const uint64_t elems = std::max<uint64_t>(
+        1, p.regionBytes / p.accessBytes);
+    const uint64_t index = global_thread * p.count + access +
+                           static_cast<uint64_t>(iteration) * elems / 7;
+    return p.base + (index % elems) * p.accessBytes;
+}
+
+void
+expectStreamingMatches(const MemPattern &p, uint64_t thread_base,
+                       uint32_t lanes, uint32_t access, uint32_t iteration,
+                       uint32_t mask)
+{
+    std::vector<Addr> got;
+    appendPatternAddrs(p, thread_base, lanes, access, iteration, mask, got);
+    std::vector<Addr> want;
+    for (uint32_t l = 0; l < lanes; ++l) {
+        if (mask & (1u << l)) {
+            want.push_back(
+                referenceStreamingAddr(p, thread_base + l, access, iteration));
+        }
+    }
+    ASSERT_EQ(got, want) << "region " << p.regionBytes << " bytes "
+                         << int(p.accessBytes) << " count " << p.count
+                         << " thread_base " << thread_base << " access "
+                         << access << " iteration " << iteration;
+}
+
+TEST(StreamingLanes, SteppedLanesMatchPerLaneFormula)
+{
+    Rng rng(0x57e9);
+    for (uint64_t region : {1ull, 4ull, 12ull, 100ull, 4096ull, 1ull << 20,
+                            (1ull << 32) + 12, 3ull << 40}) {
+        for (uint8_t bytes : {1, 4, 8, 16}) {
+            // count >= elems, count == 1, count a multiple of elems.
+            for (uint32_t count : {1u, 2u, 3u, 7u, 33u, 1000u, 4096u}) {
+                MemPattern p;
+                p.kind = MemPatternKind::Streaming;
+                p.base = 0x10000;
+                p.regionBytes = region;
+                p.accessBytes = bytes;
+                p.count = count;
+                for (uint64_t thread_base :
+                     {0ull, 32ull, 12345ull, (1ull << 32) - 16,
+                      (1ull << 32) + 64}) {
+                    for (uint32_t lanes : {1u, 17u, 32u}) {
+                        const uint32_t access =
+                            static_cast<uint32_t>(rng.nextBelow(count));
+                        const uint32_t iteration =
+                            static_cast<uint32_t>(rng.nextBelow(50));
+                        const uint32_t mask = rng.nextBelow(2) == 0
+                            ? ~0u
+                            : static_cast<uint32_t>(rng.next());
+                        expectStreamingMatches(p, thread_base, lanes,
+                                               access, iteration, mask);
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(StreamingLanes, RawIndexWrapPast64BitsMatchesPerLaneFormula)
+{
+    // Lanes whose raw index sum crosses 2^64 mid-warp: the stepped index
+    // must drop 2^64 mod elems exactly where the per-lane formula wraps.
+    MemPattern p;
+    p.kind = MemPatternKind::Streaming;
+    p.base = 0x2000;
+    p.accessBytes = 4;
+    for (uint64_t region : {4ull * 7, 4ull * 1000, 4ull * 65536, 4ull * 3}) {
+        p.regionBytes = region;
+        for (uint32_t count : {1u, 5u, 1u << 20}) {
+            p.count = count;
+            const uint64_t wrap_thread = ~0ull / count;
+            for (uint64_t back = 0; back < 40; ++back) {
+                expectStreamingMatches(p, wrap_thread - back, 32, 0, 0, ~0u);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Every generator reserves each warp's exact instruction count and each
+// instruction's exact address count, so no trace vector reallocates.
+
+void
+expectExactCapacity(const CtaTrace &cta, const std::string &what)
+{
+    for (const WarpTrace &w : cta.warps) {
+        ASSERT_EQ(w.instrs.capacity(), w.instrs.size()) << what;
+        for (const TraceInstr &in : w.instrs) {
+            ASSERT_EQ(in.addrs.capacity(), in.addrs.size()) << what;
+        }
+    }
+}
+
+TEST(TraceCapacity, ComputeWarpsAreReservedExactly)
+{
+    AddressSpace heap;
+    std::vector<KernelInfo> kernels = buildVio(heap, 1, 160, 120);
+    for (KernelInfo &k : buildHolo(heap, 1)) {
+        kernels.push_back(std::move(k));
+    }
+    for (KernelInfo &k : buildNn(heap, 1)) {
+        kernels.push_back(std::move(k));
+    }
+    ComputeKernelDesc divergent;
+    divergent.name = "rays";
+    divergent.ctas = 2;
+    divergent.threadsPerCta = 80;
+    divergent.fp32Ops = 3;
+    divergent.loads.push_back(MemPattern{});
+    divergent.divergenceMaxExtraIters = 5;
+    divergent.divergenceSeed = 9;
+    kernels.push_back(buildComputeKernel(divergent));
+    for (const KernelInfo &k : kernels) {
+        for (uint32_t c = 0; c < std::min<uint32_t>(k.numCtas(), 4); ++c) {
+            expectExactCapacity(k.source->generate(c), k.name);
+        }
+    }
+}
+
+TEST(TraceCapacity, VertexAndFragmentWarpsAreReservedExactly)
+{
+    for (const std::string &name : {std::string("SPH"), std::string("IT")}) {
+        for (TexFilter filter : {TexFilter::Nearest, TexFilter::Bilinear,
+                                 TexFilter::Trilinear}) {
+            for (bool depth : {false, true}) {
+                AddressSpace heap;
+                Scene scene = buildSceneByName(name, heap);
+                for (auto &mat : scene.materials) {
+                    mat->filter = filter;
+                }
+                PipelineConfig cfg;
+                cfg.width = 160;
+                cfg.height = 90;
+                cfg.emitDepthTraffic = depth;
+                RenderPipeline pipe(cfg, heap);
+                const RenderSubmission sub = pipe.submit(scene);
+                uint32_t checked = 0;
+                for (const KernelInfo &k : sub.kernels) {
+                    const uint32_t ctas = std::min<uint32_t>(k.numCtas(), 3);
+                    for (uint32_t c = 0; c < ctas; ++c) {
+                        expectExactCapacity(k.source->generate(c), k.name);
+                        ++checked;
+                    }
+                }
+                EXPECT_GT(checked, 0u) << name;
+            }
+        }
+    }
 }
 
 } // namespace
