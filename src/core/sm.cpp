@@ -246,7 +246,6 @@ Sm::launchCta(const KernelInfo &kernel, KernelId kernel_id,
     CtaState &cta = ctaPool_[key];
     const uint32_t stream_idx = streamIdxOf(kernel.stream);
     cta.stream = kernel.stream;
-    cta.streamIdx = stream_idx;
     cta.kernel = kernel_id;
     cta.footprint = fp;
     cta.liveWarps = 0;
@@ -756,52 +755,45 @@ Sm::stepLdstOne(Cycle now)
             ldstParked_ = true;
             return LdstOutcome::Blocked;
         }
+        st.l1Accesses++;
+        if (entry.texture) {
+            st.l1TexAccesses++;
+        }
         if (at.pending) {
             // Merge into a pending miss.
             const auto outcome =
                 l1Mshr_.allocate(at, line, entry.tracker, now);
             panic_if(outcome != Mshr::Outcome::Merged,
                      "L1 MSHR merge failed after capacity check");
-            st.l1Accesses++;
             st.l1MshrMerges++;
-            if (entry.texture) {
-                st.l1TexAccesses++;
+        } else if (l1_.access(line, false, entry.stream, entry.cls,
+                              /*allocate_on_miss=*/false).hit) {
+            st.l1Hits++;
+            LoadTracker *tracker = findTracker(entry.tracker);
+            panic_if(tracker == nullptr, "L1 hit for dead tracker");
+            if (--tracker->remaining == 0) {
+                scheduleWriteback(tracker->warpSlot, tracker->reg,
+                                  now + cfg_.l1HitLatency);
+                freeTracker(static_cast<uint32_t>(
+                    entry.tracker & ((1ull << kTrackerIdxBits) - 1)));
             }
         } else {
-            auto res = l1_.access(line, false, entry.stream, entry.cls,
-                                  /*allocate_on_miss=*/false);
-            st.l1Accesses++;
-            if (entry.texture) {
-                st.l1TexAccesses++;
-            }
-            if (res.hit) {
-                st.l1Hits++;
-                LoadTracker *tracker = findTracker(entry.tracker);
-                panic_if(tracker == nullptr, "L1 hit for dead tracker");
-                if (--tracker->remaining == 0) {
-                    scheduleWriteback(tracker->warpSlot, tracker->reg,
-                                      now + cfg_.l1HitLatency);
-                    freeTracker(static_cast<uint32_t>(
-                        entry.tracker & ((1ull << kTrackerIdxBits) - 1)));
-                }
-            } else {
-                const auto outcome =
-                    l1Mshr_.allocate(at, line, entry.tracker, now);
-                panic_if(outcome != Mshr::Outcome::NewEntry,
-                         "L1 MSHR allocate failed after capacity check");
-                MemRequest req;
-                req.line = line;
-                req.write = false;
-                req.stream = entry.stream;
-                req.dataClass = entry.cls;
-                req.smId = smId_;
-                req.completionKey = line;
-                if (!fabric_->submitToL2(req, now)) {
-                    // Fabric refused: the MSHR entry stays allocated; park
-                    // the request in the egress queue and re-send later.
-                    fabricRetry_.push_back(req);
-                    fabricRetryParkedAt_.push_back(now);
-                }
+            const auto outcome =
+                l1Mshr_.allocate(at, line, entry.tracker, now);
+            panic_if(outcome != Mshr::Outcome::NewEntry,
+                     "L1 MSHR allocate failed after capacity check");
+            MemRequest req;
+            req.line = line;
+            req.write = false;
+            req.stream = entry.stream;
+            req.dataClass = entry.cls;
+            req.smId = smId_;
+            req.completionKey = line;
+            if (!fabric_->submitToL2(req, now)) {
+                // Fabric refused: the MSHR entry stays allocated; park
+                // the request in the egress queue and re-send later.
+                fabricRetry_.push_back(req);
+                fabricRetryParkedAt_.push_back(now);
             }
         }
     }

@@ -397,7 +397,6 @@ class Sm
     struct CtaState
     {
         StreamId stream = 0;
-        uint32_t streamIdx = 0;     ///< Index into streamSlots_.
         KernelId kernel = 0;
         CtaFootprint footprint;
         uint32_t liveWarps = 0;
@@ -529,7 +528,7 @@ class Sm
     SmallFlatMap<StreamId, int> issuePriority_;
 
     /** Per-stream state of one stream that has launched a CTA here.
-     *  Warps, CTAs and LDST entries carry their stream's slot index, so
+     *  Warps and LDST entries carry their stream's slot index, so
      *  the per-issue and per-line paths index instead of searching. */
     struct StreamSlot
     {
