@@ -77,9 +77,6 @@ class Mshr
     Outcome allocate(const Lookup &at, Addr line, uint64_t key,
                      Cycle now = 0);
 
-    /** True if a fill for @p line is already outstanding. */
-    bool pending(Addr line) const { return lookup(line).pending; }
-
     /**
      * Target keys currently waiting on @p line (empty when the line is
      * not pending). The integrity leak scan uses this to test whether a
@@ -88,14 +85,11 @@ class Mshr
     std::vector<uint64_t> keysFor(Addr line) const;
 
     /**
-     * True if allocate(line, ...) would return Stall right now: the line
-     * is pending with a full target list, or it is not pending and no
-     * entry is free. Side-effect-free; the fast-forward wake computation
-     * uses it to classify a blocked LDST head without mutating the MSHR.
+     * True if allocate() at the fresh lookup result @p at would return
+     * Stall: the line is pending with a full target list, or it is not
+     * pending and no entry is free. Side-effect-free; the L1 parks a
+     * blocked LDST head on it without mutating the MSHR.
      */
-    bool wouldStall(Addr line) const { return wouldStall(lookup(line)); }
-
-    /** wouldStall() at a fresh lookup() result @p at. */
     bool
     wouldStall(const Lookup &at) const
     {

@@ -22,52 +22,11 @@ mix64(uint64_t x)
     return x;
 }
 
-/** Elements of a pattern's region. */
-uint64_t
-patternElems(const MemPattern &p)
-{
-    return std::max<uint64_t>(1, p.regionBytes / p.accessBytes);
-}
-
 /** (@p a + @p b) mod @p m for a, b < m, without overflow. */
 uint64_t
 addMod(uint64_t a, uint64_t b, uint64_t m)
 {
     return a >= m - b ? a - (m - b) : a + b;
-}
-
-/** Compute one lane's address for a non-streaming pattern (streaming
- *  lanes are stepped, see appendPatternAddrs). */
-Addr
-patternAddr(const MemPattern &p, uint64_t global_thread, uint32_t access,
-            uint32_t iteration)
-{
-    const uint64_t elems = patternElems(p);
-    uint64_t index = 0;
-    switch (p.kind) {
-      case MemPatternKind::Streaming:
-        panic("streaming lanes are stepped, not computed one by one");
-      case MemPatternKind::Stencil: {
-        // Neighborhood taps around the thread's pixel: offsets alternate
-        // horizontally and vertically.
-        static const int64_t taps[] = {0, 1, -1, 0, 0, 2, -2, 0};
-        const int64_t dx = taps[(access * 2) % 8];
-        const int64_t dy = taps[(access * 2 + 1) % 8];
-        const int64_t linear = static_cast<int64_t>(global_thread) + dx +
-                               dy * static_cast<int64_t>(p.rowPitch);
-        index = static_cast<uint64_t>(
-            std::clamp<int64_t>(linear, 0,
-                                static_cast<int64_t>(elems) - 1));
-        break;
-      }
-      case MemPatternKind::Gather:
-        index = mix64(global_thread * 131 + access * 17 + iteration) % elems;
-        break;
-      case MemPatternKind::Broadcast:
-        index = (access + iteration * 13) % std::min<uint64_t>(elems, 1024);
-        break;
-    }
-    return p.base + (index % elems) * p.accessBytes;
 }
 
 } // namespace
@@ -77,37 +36,68 @@ appendPatternAddrs(const MemPattern &p, uint64_t thread_base, uint32_t lanes,
                    uint32_t access, uint32_t iteration, uint32_t active_mask,
                    std::vector<Addr> &out)
 {
-    if (p.kind != MemPatternKind::Streaming) {
-        for (uint32_t l = 0; l < lanes; ++l) {
-            if (active_mask & (1u << l)) {
-                out.push_back(patternAddr(p, thread_base + l, access,
-                                          iteration));
-            }
-        }
-        return;
-    }
-    // Streaming: lane l reads element (thread_base + l) * count + access
-    // + iteration * elems / 7 (mod 2^64, then mod elems). Lane l + 1's raw
-    // index is lane l's plus count, so the reduced index steps by count
-    // mod elems with one conditional subtraction instead of a 64-bit
-    // division per lane. Where the raw sum wraps past 2^64 the reduction
-    // loses 2^64 mod elems.
-    const uint64_t elems = patternElems(p);
-    const uint64_t step = p.count % elems;
-    uint64_t raw = thread_base * p.count + access +
-                   static_cast<uint64_t>(iteration) * elems / 7;
-    uint64_t index = raw % elems;
-    for (uint32_t l = 0; l < lanes; ++l) {
-        if (active_mask & (1u << l)) {
+    // Every kind picks an element index in [0, elems); lane l is thread
+    // thread_base + l. The region's element count and any per-warp term
+    // are worked out once, so only a gather divides per lane.
+    const uint64_t elems = std::max<uint64_t>(
+        1, p.regionBytes / p.accessBytes);
+    auto emit = [&](uint32_t lane, uint64_t index) {
+        if (active_mask & (1u << lane)) {
             out.push_back(p.base + index * p.accessBytes);
         }
-        const uint64_t next = raw + p.count;
-        index = addMod(index, step, elems);
-        if (next < raw) {
-            const uint64_t lost = (0 - elems) % elems;
-            index = addMod(index, (elems - lost) % elems, elems);
+    };
+    switch (p.kind) {
+      case MemPatternKind::Streaming: {
+        // Lane l reads element (thread_base + l) * count + access +
+        // iteration * elems / 7 (mod 2^64, then mod elems). Lane l + 1's
+        // raw index is lane l's plus count, so the reduced index steps by
+        // count mod elems with one conditional subtraction. Where the raw
+        // sum wraps past 2^64 the reduction loses 2^64 mod elems.
+        const uint64_t step = p.count % elems;
+        uint64_t raw = thread_base * p.count + access +
+                       static_cast<uint64_t>(iteration) * elems / 7;
+        uint64_t index = raw % elems;
+        for (uint32_t l = 0; l < lanes; ++l) {
+            emit(l, index);
+            const uint64_t next = raw + p.count;
+            index = addMod(index, step, elems);
+            if (next < raw) {
+                const uint64_t lost = (0 - elems) % elems;
+                index = addMod(index, (elems - lost) % elems, elems);
+            }
+            raw = next;
         }
-        raw = next;
+        break;
+      }
+      case MemPatternKind::Stencil: {
+        // Neighborhood taps around the thread's pixel: offsets alternate
+        // horizontally and vertically.
+        static const int64_t taps[] = {0, 1, -1, 0, 0, 2, -2, 0};
+        const int64_t dx = taps[(access * 2) % 8];
+        const int64_t dy = taps[(access * 2 + 1) % 8];
+        const int64_t last = static_cast<int64_t>(elems) - 1;
+        for (uint32_t l = 0; l < lanes; ++l) {
+            const int64_t linear = static_cast<int64_t>(thread_base + l) +
+                                   dx + dy * static_cast<int64_t>(p.rowPitch);
+            emit(l, static_cast<uint64_t>(std::clamp<int64_t>(linear, 0,
+                                                              last)));
+        }
+        break;
+      }
+      case MemPatternKind::Gather:
+        for (uint32_t l = 0; l < lanes; ++l) {
+            emit(l, mix64((thread_base + l) * 131 + access * 17 + iteration) %
+                        elems);
+        }
+        break;
+      case MemPatternKind::Broadcast: {
+        const uint64_t index =
+            (access + iteration * 13) % std::min<uint64_t>(elems, 1024);
+        for (uint32_t l = 0; l < lanes; ++l) {
+            emit(l, index);
+        }
+        break;
+      }
     }
 }
 

@@ -628,8 +628,9 @@ TEST_P(MshrEquivalenceSweep, RandomSequenceMatchesReference)
             break;
         }
         case 2: { // read-only probes
-            EXPECT_EQ(mshr.pending(line), ref.pending(line));
-            EXPECT_EQ(mshr.wouldStall(line), ref.wouldStall(line));
+            EXPECT_EQ(mshr.lookup(line).pending, ref.pending(line));
+            EXPECT_EQ(mshr.wouldStall(mshr.lookup(line)),
+                      ref.wouldStall(line));
             EXPECT_EQ(mshr.keysFor(line), ref.keysFor(line));
             EXPECT_EQ(mshr.oldestAllocation(), ref.oldestAllocation());
             break;

@@ -177,12 +177,12 @@ TEST(MshrTest, MergeAndFill)
     EXPECT_EQ(m.allocate(0x100, 1), Mshr::Outcome::NewEntry);
     EXPECT_EQ(m.allocate(0x100, 2), Mshr::Outcome::Merged);
     EXPECT_EQ(m.allocate(0x100, 3), Mshr::Outcome::Stall);  // target cap
-    EXPECT_TRUE(m.pending(0x100));
+    EXPECT_TRUE(m.lookup(0x100).pending);
     const auto keys = m.fill(0x100);
     ASSERT_EQ(keys.size(), 2u);
     EXPECT_EQ(keys[0], 1u);
     EXPECT_EQ(keys[1], 2u);
-    EXPECT_FALSE(m.pending(0x100));
+    EXPECT_FALSE(m.lookup(0x100).pending);
 }
 
 TEST(MshrTest, EntryCapStalls)

@@ -305,24 +305,60 @@ TEST(ComputeKernels, TimewarpGatherIsIrregular)
 }
 
 // ---------------------------------------------------------------------
-// Streaming lanes are stepped from lane 0; this is the per-lane formula
-// they replaced, one 64-bit division per lane.
+// Lane addresses: the generator steps streaming lanes from lane 0 and
+// hoists every per-warp term. This is the per-lane formula it replaced,
+// with a 64-bit division per lane for the region size and one more for
+// the final reduction.
+
+uint64_t
+referenceMix64(uint64_t x)
+{
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdull;
+    x ^= x >> 33;
+    x *= 0xc4ceb9fe1a85ec53ull;
+    x ^= x >> 33;
+    return x;
+}
 
 Addr
-referenceStreamingAddr(const MemPattern &p, uint64_t global_thread,
-                       uint32_t access, uint32_t iteration)
+referencePatternAddr(const MemPattern &p, uint64_t global_thread,
+                     uint32_t access, uint32_t iteration)
 {
     const uint64_t elems = std::max<uint64_t>(
         1, p.regionBytes / p.accessBytes);
-    const uint64_t index = global_thread * p.count + access +
-                           static_cast<uint64_t>(iteration) * elems / 7;
+    uint64_t index = 0;
+    switch (p.kind) {
+      case MemPatternKind::Streaming:
+        index = global_thread * p.count + access +
+                static_cast<uint64_t>(iteration) * elems / 7;
+        break;
+      case MemPatternKind::Stencil: {
+        static const int64_t taps[] = {0, 1, -1, 0, 0, 2, -2, 0};
+        const int64_t dx = taps[(access * 2) % 8];
+        const int64_t dy = taps[(access * 2 + 1) % 8];
+        const int64_t linear = static_cast<int64_t>(global_thread) + dx +
+                               dy * static_cast<int64_t>(p.rowPitch);
+        index = static_cast<uint64_t>(
+            std::clamp<int64_t>(linear, 0,
+                                static_cast<int64_t>(elems) - 1));
+        break;
+      }
+      case MemPatternKind::Gather:
+        index = referenceMix64(global_thread * 131 + access * 17 +
+                               iteration) %
+            elems;
+        break;
+      case MemPatternKind::Broadcast:
+        index = (access + iteration * 13) % std::min<uint64_t>(elems, 1024);
+        break;
+    }
     return p.base + (index % elems) * p.accessBytes;
 }
 
 void
-expectStreamingMatches(const MemPattern &p, uint64_t thread_base,
-                       uint32_t lanes, uint32_t access, uint32_t iteration,
-                       uint32_t mask)
+expectLanesMatch(const MemPattern &p, uint64_t thread_base, uint32_t lanes,
+                 uint32_t access, uint32_t iteration, uint32_t mask)
 {
     std::vector<Addr> got;
     appendPatternAddrs(p, thread_base, lanes, access, iteration, mask, got);
@@ -330,42 +366,49 @@ expectStreamingMatches(const MemPattern &p, uint64_t thread_base,
     for (uint32_t l = 0; l < lanes; ++l) {
         if (mask & (1u << l)) {
             want.push_back(
-                referenceStreamingAddr(p, thread_base + l, access, iteration));
+                referencePatternAddr(p, thread_base + l, access, iteration));
         }
     }
-    ASSERT_EQ(got, want) << "region " << p.regionBytes << " bytes "
-                         << int(p.accessBytes) << " count " << p.count
-                         << " thread_base " << thread_base << " access "
-                         << access << " iteration " << iteration;
+    ASSERT_EQ(got, want) << "kind " << static_cast<int>(p.kind) << " region "
+                         << p.regionBytes << " bytes " << int(p.accessBytes)
+                         << " count " << p.count << " thread_base "
+                         << thread_base << " access " << access
+                         << " iteration " << iteration;
 }
 
-TEST(StreamingLanes, SteppedLanesMatchPerLaneFormula)
+TEST(PatternLanes, EveryKindMatchesPerLaneFormula)
 {
     Rng rng(0x57e9);
-    for (uint64_t region : {1ull, 4ull, 12ull, 100ull, 4096ull, 1ull << 20,
-                            (1ull << 32) + 12, 3ull << 40}) {
-        for (uint8_t bytes : {1, 4, 8, 16}) {
-            // count >= elems, count == 1, count a multiple of elems.
-            for (uint32_t count : {1u, 2u, 3u, 7u, 33u, 1000u, 4096u}) {
-                MemPattern p;
-                p.kind = MemPatternKind::Streaming;
-                p.base = 0x10000;
-                p.regionBytes = region;
-                p.accessBytes = bytes;
-                p.count = count;
-                for (uint64_t thread_base :
-                     {0ull, 32ull, 12345ull, (1ull << 32) - 16,
-                      (1ull << 32) + 64}) {
-                    for (uint32_t lanes : {1u, 17u, 32u}) {
-                        const uint32_t access =
-                            static_cast<uint32_t>(rng.nextBelow(count));
-                        const uint32_t iteration =
-                            static_cast<uint32_t>(rng.nextBelow(50));
-                        const uint32_t mask = rng.nextBelow(2) == 0
-                            ? ~0u
-                            : static_cast<uint32_t>(rng.next());
-                        expectStreamingMatches(p, thread_base, lanes,
-                                               access, iteration, mask);
+    for (MemPatternKind kind :
+         {MemPatternKind::Streaming, MemPatternKind::Stencil,
+          MemPatternKind::Gather, MemPatternKind::Broadcast}) {
+        // Region sizes down to one element (elems = 1) and past 2^32.
+        for (uint64_t region : {1ull, 4ull, 12ull, 100ull, 4096ull,
+                                1ull << 20, (1ull << 32) + 12, 3ull << 40}) {
+            for (uint8_t bytes : {1, 4, 8, 16}) {
+                // count >= elems, count == 1, a multiple of elems.
+                for (uint32_t count : {1u, 2u, 3u, 7u, 33u, 1000u, 4096u}) {
+                    MemPattern p;
+                    p.kind = kind;
+                    p.base = 0x10000;
+                    p.regionBytes = region;
+                    p.accessBytes = bytes;
+                    p.count = count;
+                    p.rowPitch = 1 + static_cast<uint32_t>(rng.nextBelow(700));
+                    for (uint64_t thread_base :
+                         {0ull, 32ull, 12345ull, (1ull << 32) - 16,
+                          (1ull << 32) + 64}) {
+                        for (uint32_t lanes : {1u, 17u, 32u}) {
+                            const uint32_t access =
+                                static_cast<uint32_t>(rng.nextBelow(count));
+                            const uint32_t iteration =
+                                static_cast<uint32_t>(rng.nextBelow(50));
+                            const uint32_t mask = rng.nextBelow(2) == 0
+                                ? ~0u
+                                : static_cast<uint32_t>(rng.next());
+                            expectLanesMatch(p, thread_base, lanes, access,
+                                             iteration, mask);
+                        }
                     }
                 }
             }
@@ -373,7 +416,7 @@ TEST(StreamingLanes, SteppedLanesMatchPerLaneFormula)
     }
 }
 
-TEST(StreamingLanes, RawIndexWrapPast64BitsMatchesPerLaneFormula)
+TEST(PatternLanes, StreamingRawIndexWrapPast64BitsMatchesPerLaneFormula)
 {
     // Lanes whose raw index sum crosses 2^64 mid-warp: the stepped index
     // must drop 2^64 mod elems exactly where the per-lane formula wraps.
@@ -387,7 +430,7 @@ TEST(StreamingLanes, RawIndexWrapPast64BitsMatchesPerLaneFormula)
             p.count = count;
             const uint64_t wrap_thread = ~0ull / count;
             for (uint64_t back = 0; back < 40; ++back) {
-                expectStreamingMatches(p, wrap_thread - back, 32, 0, 0, ~0u);
+                expectLanesMatch(p, wrap_thread - back, 32, 0, 0, ~0u);
             }
         }
     }
