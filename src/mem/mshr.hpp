@@ -24,7 +24,7 @@ namespace crisp
  *
  * Storage is a fixed entry pool indexed by an open-addressed hash table
  * (linear probing, backward-shift deletion) plus an intrusive
- * allocation-order list through the pool. allocate()/pending() sit on the
+ * allocation-order list through the pool. lookup()/allocate() sit on the
  * per-request hot path of every cache level, so lookups must not chase
  * unordered_map nodes; the order list makes oldestAllocation() a true
  * O(1) head read instead of a lazily pruned deque.
