@@ -341,12 +341,14 @@ void
 Sm::setQuota(StreamId stream, const SmQuota &quota)
 {
     quotas_[stream] = quota;
+    ++resourceEpoch_;
 }
 
 void
 Sm::clearQuotas()
 {
     quotas_.clear();
+    ++resourceEpoch_;
 }
 
 void
@@ -478,6 +480,7 @@ Sm::finishWarp(WarpState &warp, Cycle now)
                  "finished CTA missing from live list");
         liveCtaSlots_.erase(live_it);
         ctaFreeSlots_.push_back(warp.ctaKey);
+        ++resourceEpoch_;
     } else if (cta.warpsAtBarrier == cta.liveWarps &&
                cta.warpsAtBarrier > 0) {
         // The exiting warp was the last one not waiting: release.
@@ -533,15 +536,15 @@ Sm::issueMemory(WarpState &warp, const TraceInstr &instr, Cycle now)
     if (warp.prioStream) {
         // Priority entries service ahead of queued lower-priority ones
         // (but stay ordered among themselves).
-        auto pos = ldstQueue_.begin();
-        while (pos != ldstQueue_.end()) {
-            auto p = issuePriority_.find(pos->stream);
+        size_t pos = 0;
+        while (pos < ldstQueue_.size()) {
+            auto p = issuePriority_.find(ldstQueue_[pos].stream);
             if (p == issuePriority_.end() || p->second >= 0) {
                 break;
             }
             ++pos;
         }
-        if (pos == ldstQueue_.begin()) {
+        if (pos == 0) {
             // A new head: whatever parked the old one says nothing
             // about this entry.
             ldstParked_ = false;
@@ -685,16 +688,15 @@ Sm::memPhaseGrantRetry(Cycle now)
     if (memRetryBlocked_ || fabricRetry_.empty() || memRetriesLeft_ == 0) {
         return false;
     }
-    if (!fabric_->submitToL2(fabricRetry_.front(), now)) {
+    if (!fabric_->submitToL2(fabricRetry_.front().req, now)) {
         memRetryBlocked_ = true;
         return false;
     }
-    const Cycle waited = now - fabricRetryParkedAt_.front();
+    const Cycle waited = now - fabricRetry_.front().parkedAt;
     if (waited > maxFabricRetryWait_) {
         maxFabricRetryWait_ = waited;
     }
     fabricRetry_.pop_front();
-    fabricRetryParkedAt_.pop_front();
     --memRetriesLeft_;
     return true;
 }
@@ -737,8 +739,7 @@ Sm::stepLdstOne(Cycle now)
             if (fabricRetry_.size() >= cfg_.ldstQueueDepth) {
                 return LdstOutcome::Blocked;
             }
-            fabricRetry_.push_back(req);
-            fabricRetryParkedAt_.push_back(now);
+            fabricRetry_.push_back({req, now});
         }
         // The store left the LDST unit (accepted or parked): touch the
         // tag array and count the access exactly once — the retry path
@@ -792,8 +793,7 @@ Sm::stepLdstOne(Cycle now)
             if (!fabric_->submitToL2(req, now)) {
                 // Fabric refused: the MSHR entry stays allocated; park
                 // the request in the egress queue and re-send later.
-                fabricRetry_.push_back(req);
-                fabricRetryParkedAt_.push_back(now);
+                fabricRetry_.push_back({req, now});
             }
         }
     }
@@ -1072,12 +1072,19 @@ Sm::step(Cycle now)
 
     // Commit due register writebacks (clears scoreboard entries). Each
     // pop clears a distinct scoreboard bit, so their order is
-    // unobservable.
+    // unobservable. A warp parked on the scoreboard unparks only once
+    // its instruction has no hazard left: trying it earlier would refuse
+    // it again with no side effect. (A parked warp cannot have issued,
+    // so it is live, off any barrier and inside its trace.)
     writebacks_.popDue(now, [this](uint32_t slot, uint8_t reg) {
+        WarpState &warp = warps_[slot];
         if (reg != kNoReg) {
-            warps_[slot].pendingWrites.reset(reg);
+            warp.pendingWrites.reset(reg);
         }
-        scoreboardParked_ &= ~slotBit(slot);
+        if ((scoreboardParked_ & slotBit(slot)) != 0 &&
+            !scoreboardHazard(warp, warp.trace.instrs[warp.pc])) {
+            scoreboardParked_ &= ~slotBit(slot);
+        }
     });
 
     // Count active cycles per stream (streams with live warps this
@@ -1109,14 +1116,17 @@ Sm::step(Cycle now)
     //
     // Parked warps are skipped: trying one would refuse with no side
     // effect. So is a scheduler whose live warps are all parked, since
-    // its walk would try none of them.
+    // its walk would try none of them, and the rest of a walk once every
+    // untried live warp of the scheduler is parked: a refused walk only
+    // adds parks, so the rest would try none of them either.
     bool issued = false;
     auto is_parked = [this](uint32_t slot) {
         return ((scoreboardParked_ | ldstRoomParked_) & slotBit(slot)) != 0;
     };
     for (uint32_t sched = 0; sched < cfg_.numSchedulers; ++sched) {
-        if ((liveMask_ & ~(scoreboardParked_ | ldstRoomParked_) &
-             schedSlots_[sched]) == 0) {
+        // Live slots of this scheduler the walk has not tried yet.
+        uint64_t untried = liveMask_ & schedSlots_[sched];
+        if ((untried & ~(scoreboardParked_ | ldstRoomParked_)) == 0) {
             continue;
         }
         const auto &order = schedOrder_[sched];
@@ -1128,6 +1138,7 @@ Sm::step(Cycle now)
         for (const uint32_t slot : order) {
             if (greedy_pending && warps_[slot].prio == greedy_prio) {
                 greedy_pending = false;
+                untried &= ~slotBit(greedy);
                 if (!is_parked(greedy) &&
                     tryIssue(warps_[greedy], now, wake)) {
                     greedySlot_[sched] =
@@ -1136,9 +1147,13 @@ Sm::step(Cycle now)
                     break;
                 }
             }
+            if ((untried & ~(scoreboardParked_ | ldstRoomParked_)) == 0) {
+                break;
+            }
             if (slot == greedy || is_parked(slot)) {
                 continue;
             }
+            untried &= ~slotBit(slot);
             if (tryIssue(warps_[slot], now, wake)) {
                 greedySlot_[sched] =
                     warps_[slot].live ? slot : kNoSlotIndex;

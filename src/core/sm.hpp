@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <array>
 #include <bitset>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -12,6 +11,7 @@
 #include <vector>
 
 #include "common/flat_map.hpp"
+#include "common/ring.hpp"
 #include "common/stats.hpp"
 #include "core/sm_config.hpp"
 #include "core/smem_banks.hpp"
@@ -77,6 +77,15 @@ class Sm
      * and the stream's quota. @return false if it does not fit.
      */
     bool canAccept(const KernelInfo &kernel) const;
+
+    /**
+     * Counter bumped by every change that can turn a canAccept() refusal
+     * into an accept: a CTA commit (resources freed), setQuota() and
+     * clearQuotas(). A launch only consumes resources, so a refusal
+     * stands while the epoch is unchanged; the CTA scheduler skips
+     * re-asking on that. Starts at 1.
+     */
+    uint64_t resourceEpoch() const { return resourceEpoch_; }
 
     /**
      * Launch a CTA (caller must have checked canAccept). A CTA whose
@@ -233,9 +242,8 @@ class Sm
      */
     Cycle oldestFabricRetryAge(Cycle now) const
     {
-        return fabricRetryParkedAt_.empty()
-            ? 0
-            : now - fabricRetryParkedAt_.front();
+        return fabricRetry_.empty() ? 0
+                                    : now - fabricRetry_.front().parkedAt;
     }
 
     /**
@@ -248,7 +256,7 @@ class Sm
     uint64_t pendingFabricReads() const
     {
         uint64_t reads = 0;
-        for (const auto &req : fabricRetry_) {
+        for (const auto &[req, parked_at] : fabricRetry_) {
             if (req.expectsResponse()) {
                 ++reads;
             }
@@ -264,7 +272,7 @@ class Sm
      */
     bool fabricRetryHasLine(Addr line) const
     {
-        for (const auto &req : fabricRetry_) {
+        for (const auto &[req, parked_at] : fabricRetry_) {
             if (req.line == line && req.expectsResponse()) {
                 return true;
             }
@@ -283,7 +291,7 @@ class Sm
     void
     countFabricRetriesByStream(SmallFlatMap<StreamId, uint64_t> &out) const
     {
-        for (const auto &req : fabricRetry_) {
+        for (const auto &[req, parked_at] : fabricRetry_) {
             ++out[req.stream];
         }
     }
@@ -515,6 +523,8 @@ class Sm
     Cycle wakeCycle_ = 0;
     /** Last cycle whose per-stream active cycles have been credited. */
     Cycle countedThrough_ = 0;
+    /** See resourceEpoch(). */
+    uint64_t resourceEpoch_ = 1;
     /** First quota breach observed at CTA launch (sticky; "" = none). */
     std::string quotaBreach_;
 
@@ -565,13 +575,17 @@ class Sm
     WritebackWheel writebacks_;
 
     // LDST unit.
-    std::deque<LdstEntry> ldstQueue_;
+    Ring<LdstEntry> ldstQueue_;
     /** Retired LdstEntry line buffers, reused to avoid per-issue churn. */
     std::vector<std::vector<Addr>> linePool_;
+    /** A request refused by the fabric and the cycle it parked. */
+    struct ParkedRequest
+    {
+        MemRequest req;
+        Cycle parkedAt = 0;
+    };
     /** Requests refused by the fabric, waiting to be re-sent. */
-    std::deque<MemRequest> fabricRetry_;
-    /** Park cycle of each fabricRetry_ entry (parallel deque). */
-    std::deque<Cycle> fabricRetryParkedAt_;
+    Ring<ParkedRequest> fabricRetry_;
     Cycle maxFabricRetryWait_ = 0;
     // Grant-driven memory phase: per-cycle budgets and sticky blocked
     // flags, reloaded by beginMemPhase(). A retry-head refusal blocks

@@ -379,6 +379,7 @@ Gpu::promoteReadyKernels(StreamState &ss)
         ActiveKernel ak;
         ak.id = front.id;
         ak.info = std::move(ss.queue.front().info);
+        ak.refusedAt.assign(sms_.size(), 0);
         ss.queue.pop_front();
         ss.active.push_back(std::move(ak));
         launchCycles_[ss.active.back().id] = cycle_;
@@ -432,16 +433,21 @@ Gpu::issueCtas()
                 if (ak.nextCta >= total) {
                     break;
                 }
-                if (sms_[sm_id]->canAccept(ak.info)) {
-                    sms_[sm_id]->launchCta(ak.info, ak.id, ak.nextCta++,
-                                           cycle_);
-                    launched[sm_id] = true;
-                    ctaLaunched_ = true;
-                    if (telemetry_) {
-                        telemetry_->emit(
-                            {cycle_, telemetry::EventKind::CtaDispatch,
-                             sm_id, id, ak.id, ak.nextCta - 1});
-                    }
+                Sm &sm = *sms_[sm_id];
+                if (ak.refusedAt[sm_id] == sm.resourceEpoch()) {
+                    continue;   // refused, and nothing freed since
+                }
+                if (!sm.canAccept(ak.info)) {
+                    ak.refusedAt[sm_id] = sm.resourceEpoch();
+                    continue;
+                }
+                sm.launchCta(ak.info, ak.id, ak.nextCta++, cycle_);
+                launched[sm_id] = true;
+                ctaLaunched_ = true;
+                if (telemetry_) {
+                    telemetry_->emit(
+                        {cycle_, telemetry::EventKind::CtaDispatch,
+                         sm_id, id, ak.id, ak.nextCta - 1});
                 }
             }
             if (ak.nextCta < total) {

@@ -416,6 +416,10 @@ class Gpu : public MemFabricPort
         KernelInfo info;
         uint32_t nextCta = 0;
         uint32_t ctasDone = 0;
+        /** Per SM, its resourceEpoch() when it last refused a CTA of this
+         *  kernel (0 = never): issueCtas() does not ask again until the
+         *  epoch moves. */
+        std::vector<uint64_t> refusedAt;
     };
 
     struct StreamState

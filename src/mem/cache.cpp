@@ -30,7 +30,8 @@ log2Of(uint64_t v)
 
 SetAssocCache::SetAssocCache(const CacheGeometry &geom) : geom_(geom)
 {
-    fatal_if(geom_.lineBytes == 0 || geom_.ways == 0,
+    // lineBytes >= 2 keeps every tag (line / lineBytes) below kNoTag.
+    fatal_if(geom_.lineBytes < 2 || geom_.ways == 0,
              "invalid cache geometry");
     fatal_if(geom_.sizeBytes % (geom_.lineBytes * geom_.ways) != 0,
              "cache size %llu not divisible into %u-way sets",
@@ -42,7 +43,7 @@ SetAssocCache::SetAssocCache(const CacheGeometry &geom) : geom_(geom)
     lineShift_ = pow2Line_ ? log2Of(geom_.lineBytes) : 0;
     setMask_ = pow2Sets_ ? numSets_ - 1 : 0;
     const size_t n = static_cast<size_t>(numSets_) * ways_;
-    tags_.assign(n, 0);
+    tags_.assign(n, kNoTag);
     lastUse_.assign(n, 0);
     flags_.assign(n, 0);
     validSectors_.assign(n, 0);
@@ -81,9 +82,12 @@ SetAssocCache::windowFor(StreamId stream) const
 uint32_t
 SetAssocCache::findWayIndex(uint32_t set, Addr tag) const
 {
+    // Invalid ways hold kNoTag, which no line has, so a tag match alone
+    // means a valid hit.
     const uint32_t base = set * ways_;
+    const Addr *tags = tags_.data() + base;
     for (uint32_t w = 0; w < ways_; ++w) {
-        if ((flags_[base + w] & kValid) && tags_[base + w] == tag) {
+        if (tags[w] == tag) {
             return base + w;
         }
     }
@@ -99,7 +103,7 @@ SetAssocCache::lruPosition(uint32_t set, uint32_t idx) const
     uint32_t pos = 0;
     for (uint32_t w = 0; w < ways_; ++w) {
         const uint32_t i = base + w;
-        if (i != idx && (flags_[i] & kValid) && lastUse_[i] > mine) {
+        if (i != idx && tags_[i] != kNoTag && lastUse_[i] > mine) {
             ++pos;
         }
     }
@@ -111,16 +115,17 @@ SetAssocCache::pickVictim(uint32_t set, bool &evicted, Addr &evicted_line,
                           bool &evicted_dirty,
                           uint8_t &evicted_sectors) const
 {
+    // One pass: the first invalid way ends the scan; otherwise the first
+    // way with the smallest lastUse (ties go to the lower way).
     const uint32_t base = set * ways_;
-    for (uint32_t w = 0; w < ways_; ++w) {
-        if (!(flags_[base + w] & kValid)) {
-            return base + w;
-        }
-    }
     uint32_t victim = base;
-    for (uint32_t w = 1; w < ways_; ++w) {
-        if (lastUse_[base + w] < lastUse_[victim]) {
-            victim = base + w;
+    for (uint32_t w = 0; w < ways_; ++w) {
+        const uint32_t i = base + w;
+        if (tags_[i] == kNoTag) {
+            return i;
+        }
+        if (lastUse_[i] < lastUse_[victim]) {
+            victim = i;
         }
     }
     evicted = true;
@@ -135,7 +140,7 @@ SetAssocCache::installLine(uint32_t idx, Addr tag, bool write,
                            StreamId stream, DataClass cls,
                            uint8_t sector_bit)
 {
-    flags_[idx] = static_cast<uint8_t>(kValid | (write ? kDirty : 0));
+    flags_[idx] = write ? kDirty : 0;
     tags_[idx] = tag;
     lastUse_[idx] = ++useCounter_;
     streams_[idx] = stream;
@@ -147,7 +152,7 @@ void
 SetAssocCache::clearLine(uint32_t idx)
 {
     flags_[idx] = 0;
-    tags_[idx] = 0;
+    tags_[idx] = kNoTag;
     lastUse_[idx] = 0;
     streams_[idx] = kInvalidStream;
     classes_[idx] = DataClass::Unknown;
@@ -284,7 +289,7 @@ void
 SetAssocCache::invalidateStream(StreamId stream)
 {
     for (size_t i = 0; i < flags_.size(); ++i) {
-        if ((flags_[i] & kValid) && streams_[i] == stream) {
+        if (tags_[i] != kNoTag && streams_[i] == stream) {
             clearLine(static_cast<uint32_t>(i));
         }
     }
@@ -319,7 +324,7 @@ SetAssocCache::composition() const
     CacheComposition comp;
     comp.totalLines = flags_.size();
     for (size_t i = 0; i < flags_.size(); ++i) {
-        if (!(flags_[i] & kValid)) {
+        if (tags_[i] == kNoTag) {
             continue;
         }
         ++comp.validLines;

@@ -133,7 +133,7 @@ struct CacheComposition
  * §VI-C) without disturbing unpartitioned streams.
  *
  * Tag state is stored structure-of-arrays: the way-scan on every access
- * touches only the tag and flag arrays (one cache line for an 8-way set)
+ * touches only the tag array (an invalid way holds a tag no line has)
  * instead of striding across 40-byte line records, and power-of-two
  * geometries resolve set/tag with precomputed shifts and masks.
  */
@@ -200,8 +200,9 @@ class SetAssocCache
     /**
      * Enable/disable CacheAccessResult::hitLruPos computation (default
      * on). The per-hit LRU-stack scan costs an extra pass over the set;
-     * callers that ignore the field (the SM's L1) turn it off, while the
-     * L2 keeps it for the TAP utility monitors.
+     * callers that ignore the field (the SM's L1) turn it off, and the
+     * L2 turns it on only while an access listener (TAP's utility
+     * monitors) reads it.
      */
     void setHitLruPosReporting(bool enabled) { reportHitLruPos_ = enabled; }
 
@@ -224,10 +225,13 @@ class SetAssocCache
         uint32_t count = 0;
     };
 
-    /** Line flag bits (flags_ array). */
-    static constexpr uint8_t kValid = 0x1;
+    /** Line flag bits (flags_ array); a way is valid when its tag is
+     *  not kNoTag. */
     static constexpr uint8_t kDirty = 0x2;
     static constexpr uint32_t kNoWay = ~0u;
+    /** Tag of an invalid way: no line has it (see the constructor), so
+     *  a hit test reads tags_ alone. */
+    static constexpr Addr kNoTag = ~Addr{0};
 
     uint32_t mapSet(Addr line, StreamId stream) const;
     const SetWindow *windowFor(StreamId stream) const;
@@ -235,8 +239,8 @@ class SetAssocCache
     uint32_t findWayIndex(uint32_t set, Addr tag) const;
     uint32_t lruPosition(uint32_t set, uint32_t idx) const;
     /** First invalid way of the set, else the true-LRU victim. Reports
-     *  the eviction (if any) into @p evicted/... exactly like the old
-     *  AoS victim scan: scan order breaks lastUse ties low-way-first. */
+     *  the eviction (if any) into @p evicted/...; scan order breaks
+     *  lastUse ties low-way-first. */
     uint32_t pickVictim(uint32_t set, bool &evicted, Addr &evicted_line,
                         bool &evicted_dirty, uint8_t &evicted_sectors) const;
     void installLine(uint32_t idx, Addr tag, bool write, StreamId stream,

@@ -32,8 +32,11 @@ L2Subsystem::L2Subsystem(const L2Config &cfg, StatsRegistry *stats)
     bankQueues_.resize(cfg_.numBanks);
     busyBanks_ = WorkSet(cfg_.numBanks);
     bankFreeAt_.assign(cfg_.numBanks, 0);
+    bankWake_.assign(cfg_.numBanks, 0);
     for (uint32_t b = 0; b < cfg_.numBanks; ++b) {
         banks_.emplace_back(cfg_.bankGeometry);
+        // Only an access listener reads hitLruPos (setAccessListener).
+        banks_.back().setHitLruPosReporting(false);
         mshrs_.emplace_back(cfg_.mshrEntriesPerBank,
                             cfg_.mshrTargetsPerEntry);
     }
@@ -69,6 +72,9 @@ void
 L2Subsystem::setAccessListener(AccessListener listener)
 {
     onAccess_ = std::move(listener);
+    for (auto &bank : banks_) {
+        bank.setHitLruPosReporting(static_cast<bool>(onAccess_));
+    }
 }
 
 namespace
@@ -101,6 +107,9 @@ L2Subsystem::bankFor(Addr line, StreamId stream) const
 {
     const Addr blk = line / kLineBytes;
     const uint64_t h = blk ^ (blk >> 7) ^ (blk >> 17);
+    if (bankMasks_.empty()) {
+        return static_cast<uint32_t>(h % cfg_.numBanks);
+    }
     auto it = bankMasks_.find(stream);
     if (it == bankMasks_.end() || it->second == 0) {
         return static_cast<uint32_t>(h % cfg_.numBanks);
@@ -135,8 +144,13 @@ L2Subsystem::submit(MemRequest req, Cycle now)
         ++readsAccepted_;
         ++queuedReads_;
     }
-    bankQueues_[bank].push_back(std::move(req));
-    busyBanks_.insert(bank);
+    auto &queue = bankQueues_[bank];
+    queue.push_back(std::move(req));
+    if (queue.size() == 1) {
+        busyBanks_.insert(bank);
+        bankWake_[bank] = headWake(bank);
+        earliestBankWake_ = std::min(earliestBankWake_, bankWake_[bank]);
+    }
     return true;
 }
 
@@ -152,13 +166,23 @@ L2Subsystem::respond(MemRequest req, Cycle now, Cycle ready)
 }
 
 void
-L2Subsystem::serviceBank(uint32_t b, Cycle now, Cycle occupancy)
+L2Subsystem::popHead(uint32_t b, Cycle now, Cycle occupancy)
 {
     auto &queue = bankQueues_[b];
-    if (queue.front().readyAt > now || bankFreeAt_[b] > now) {
-        return;
+    if (queue.front().expectsResponse()) {
+        --queuedReads_;
     }
-    MemRequest &req = queue.front();
+    queue.pop_front();
+    bankFreeAt_[b] = now + occupancy;
+    if (!queue.empty()) {
+        bankWake_[b] = headWake(b);
+    }
+}
+
+void
+L2Subsystem::serviceBank(uint32_t b, Cycle now, Cycle occupancy)
+{
+    MemRequest &req = bankQueues_[b].front();
     auto &st = stats_->stream(req.stream);
 
     // One MSHR probe serves the merge test, the capacity test and the
@@ -170,7 +194,7 @@ L2Subsystem::serviceBank(uint32_t b, Cycle now, Cycle occupancy)
         const auto outcome =
             mshr.allocate(at, req.line, encodeTarget(req), now);
         if (outcome == Mshr::Outcome::Stall) {
-            return;   // retry next cycle
+            return;   // still due: retry next cycle
         }
         st.l2Accesses++;
         st.l2MshrMerges++;
@@ -179,11 +203,7 @@ L2Subsystem::serviceBank(uint32_t b, Cycle now, Cycle occupancy)
             onAccess_(req.stream, req.line, false, 0);
         }
         noteBankMiss(b, req.stream, now);
-        bankFreeAt_[b] = now + occupancy;
-        if (req.expectsResponse()) {
-            --queuedReads_;
-        }
-        queue.pop_front();
+        popHead(b, now, occupancy);
         return;
     }
 
@@ -203,11 +223,7 @@ L2Subsystem::serviceBank(uint32_t b, Cycle now, Cycle occupancy)
         st.l2Hits++;
         missStreaks_[b] = 0;
         respond(req, now, now + cfg_.l2Latency);
-        bankFreeAt_[b] = now + occupancy;
-        if (req.expectsResponse()) {
-            --queuedReads_;
-        }
-        queue.pop_front();
+        popHead(b, now, occupancy);
         return;
     }
 
@@ -224,11 +240,7 @@ L2Subsystem::serviceBank(uint32_t b, Cycle now, Cycle occupancy)
     st.dramReads++;
     const Cycle data_ready = dram_.service(now, kLineBytes, req.line);
     pendingFills_.push(data_ready, PendingFill{req, b});
-    bankFreeAt_[b] = now + occupancy;
-    if (req.expectsResponse()) {
-        --queuedReads_;
-    }
-    queue.pop_front();
+    popHead(b, now, occupancy);
 }
 
 void
@@ -282,20 +294,27 @@ L2Subsystem::step(Cycle now)
     }
     }
 
-    // 2. Each bank services queued requests at its slice bandwidth.
-    {
+    // 2. Each due bank services its head at its slice bandwidth.
+    if (earliestBankWake_ <= now) {
     telemetry::SelfProfiler::Scope prof_scope(profiler_,
                                               telemetry::Component::L2);
     const Cycle bank_occupancy = static_cast<Cycle>(
         std::max(1.0, kLineBytes / cfg_.bankBytesPerCycle));
     // Servicing a bank never queues onto another, so the walk sees the
-    // busy set as it stood at the start of the phase.
+    // busy set as it stood at the start of the phase, and the wakes it
+    // leaves behind give the next earliest one.
+    Cycle earliest = kNeverCycle;
     busyBanks_.forEachFrom(0, [&](size_t b) {
-        serviceBank(static_cast<uint32_t>(b), now, bank_occupancy);
-        if (bankQueues_[b].empty()) {
-            busyBanks_.erase(b);
+        if (bankWake_[b] <= now) {
+            serviceBank(static_cast<uint32_t>(b), now, bank_occupancy);
+            if (bankQueues_[b].empty()) {
+                busyBanks_.erase(b);
+                return;
+            }
         }
+        earliest = std::min(earliest, bankWake_[b]);
     });
+    earliestBankWake_ = earliest;
     }
 
     if (telemetry_) {
@@ -459,11 +478,10 @@ L2Subsystem::nextEventCycle(Cycle now) const
     if (!pendingResponses_.empty()) {
         consider(pendingResponses_.frontDue());
     }
-    busyBanks_.forEachFrom(0, [&](size_t b) {
-        // MSHR-stalled heads report the conservative now+1; the fill
-        // that unblocks them is already covered above.
-        consider(std::max(bankQueues_[b].front().readyAt, bankFreeAt_[b]));
-    });
+    // kNeverCycle with no busy bank. An MSHR-stalled head keeps its past
+    // wake, which reads as the next cycle; the fill that unblocks it is
+    // already covered above.
+    consider(earliestBankWake_);
     return wake;
 }
 
@@ -485,6 +503,7 @@ L2Subsystem::auditWorkSets(std::string *detail) const
     };
     using logging_detail::formatMessage;
     size_t busy = 0;
+    Cycle earliest = kNeverCycle;
     for (uint32_t b = 0; b < cfg_.numBanks; ++b) {
         const bool queued = !bankQueues_[b].empty();
         busy += queued ? 1 : 0;
@@ -493,10 +512,28 @@ L2Subsystem::auditWorkSets(std::string *detail) const
                 "L2 bank %u busy flag %d but its queue holds %zu requests",
                 b, busyBanks_.contains(b) ? 1 : 0, bankQueues_[b].size()));
         }
+        if (!queued) {
+            continue;
+        }
+        const Cycle head = headWake(b);
+        const Cycle wake = bankWake_[b];
+        if (wake != head) {
+            return fail(formatMessage(
+                "L2 bank %u wakes at %llu but its head can act at %llu",
+                b, static_cast<unsigned long long>(wake),
+                static_cast<unsigned long long>(head)));
+        }
+        earliest = std::min(earliest, wake);
     }
     if (busy != busyBanks_.count()) {
         return fail(formatMessage("L2 busy-bank count %zu != recomputed %zu",
                                   busyBanks_.count(), busy));
+    }
+    if (earliest != earliestBankWake_) {
+        return fail(formatMessage(
+            "L2 earliest bank wake %llu != recomputed %llu",
+            static_cast<unsigned long long>(earliestBankWake_),
+            static_cast<unsigned long long>(earliest)));
     }
     if (!pendingFills_.ordered()) {
         return fail("L2 pending fills out of due-cycle order");

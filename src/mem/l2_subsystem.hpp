@@ -1,7 +1,7 @@
 #ifndef CRISP_MEM_L2_SUBSYSTEM_HPP
 #define CRISP_MEM_L2_SUBSYSTEM_HPP
 
-#include <deque>
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/flat_map.hpp"
+#include "common/ring.hpp"
 #include "common/stats.hpp"
 #include "common/work_set.hpp"
 #include "mem/cache.hpp"
@@ -85,9 +86,11 @@ class L2Subsystem
     bool submit(MemRequest req, Cycle now);
 
     /**
-     * Complete due DRAM fills, let each bank with a queued request
-     * service its head, and deliver due responses. Only busy banks (see
-     * auditWorkSets) are visited, in bank-id order.
+     * Complete due DRAM fills, let each bank whose wake cycle has come
+     * service its head, and deliver due responses. Due banks are
+     * serviced in bank-id order (they share the DRAM channel); the bank
+     * phase is skipped outright while no bank is due (see
+     * auditWorkSets).
      */
     void step(Cycle now);
 
@@ -96,9 +99,12 @@ class L2Subsystem
 
     /**
      * Re-derive the structures step() walks instead of scanning: each
-     * bank's busy flag equals !queue.empty() and the busy count matches,
-     * and both due queues are non-decreasing in due cycle. @return false
-     * (with @p detail filled) on the first mismatch.
+     * bank's busy flag equals !queue.empty() and the busy count matches;
+     * each busy bank's wake cycle is max(head readyAt, bank free cycle)
+     * and the earliest wake is the minimum over the busy banks; and both
+     * due queues are non-decreasing in due cycle. A lost bank wakeup
+     * therefore fails here instead of quietly shifting timing. @return
+     * false (with @p detail filled) on the first mismatch.
      */
     bool auditWorkSets(std::string *detail) const;
 
@@ -256,8 +262,19 @@ class L2Subsystem
     };
 
     uint32_t bankFor(Addr line, StreamId stream) const;
-    /** Let bank @p b service its queue head, if it can this cycle. */
+    /** Cycle from which bank @p b can service its (non-empty) queue's
+     *  head: the head has crossed the icnt and the bank is free. */
+    Cycle
+    headWake(uint32_t b) const
+    {
+        return std::max(bankQueues_[b].front().readyAt, bankFreeAt_[b]);
+    }
+    /** Service bank @p b's queue head (the bank is due), or leave it,
+     *  still due, to retry next cycle when the MSHR refuses it. */
     void serviceBank(uint32_t b, Cycle now, Cycle occupancy);
+    /** The head of bank @p b left the queue at @p now: occupy the bank
+     *  and re-arm its wake for the next head. */
+    void popHead(uint32_t b, Cycle now, Cycle occupancy);
     void respond(MemRequest req, Cycle now, Cycle ready);
     void noteBankMiss(uint32_t bank, StreamId stream, Cycle now);
 
@@ -283,11 +300,22 @@ class L2Subsystem
     uint64_t fillsCompleted_ = 0;
 
     std::vector<SetAssocCache> banks_;
-    std::vector<std::deque<MemRequest>> bankQueues_;
+    std::vector<Ring<MemRequest>> bankQueues_;
     /** Banks whose queue is non-empty: step() visits only these, and
      *  idle() reads their count. */
     WorkSet busyBanks_;
     std::vector<Cycle> bankFreeAt_;
+    /**
+     * Per busy bank, the first cycle it can act: headWake(), set when a
+     * push fills an empty queue and on each pop. A head the MSHR refuses
+     * keeps its past wake, so the bank stays due and retries every
+     * cycle. The one definition of "when can this bank act" for step()
+     * and nextEventCycle().
+     */
+    std::vector<Cycle> bankWake_;
+    /** Minimum of bankWake_ over the busy banks (kNeverCycle when none):
+     *  step() skips the bank phase while it lies in the future. */
+    Cycle earliestBankWake_ = kNeverCycle;
     std::vector<Mshr> mshrs_;
     IcntLink requestLink_;
     IcntLink responseLink_;
@@ -307,6 +335,7 @@ class L2Subsystem
      */
     DueQueue<MemRequest> pendingResponses_;
 
+    /** MiG bank masks; empty (the common case) skips the lookup. */
     std::map<StreamId, uint64_t> bankMasks_;
 };
 

@@ -29,8 +29,9 @@ Mshr::Mshr(uint32_t num_entries, uint32_t max_targets)
              "MSHR needs at least one entry and one target");
     const uint32_t table_size = nextPow2(std::max(16u, num_entries * 2));
     tableMask_ = table_size - 1;
-    table_.assign(table_size, kNil);
+    table_.assign(table_size, Slot{});
     pool_.resize(num_entries);
+    targets_.assign(static_cast<size_t>(num_entries) * max_targets, 0);
     freeList_.reserve(num_entries);
     for (uint32_t i = num_entries; i > 0; --i) {
         freeList_.push_back(i - 1);
@@ -50,11 +51,11 @@ Mshr::Lookup
 Mshr::lookup(Addr line) const
 {
     for (uint32_t slot = hashSlot(line);; slot = (slot + 1) & tableMask_) {
-        const uint32_t idx = table_[slot];
-        if (idx == kNil) {
+        const Slot &s = table_[slot];
+        if (s.entry == kNil) {
             return {slot, false};
         }
-        if (pool_[idx].line == line) {
+        if (s.line == line) {
             return {slot, true};
         }
     }
@@ -68,30 +69,31 @@ Mshr::eraseSlot(uint32_t slot)
     uint32_t hole = slot;
     for (uint32_t probe = (hole + 1) & tableMask_;;
          probe = (probe + 1) & tableMask_) {
-        const uint32_t idx = table_[probe];
-        if (idx == kNil) {
+        const Slot &s = table_[probe];
+        if (s.entry == kNil) {
             break;
         }
-        const uint32_t ideal = hashSlot(pool_[idx].line);
+        const uint32_t ideal = hashSlot(s.line);
         // Move back only if the element's ideal slot does not lie in
         // (hole, probe] — i.e. the hole sits on its probe path.
         if (((probe - ideal) & tableMask_) >= ((probe - hole) & tableMask_)) {
-            table_[hole] = idx;
+            table_[hole] = s;
             hole = probe;
         }
     }
-    table_[hole] = kNil;
+    table_[hole] = Slot{};
 }
 
 Mshr::Outcome
 Mshr::allocate(const Lookup &at, Addr line, uint64_t key, Cycle now)
 {
     if (at.pending) {
-        Entry &e = pool_[table_[at.slot]];
-        if (e.keys.size() >= maxTargets_) {
+        const uint32_t idx = table_[at.slot].entry;
+        Entry &e = pool_[idx];
+        if (e.targets >= maxTargets_) {
             return Outcome::Stall;
         }
-        e.keys.push_back(key);
+        targetRow(idx)[e.targets++] = key;
         if (key != kVoidKey) {
             ++responseTargets_;
         }
@@ -106,8 +108,8 @@ Mshr::allocate(const Lookup &at, Addr line, uint64_t key, Cycle now)
     Entry &e = pool_[idx];
     e.line = line;
     e.allocatedAt = now;
-    e.keys.clear();
-    e.keys.push_back(key);
+    e.targets = 1;
+    targetRow(idx)[0] = key;
     e.prev = orderTail_;
     e.next = kNil;
     if (orderTail_ != kNil) {
@@ -118,7 +120,7 @@ Mshr::allocate(const Lookup &at, Addr line, uint64_t key, Cycle now)
     orderTail_ = idx;
     // The lookup's probe ended on the first free slot of the line's
     // cluster: exactly where a fresh linear probe would insert.
-    table_[at.slot] = idx;
+    table_[at.slot] = Slot{line, idx};
     ++used_;
     if (key != kVoidKey) {
         ++responseTargets_;
@@ -134,28 +136,29 @@ Mshr::keysFor(Addr line) const
     if (!at.pending) {
         return {};
     }
-    return pool_[table_[at.slot]].keys;
+    const uint32_t idx = table_[at.slot].entry;
+    const uint64_t *row = targetRow(idx);
+    return std::vector<uint64_t>(row, row + pool_[idx].targets);
 }
 
-const std::vector<uint64_t> &
+std::span<const uint64_t>
 Mshr::fill(Addr line)
 {
-    fillScratch_.clear();
     const Lookup at = lookup(line);
     if (!at.pending) {
-        return fillScratch_;
+        return {};
     }
     const uint32_t slot = at.slot;
-    const uint32_t idx = table_[slot];
+    const uint32_t idx = table_[slot].entry;
     Entry &e = pool_[idx];
-    fillScratch_.assign(e.keys.begin(), e.keys.end());
-    e.keys.clear();
-    for (uint64_t key : fillScratch_) {
+    const std::span<const uint64_t> keys(targetRow(idx), e.targets);
+    for (uint64_t key : keys) {
         if (key != kVoidKey) {
             panic_if(responseTargets_ == 0, "MSHR target count underflow");
             --responseTargets_;
         }
     }
+    e.targets = 0;
     // Unlink from the allocation-order list.
     if (e.prev != kNil) {
         pool_[e.prev].next = e.next;
@@ -168,10 +171,12 @@ Mshr::fill(Addr line)
         orderTail_ = e.prev;
     }
     eraseSlot(slot);
+    // The freed row is only rewritten by the next allocate(), which is
+    // what bounds the returned span's lifetime.
     freeList_.push_back(idx);
     --used_;
     ++fillsServed_;
-    return fillScratch_;
+    return keys;
 }
 
 std::vector<Mshr::EntryInfo>
@@ -186,8 +191,8 @@ Mshr::entries() const
         EntryInfo info;
         info.line = e.line;
         info.allocatedAt = e.allocatedAt;
-        info.targets = static_cast<uint32_t>(e.keys.size());
-        info.keys = e.keys;
+        info.targets = e.targets;
+        info.keys.assign(targetRow(idx), targetRow(idx) + e.targets);
         out.push_back(std::move(info));
     }
     return out;

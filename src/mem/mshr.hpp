@@ -2,6 +2,7 @@
 #define CRISP_MEM_MSHR_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -22,12 +23,14 @@ namespace crisp
  * arrives ages forever and is the classic silent-hang bug in cycle
  * simulators.
  *
- * Storage is a fixed entry pool indexed by an open-addressed hash table
- * (linear probing, backward-shift deletion) plus an intrusive
- * allocation-order list through the pool. lookup()/allocate() sit on the
- * per-request hot path of every cache level, so lookups must not chase
- * unordered_map nodes; the order list makes oldestAllocation() a true
- * O(1) head read instead of a lazily pruned deque.
+ * Storage is flat: an open-addressed hash table (linear probing,
+ * backward-shift deletion) whose slots carry the line beside the entry
+ * index, so a probe compares in place; a fixed entry pool with an
+ * intrusive allocation-order list; and one numEntries x maxTargets array
+ * holding every entry's target keys. lookup()/allocate() sit on the
+ * per-line hot path of every cache level, so nothing on it allocates or
+ * chases a pointer past the table; the order list makes
+ * oldestAllocation() a true O(1) head read.
  */
 class Mshr
 {
@@ -93,17 +96,19 @@ class Mshr
     bool
     wouldStall(const Lookup &at) const
     {
-        return at.pending ? pool_[table_[at.slot]].keys.size() >= maxTargets_
-                          : used_ >= numEntries_;
+        return at.pending
+            ? pool_[table_[at.slot].entry].targets >= maxTargets_
+            : used_ >= numEntries_;
     }
 
     /**
-     * The fill arrived: pops and returns all completion keys waiting on
-     * the line (empty if the line was not pending). The reference aliases
-     * internal scratch valid until the next fill() on this Mshr — iterate
-     * it directly, don't hold it across calls.
+     * The fill arrived: frees the line's entry and returns the completion
+     * keys that waited on it, in merge order (empty if the line was not
+     * pending). The span views the freed entry's target row, valid until
+     * the next allocate() on this Mshr — iterate it directly, don't hold
+     * it across calls.
      */
-    const std::vector<uint64_t> &fill(Addr line);
+    std::span<const uint64_t> fill(Addr line);
 
     uint32_t entriesInUse() const { return used_; }
     bool full() const { return used_ >= numEntries_; }
@@ -139,20 +144,35 @@ class Mshr
   private:
     static constexpr uint32_t kNil = ~0u;
 
+    /** One hash-table slot: the pending line and its entry's pool index
+     *  (entry == kNil marks a free slot). */
+    struct Slot
+    {
+        Addr line = 0;
+        uint32_t entry = kNil;
+    };
+
     struct Entry
     {
         Addr line = 0;
         Cycle allocatedAt = 0;
-        /** Keeps its capacity across pool reuse: merged targets per line
-         *  are small and bounded by maxTargets_, so steady state never
-         *  reallocates. */
-        std::vector<uint64_t> keys;
+        /** Keys in use in this entry's row of targets_. */
+        uint32_t targets = 0;
         /** Intrusive allocation-order list (oldest at head_). */
         uint32_t prev = kNil;
         uint32_t next = kNil;
     };
 
     uint32_t hashSlot(Addr line) const;
+    /** First key of pool entry @p idx's row of targets_. */
+    uint64_t *targetRow(uint32_t idx)
+    {
+        return targets_.data() + static_cast<size_t>(idx) * maxTargets_;
+    }
+    const uint64_t *targetRow(uint32_t idx) const
+    {
+        return targets_.data() + static_cast<size_t>(idx) * maxTargets_;
+    }
     /** Backward-shift deletion starting at table slot @p slot. */
     void eraseSlot(uint32_t slot);
 
@@ -166,13 +186,14 @@ class Mshr
     uint64_t fillsServed_ = 0;
     uint32_t orderHead_ = kNil;
     uint32_t orderTail_ = kNil;
-    /** Open-addressed table of pool indices (kNil = empty slot). Sized to
-     *  a power of two ≥ 2× numEntries_, so load factor stays ≤ 50% and
-     *  linear probes stay short even when the MSHR is full. */
-    std::vector<uint32_t> table_;
+    /** Open-addressed table. Sized to a power of two ≥ 2× numEntries_,
+     *  so load factor stays ≤ 50% and linear probes stay short even when
+     *  the MSHR is full. */
+    std::vector<Slot> table_;
     std::vector<Entry> pool_;
     std::vector<uint32_t> freeList_;
-    std::vector<uint64_t> fillScratch_;
+    /** Target keys, maxTargets_ per pool entry, in merge order. */
+    std::vector<uint64_t> targets_;
 };
 
 } // namespace crisp

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/sm.hpp"
 #include "isa/trace_builder.hpp"
 #include "sm_step.hpp"
@@ -691,6 +692,150 @@ TEST(CoreProperty, SimulationIsDeterministic)
         return std::make_pair(now, stats.stream(0).instructions);
     };
     EXPECT_EQ(run_once(), run_once());
+}
+
+// ---------------------------------------------------------------------
+// Exact scoreboard unpark: a writeback unparks its warp only once the
+// warp's instruction has no hazard left.
+// ---------------------------------------------------------------------
+
+TEST(ExactUnpark, WarpWaitingOnTwoRegistersIssuesOnTheSecondWriteback)
+{
+    // r5 comes back after the FP32 latency, r6 after the SFU latency;
+    // the consumer reads both. The first writeback leaves the consumer
+    // parked (the audit holds every park to a live hazard), the SM
+    // sleeps through to the second, and the consumer issues on the
+    // second writeback's cycle, as when stepping every cycle.
+    auto run = [](bool due_only) {
+        SmConfig cfg;
+        DelayFabric fabric(100);
+        StatsRegistry stats;
+        Sm sm(0, cfg, &fabric, &stats);
+        TraceBuilder tb(32);
+        tb.alu(Opcode::FFMA, 5, 1, 2);
+        tb.alu(Opcode::MUFU_SIN, 6, 1);
+        tb.alu(Opcode::FFMA, 7, 5, 6);
+        tb.exit();
+        sm.launchCta(warpKernel(tb.take()), 1, 0, 0);
+        std::vector<Cycle> issued_at;
+        std::vector<Cycle> due_at;
+        Cycle now = 0;
+        while (!sm.idle() && now < 1000) {
+            ++now;
+            const uint64_t before = sm.issuedInstrsOf(0);
+            if (!due_only || sm.due(now)) {
+                due_at.push_back(now);
+                stepSm(sm, now);
+            }
+            for (uint64_t i = before; i < sm.issuedInstrsOf(0); ++i) {
+                issued_at.push_back(now);
+            }
+            std::string detail;
+            EXPECT_TRUE(sm.auditAccounting(&detail))
+                << "cycle " << now << ": " << detail;
+        }
+        return std::make_pair(issued_at, due_at);
+    };
+    const auto [every, every_due] = run(false);
+    const auto [due, due_cycles] = run(true);
+    const SmConfig cfg;
+    ASSERT_EQ(every.size(), 4u);
+    const Cycle first_wb = every[0] + cfg.fp32Latency;
+    const Cycle second_wb = every[1] + cfg.sfuLatency;
+    ASSERT_LT(first_wb, second_wb);
+    EXPECT_EQ(every[2], second_wb);
+    EXPECT_EQ(due, every);
+    // Due cycles: the two producers, the consumer's refusal, the first
+    // writeback (which leaves it parked), then nothing until the second.
+    const std::vector<Cycle> expect_due = {every[0], every[1], every[1] + 1,
+                                           first_wb, second_wb,
+                                           second_wb + 1};
+    EXPECT_EQ(std::vector<Cycle>(due_cycles.begin(),
+                                 due_cycles.begin() + 6),
+              expect_due);
+}
+
+// ---------------------------------------------------------------------
+// Resource epoch: the CTA scheduler's canAccept memo. A refusal stands
+// while the SM's epoch is unchanged; a commit, setQuota or clearQuotas
+// moves it, and nothing else does.
+// ---------------------------------------------------------------------
+
+TEST(ResourceEpoch, RefusalStandsUntilCommitOrQuotaChange)
+{
+    SmConfig cfg;
+    cfg.maxWarps = 16;
+    DelayFabric fabric(60);
+    StatsRegistry stats;
+    Sm sm(0, cfg, &fabric, &stats);
+
+    auto kernel = [](StreamId stream, uint32_t warps, uint32_t chain) {
+        std::vector<WarpTrace> ws;
+        for (uint32_t w = 0; w < warps; ++w) {
+            TraceBuilder tb(32);
+            tb.memStrided(Opcode::LDG, 4, 0x100000 * (stream + 1) + w * 0x400,
+                          4, 4, DataClass::Compute);
+            tb.aluChain(Opcode::FFMA, 5, 4, chain + w);
+            tb.exit();
+            ws.push_back(tb.take());
+        }
+        return ctaKernel(std::move(ws), stream, "epoch");
+    };
+    const std::vector<KernelInfo> kernels = {kernel(0, 4, 3), kernel(1, 6, 9),
+                                             kernel(0, 8, 1)};
+    // Per kernel, the epoch at which the SM last refused it (0 = none).
+    std::vector<uint64_t> refused(kernels.size(), 0);
+    Rng rng(0xe90c);
+    uint64_t memo_hits = 0;
+    uint64_t commits = 0;
+    uint64_t quota_moves = 0;
+    Cycle now = 0;
+    for (int cycle = 0; cycle < 6000; ++cycle) {
+        ++now;
+        const uint64_t epoch = sm.resourceEpoch();
+        const size_t k = rng.nextBelow(kernels.size());
+        const bool accept = sm.canAccept(kernels[k]);
+        if (refused[k] == epoch) {
+            // The memo would skip this call: it must be a refusal.
+            ASSERT_FALSE(accept) << "cycle " << now;
+            ++memo_hits;
+        }
+        if (accept) {
+            sm.launchCta(kernels[k], 1, 0, now);
+            // A launch only consumes: no epoch move.
+            ASSERT_EQ(sm.resourceEpoch(), epoch);
+        } else {
+            refused[k] = epoch;
+        }
+        if (rng.nextBelow(400) == 0) {
+            // Quota changes move the epoch whatever they do.
+            if (rng.nextBelow(2) == 0) {
+                SmQuota q;
+                q.maxThreads = 32 * static_cast<uint32_t>(
+                                        4 + rng.nextBelow(12));
+                sm.setQuota(static_cast<StreamId>(rng.nextBelow(2)), q);
+            } else {
+                sm.clearQuotas();
+            }
+            EXPECT_EQ(sm.resourceEpoch(), epoch + 1);
+            ++quota_moves;
+            continue;
+        }
+        const uint64_t before_step = sm.resourceEpoch();
+        sm.beginMemPhase(now);
+        while (sm.memPhaseGrantRetry(now) || sm.memPhaseGrantLdst(now)) {
+        }
+        sm.step(now);
+        fabric.step(sm, now);
+        // The epoch moves by exactly the CTAs committed this cycle.
+        const size_t done = sm.ctaDones().size();
+        EXPECT_EQ(sm.resourceEpoch(), before_step + done);
+        commits += done;
+        sm.clearCtaDones();
+    }
+    EXPECT_GT(memo_hits, 1000u);
+    EXPECT_GT(commits, 100u);
+    EXPECT_GT(quota_moves, 5u);
 }
 
 } // namespace

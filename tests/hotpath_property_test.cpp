@@ -12,7 +12,11 @@
 // structures are pinned against the forms they replaced: the writeback
 // wheel against a min-heap, the unit-pool ring against a min_element
 // scan, the MSHR's single-probe lookup against the reference MSHR, and
-// the shared-memory lane-linear fast path against the general scan.
+// the shared-memory lane-linear fast path against the general scan. The
+// per-line structures are pinned the same way: the L2's per-bank wake
+// against the busy-bank poll, the flat MSHR against the reference MSHR,
+// the ring FIFO against std::deque, and the sentinel-tag hit test and
+// one-pass victim against the reference cache's two-pass scans.
 
 #include <gtest/gtest.h>
 
@@ -20,11 +24,13 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "audit/audit.hpp"
 #include "common/rng.hpp"
+#include "common/ring.hpp"
 #include "common/work_set.hpp"
 #include "core/smem_banks.hpp"
 #include "core/unit_pool.hpp"
@@ -32,7 +38,10 @@
 #include "gpu/gpu.hpp"
 #include "isa/trace_builder.hpp"
 #include "mem/cache.hpp"
+#include "mem/dram.hpp"
 #include "mem/due_queue.hpp"
+#include "mem/icnt.hpp"
+#include "mem/l2_subsystem.hpp"
 #include "mem/mshr.hpp"
 #include "workloads/compute.hpp"
 
@@ -299,6 +308,13 @@ class RefCache
     uint64_t sectorMisses_ = 0;
     uint64_t fills_ = 0;
 };
+
+/** The keys a fill handed out, copied before the next allocate(). */
+std::vector<uint64_t>
+keysOf(std::span<const uint64_t> keys)
+{
+    return {keys.begin(), keys.end()};
+}
 
 // ---------------------------------------------------------------------
 // Reference MSHR: the original unordered_map + age-deque implementation.
@@ -614,7 +630,7 @@ TEST_P(MshrEquivalenceSweep, RandomSequenceMatchesReference)
             if (!live.empty()) {
                 const Addr victim =
                     live[rng.nextBelow(live.size())];
-                const std::vector<uint64_t> got = mshr.fill(victim);
+                const std::vector<uint64_t> got = keysOf(mshr.fill(victim));
                 EXPECT_EQ(got, ref.fill(victim));
                 live.erase(std::find(live.begin(), live.end(), victim));
             }
@@ -691,7 +707,7 @@ TEST(MshrEquivalence, TableWrapsAndReusesSlotsWithoutCollisionLoss)
                   ref.allocate(line, round, now));
         if (round % 3 == 0) {
             const Addr victim = ((round / 3) % 13 + 1) * kLineBytes * 64;
-            EXPECT_EQ(mshr.fill(victim), ref.fill(victim));
+            EXPECT_EQ(keysOf(mshr.fill(victim)), ref.fill(victim));
         }
         EXPECT_EQ(mshr.entriesInUse(), ref.entriesInUse());
         EXPECT_EQ(mshr.oldestAllocation(), ref.oldestAllocation());
@@ -715,7 +731,7 @@ TEST_P(MshrEquivalenceSweep, SingleProbeMatchesReference)
         const Addr line = (1 + rng.nextBelow(distinct_lines)) * kLineBytes;
         if (rng.nextBelow(5) == 0 && !live.empty()) {
             const Addr victim = live[rng.nextBelow(live.size())];
-            EXPECT_EQ(mshr.fill(victim), ref.fill(victim));
+            EXPECT_EQ(keysOf(mshr.fill(victim)), ref.fill(victim));
             live.erase(std::find(live.begin(), live.end(), victim));
             continue;
         }
@@ -1307,6 +1323,596 @@ TEST(SmArenaReuse, RepeatedKernelsScaleExactlyAndConserveCounters)
     EXPECT_EQ(repeat2.stats().stream(s3b).instructions,
               repeat.stats().stream(s3).instructions);
     EXPECT_EQ(r3b.cycles, r3.cycles);
+}
+
+// ---------------------------------------------------------------------
+// Memory-line structures against the forms they replaced: the L2's
+// per-bank wake against the busy-bank poll, the flat MSHR on a wrapped
+// probe cluster, the ring FIFO against std::deque, and the cache's
+// sentinel-tag hit test and one-pass victim against the two-pass scans
+// of the reference cache.
+// ---------------------------------------------------------------------
+
+/**
+ * Reference L2: the busy-bank poll the per-bank wake replaced. Every
+ * cycle it visits each bank with a queued request, in id order, and the
+ * bank returns at once when its head has not crossed the icnt or the
+ * bank is still busy. Built from the same cache, MSHR, DRAM and icnt
+ * parts as L2Subsystem, with std::deque bank queues, no bank masks and
+ * no fault hook.
+ */
+class RefPollL2
+{
+  public:
+    explicit RefPollL2(const L2Config &cfg)
+        : cfg_(cfg),
+          requestLink_(cfg.icntBytesPerCycle, cfg.icntLatency),
+          responseLink_(cfg.icntBytesPerCycle, cfg.icntLatency),
+          dram_(cfg.dramBytesPerCycle, cfg.dramLatency)
+    {
+        for (uint32_t b = 0; b < cfg_.numBanks; ++b) {
+            banks_.emplace_back(cfg_.bankGeometry);
+            mshrs_.emplace_back(cfg_.mshrEntriesPerBank,
+                                cfg_.mshrTargetsPerEntry);
+        }
+        queues_.resize(cfg_.numBanks);
+        freeAt_.assign(cfg_.numBanks, 0);
+    }
+
+    L2Subsystem::AccessListener onAccess;
+    L2Subsystem::ResponseHandler onResponse;
+    /** Heads refused on a full MSHR (each retried the next cycle). */
+    uint64_t stalls = 0;
+
+    bool
+    submit(MemRequest req, Cycle now)
+    {
+        const Addr blk = req.line / kLineBytes;
+        const uint32_t bank = static_cast<uint32_t>(
+            (blk ^ (blk >> 7) ^ (blk >> 17)) % cfg_.numBanks);
+        if (queues_[bank].size() >= cfg_.bankQueueCapacity) {
+            return false;
+        }
+        req.readyAt =
+            requestLink_.transfer(now, req.write ? kLineBytes + 8 : 8);
+        queues_[bank].push_back(req);
+        return true;
+    }
+
+    void
+    step(Cycle now)
+    {
+        while (fills_.dueBy(now)) {
+            auto [ready, pf] = fills_.pop();
+            const auto res = banks_[pf.second].fill(
+                pf.first.line, pf.first.write, pf.first.stream,
+                pf.first.dataClass);
+            if (res.evicted && res.evictedDirty) {
+                dram_.service(ready, kLineBytes, res.evictedLine);
+            }
+            for (uint64_t key : mshrs_[pf.second].fill(pf.first.line)) {
+                if (key == MemRequest::kNoCompletion) {
+                    continue;
+                }
+                MemRequest resp = pf.first;
+                resp.smId = static_cast<uint32_t>((key >> 48) - 1);
+                resp.completionKey = key & ((1ull << 48) - 1);
+                respond(resp, ready);
+            }
+        }
+        const Cycle occupancy = static_cast<Cycle>(
+            std::max(1.0, kLineBytes / cfg_.bankBytesPerCycle));
+        for (uint32_t b = 0; b < cfg_.numBanks; ++b) {
+            if (!queues_[b].empty()) {
+                serviceBank(b, now, occupancy);
+            }
+        }
+        while (responses_.dueBy(now)) {
+            onResponse(responses_.pop().second);
+        }
+    }
+
+    Cycle
+    nextEventCycle(Cycle now) const
+    {
+        Cycle wake = kNeverCycle;
+        auto consider = [&](Cycle at) {
+            wake = std::min(wake, std::max(at, now + 1));
+        };
+        if (!fills_.empty()) {
+            consider(fills_.frontDue());
+        }
+        if (!responses_.empty()) {
+            consider(responses_.frontDue());
+        }
+        for (uint32_t b = 0; b < cfg_.numBanks; ++b) {
+            if (!queues_[b].empty()) {
+                consider(std::max(queues_[b].front().readyAt, freeAt_[b]));
+            }
+        }
+        return wake;
+    }
+
+    bool
+    idle() const
+    {
+        for (const auto &q : queues_) {
+            if (!q.empty()) {
+                return false;
+            }
+        }
+        return fills_.empty() && responses_.empty();
+    }
+
+    uint64_t dramRequests() const { return dram_.requests(); }
+
+  private:
+    void
+    respond(const MemRequest &req, Cycle ready)
+    {
+        if (req.expectsResponse()) {
+            responses_.push(responseLink_.transfer(ready, kLineBytes + 8),
+                            req);
+        }
+    }
+
+    void
+    serviceBank(uint32_t b, Cycle now, Cycle occupancy)
+    {
+        auto &queue = queues_[b];
+        if (queue.front().readyAt > now || freeAt_[b] > now) {
+            return;
+        }
+        const MemRequest req = queue.front();
+        const uint64_t key = req.expectsResponse()
+            ? (static_cast<uint64_t>(req.smId) + 1) << 48 | req.completionKey
+            : MemRequest::kNoCompletion;
+        Mshr &mshr = mshrs_[b];
+        const Mshr::Lookup at = mshr.lookup(req.line);
+        if (at.pending) {
+            if (mshr.allocate(at, req.line, key, now) ==
+                Mshr::Outcome::Stall) {
+                ++stalls;
+                return;
+            }
+            onAccess(req.stream, req.line, false, 0);
+            freeAt_[b] = now + occupancy;
+            queue.pop_front();
+            return;
+        }
+        if (mshr.full()) {
+            ++stalls;
+            return;
+        }
+        const auto res =
+            banks_[b].access(req.line, req.write, req.stream, req.dataClass);
+        onAccess(req.stream, req.line, res.hit, res.hitLruPos);
+        if (res.hit) {
+            respond(req, now + cfg_.l2Latency);
+            freeAt_[b] = now + occupancy;
+            queue.pop_front();
+            return;
+        }
+        if (res.evicted && res.evictedDirty) {
+            dram_.service(now, kLineBytes, res.evictedLine);
+        }
+        mshr.allocate(at, req.line, key, now);
+        fills_.push(dram_.service(now, kLineBytes, req.line), {req, b});
+        freeAt_[b] = now + occupancy;
+        queue.pop_front();
+    }
+
+    L2Config cfg_;
+    std::vector<SetAssocCache> banks_;
+    std::vector<Mshr> mshrs_;
+    std::vector<std::deque<MemRequest>> queues_;
+    std::vector<Cycle> freeAt_;
+    IcntLink requestLink_;
+    IcntLink responseLink_;
+    DramChannel dram_;
+    DueQueue<std::pair<MemRequest, uint32_t>> fills_;
+    DueQueue<MemRequest> responses_;
+};
+
+struct L2Event
+{
+    Cycle at;
+    StreamId stream;
+    Addr line;
+    bool hit;
+    uint32_t lruPos;
+    bool operator==(const L2Event &) const = default;
+};
+
+struct L2Response
+{
+    Cycle at;
+    Addr line;
+    uint32_t smId;
+    uint64_t key;
+    bool operator==(const L2Response &) const = default;
+};
+
+class BankWakeSweep : public ::testing::TestWithParam<uint32_t>
+{
+};
+
+TEST_P(BankWakeSweep, ServiceOrderAndResponseCyclesMatchBusyBankPoll)
+{
+    // Few MSHR entries and targets, a small set of hot lines and a tiny
+    // bank array: heads stall on full MSHRs and target lists, merge,
+    // hit, miss and evict dirty lines, and several banks fall due in
+    // the same cycle.
+    const uint32_t banks = GetParam();
+    L2Config cfg;
+    cfg.numBanks = banks;
+    cfg.bankGeometry = CacheGeometry{8 * 1024, 4, kLineBytes};
+    cfg.mshrEntriesPerBank = 2;
+    cfg.mshrTargetsPerEntry = 2;
+    cfg.bankQueueCapacity = 6;
+    cfg.l2Latency = 7;
+    cfg.icntLatency = 3;
+    cfg.dramLatency = 30;
+    cfg.dramBytesPerCycle = 64;
+    cfg.bankBytesPerCycle = 64;
+    StatsRegistry stats;
+    L2Subsystem l2(cfg, &stats);
+    RefPollL2 ref(cfg);
+
+    Cycle now = 0;
+    std::vector<L2Event> got_events, want_events;
+    std::vector<L2Response> got_resp, want_resp;
+    l2.setAccessListener([&](StreamId s, Addr line, bool hit, uint32_t pos) {
+        got_events.push_back({now, s, line, hit, pos});
+    });
+    ref.onAccess = [&](StreamId s, Addr line, bool hit, uint32_t pos) {
+        want_events.push_back({now, s, line, hit, pos});
+    };
+    l2.setResponseHandler([&](const MemRequest &r) {
+        got_resp.push_back({now, r.line, r.smId, r.completionKey});
+    });
+    ref.onResponse = [&](const MemRequest &r) {
+        want_resp.push_back({now, r.line, r.smId, r.completionKey});
+    };
+
+    Rng rng(0xba4c ^ banks);
+    uint64_t jumps = 0;
+    for (int cycle = 0; cycle < 20000; ++cycle) {
+        ++now;
+        // Bursts of traffic between quiet stretches.
+        const uint64_t offered =
+            (cycle / 64) % 4 == 3 ? 0 : rng.nextBelow(6);
+        for (uint64_t i = 0; i < offered; ++i) {
+            MemRequest req;
+            req.line = (rng.nextBelow(96) + 1) * kLineBytes * 3;
+            req.write = rng.nextBelow(5) == 0;
+            req.stream = static_cast<StreamId>(rng.nextBelow(2));
+            req.smId = static_cast<uint32_t>(rng.nextBelow(4));
+            req.completionKey =
+                req.write ? MemRequest::kNoCompletion : rng.nextBelow(1000);
+            ASSERT_EQ(l2.submit(req, now), ref.submit(req, now));
+        }
+        l2.step(now);
+        ref.step(now);
+        std::string detail;
+        ASSERT_TRUE(l2.auditWorkSets(&detail)) << now << ": " << detail;
+        ASSERT_EQ(l2.nextEventCycle(now), ref.nextEventCycle(now)) << now;
+        // Quiet stretches: jump to the reference's next event, the way
+        // idle fast-forward does.
+        if (rng.nextBelow(8) == 0) {
+            const Cycle wake = ref.nextEventCycle(now);
+            if (wake != kNeverCycle && wake > now + 1) {
+                now = wake - 1;
+                ++jumps;
+            }
+        }
+    }
+    while (!ref.idle()) {
+        ++now;
+        l2.step(now);
+        ref.step(now);
+    }
+    EXPECT_TRUE(l2.idle());
+    EXPECT_EQ(got_events, want_events);
+    EXPECT_EQ(got_resp, want_resp);
+    EXPECT_EQ(l2.dramRequests(), ref.dramRequests());
+
+    // The sequence exercised what it is meant to.
+    EXPECT_GT(ref.stalls, 100u);
+    EXPECT_GT(jumps, 100u);
+    size_t same_cycle = 0;
+    for (size_t i = 1; i < want_events.size(); ++i) {
+        same_cycle += want_events[i].at == want_events[i - 1].at;
+    }
+    EXPECT_GT(same_cycle, 100u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Banks, BankWakeSweep, ::testing::Values(2u, 3u, 4u));
+
+/** Slot a line hashes to in an Mshr's table of @p table_size slots (the
+ *  Mshr's own Fibonacci hash), so a test can build probe clusters. */
+uint32_t
+mshrHomeSlot(Addr line, uint32_t table_size)
+{
+    return static_cast<uint32_t>((line * 0x9E3779B97F4A7C15ull) >> 32) &
+        (table_size - 1);
+}
+
+TEST(MshrEquivalence, BackwardShiftInsideAWrappedClusterMatchesReference)
+{
+    // Mshr(8, 2) has a 16-slot table. Three lines homed on the last
+    // slot and two on slot 0 form one cluster that wraps from slot 15
+    // to slot 3; deleting from its middle must shift the wrapped tail
+    // back without losing any line.
+    constexpr uint32_t kTable = 16;
+    std::vector<Addr> last, first;
+    for (Addr line = kLineBytes; last.size() < 3 || first.size() < 2;
+         line += kLineBytes) {
+        const uint32_t home = mshrHomeSlot(line, kTable);
+        if (home == kTable - 1 && last.size() < 3) {
+            last.push_back(line);
+        } else if (home == 0 && first.size() < 2) {
+            first.push_back(line);
+        }
+    }
+    const std::vector<Addr> lines = {last[0], last[1], first[0], last[2],
+                                     first[1]};
+    for (Addr victim_first : lines) {
+        Mshr mshr(8, 2);
+        RefMshr ref(8, 2);
+        Cycle now = 0;
+        for (Addr line : lines) {
+            ++now;
+            ASSERT_EQ(mshr.allocate(line, line + 1, now),
+                      ref.allocate(line, line + 1, now));
+            // Fill the target list: the third key stalls.
+            ASSERT_EQ(mshr.allocate(line, line + 2, now),
+                      ref.allocate(line, line + 2, now));
+            ASSERT_EQ(mshr.allocate(line, line + 3, now),
+                      Mshr::Outcome::Stall);
+            ref.allocate(line, line + 3, now);
+        }
+        // Delete each line in turn, starting at a different cluster
+        // position every round; every survivor stays found.
+        std::vector<Addr> order = {victim_first};
+        for (Addr line : lines) {
+            if (line != victim_first) {
+                order.push_back(line);
+            }
+        }
+        for (size_t i = 0; i < order.size(); ++i) {
+            EXPECT_EQ(keysOf(mshr.fill(order[i])), ref.fill(order[i]));
+            for (Addr line : lines) {
+                EXPECT_EQ(mshr.lookup(line).pending, ref.pending(line));
+                EXPECT_EQ(mshr.keysFor(line), ref.keysFor(line));
+            }
+            EXPECT_EQ(mshr.oldestAllocation(), ref.oldestAllocation());
+        }
+        EXPECT_EQ(mshr.entriesInUse(), 0u);
+    }
+}
+
+TEST(MshrEquivalence, FullTableAndFullTargetListsMatchReference)
+{
+    Mshr mshr(4, 3);
+    RefMshr ref(4, 3);
+    Cycle now = 0;
+    for (uint64_t round = 0; round < 200; ++round) {
+        // Fill the table and every target list, then one more line and
+        // one more target, both refused.
+        for (Addr i = 0; i < 5; ++i) {
+            const Addr line = (round * 8 + i) * kLineBytes;
+            for (uint64_t k = 0; k < 4; ++k) {
+                ++now;
+                const uint64_t key = k == 2 ? Mshr::kVoidKey : round + k;
+                ASSERT_EQ(mshr.allocate(line, key, now),
+                          ref.allocate(line, key, now));
+                ASSERT_EQ(mshr.responseTargets(), ref.responseTargets());
+            }
+        }
+        ASSERT_TRUE(mshr.full());
+        const auto ea = mshr.entries();
+        const auto eb = ref.entries();
+        ASSERT_EQ(ea.size(), eb.size());
+        for (size_t i = 0; i < ea.size(); ++i) {
+            EXPECT_EQ(ea[i].line, eb[i].line);
+            EXPECT_EQ(ea[i].targets, eb[i].targets);
+            EXPECT_EQ(ea[i].keys, eb[i].keys);
+        }
+        for (const auto &e : eb) {
+            EXPECT_EQ(keysOf(mshr.fill(e.line)), ref.fill(e.line));
+        }
+    }
+    EXPECT_EQ(mshr.primaryAllocations(), ref.primaryAllocations());
+    EXPECT_EQ(mshr.mergedAllocations(), ref.mergedAllocations());
+    EXPECT_EQ(mshr.fillsServed(), ref.fillsServed());
+}
+
+/** A ring entry that owns heap memory, so moves are exercised. */
+struct RingItem
+{
+    uint64_t id = 0;
+    std::vector<uint64_t> payload;
+    bool operator==(const RingItem &) const = default;
+};
+
+void
+expectSameQueue(const Ring<RingItem> &ring, const std::deque<RingItem> &ref)
+{
+    ASSERT_EQ(ring.size(), ref.size());
+    ASSERT_EQ(ring.empty(), ref.empty());
+    size_t i = 0;
+    for (const RingItem &item : ring) {
+        ASSERT_EQ(item, ref[i]);
+        ASSERT_EQ(ring[i], ref[i]);
+        ++i;
+    }
+    ASSERT_EQ(i, ref.size());
+    if (!ref.empty()) {
+        ASSERT_EQ(ring.front(), ref.front());
+    }
+}
+
+TEST(RingEquivalence, RandomPushPopInsertMatchesDeque)
+{
+    Ring<RingItem> ring;
+    std::deque<RingItem> ref;
+    Rng rng(0x7196);
+    uint64_t next_id = 0;
+    auto make = [&] {
+        RingItem item;
+        item.id = ++next_id;
+        item.payload.assign(rng.nextBelow(4), next_id);
+        return item;
+    };
+    for (int op = 0; op < 20000; ++op) {
+        // Phases of net growth and net drain: the ring wraps, grows
+        // while wrapped, and drains empty again.
+        const bool grow_phase = (op / 2000) % 2 == 0;
+        const uint64_t r = rng.nextBelow(10);
+        if (r < (grow_phase ? 4u : 2u)) {
+            RingItem item = make();
+            ref.push_back(item);
+            ring.push_back(std::move(item));
+        } else if (r < 6) {
+            if (!ref.empty()) {
+                ref.pop_front();
+                ring.pop_front();
+            }
+        } else if (r < 8) {
+            // Insert at the head, the tail or in the middle.
+            const size_t pos = rng.nextBelow(3) == 0
+                ? 0
+                : rng.nextBelow(ref.size() + 1);
+            RingItem item = make();
+            ref.insert(ref.begin() + static_cast<std::ptrdiff_t>(pos), item);
+            ring.insert(pos, std::move(item));
+        } else if (!ref.empty()) {
+            // Mutate in place through the index and the front.
+            const size_t pos = rng.nextBelow(ref.size());
+            ref[pos].payload.push_back(op);
+            ring[pos].payload.push_back(op);
+            ref.front().id += 1;
+            ring.front().id += 1;
+        }
+        if (op % 16 == 0) {
+            expectSameQueue(ring, ref);
+            if (HasFatalFailure()) {
+                return;
+            }
+        }
+    }
+}
+
+TEST(RingEquivalence, GrowthWhileWrappedKeepsOrder)
+{
+    // Wrap the head to the middle of a full 16-slot ring, then push and
+    // insert past the capacity: the growth must unroll the wrapped
+    // entries in order.
+    Ring<RingItem> ring;
+    std::deque<RingItem> ref;
+    for (uint64_t i = 0; i < 16; ++i) {
+        ring.push_back({i, {}});
+        ref.push_back({i, {}});
+    }
+    for (uint64_t i = 0; i < 11; ++i) {
+        ring.pop_front();
+        ref.pop_front();
+        ring.push_back({100 + i, {i}});
+        ref.push_back({100 + i, {i}});
+    }
+    expectSameQueue(ring, ref);
+    ring.insert(3, {500, {5}});
+    ref.insert(ref.begin() + 3, {500, {5}});
+    expectSameQueue(ring, ref);
+    for (uint64_t i = 0; i < 40; ++i) {
+        ring.insert(0, {600 + i, {}});
+        ref.push_front({600 + i, {}});
+        ring.push_back({700 + i, {}});
+        ref.push_back({700 + i, {}});
+    }
+    expectSameQueue(ring, ref);
+}
+
+TEST(CacheSentinelTag, LineZeroAndInvalidatedWaysMatchTwoPassReference)
+{
+    // Tag 0 is a real line (address 0): a fresh or invalidated way must
+    // not hit it. Lines k * numSets * lineBytes (k < 8192 / numSets)
+    // all map to set 0, so one set fills, loses ways to an invalidation
+    // and refills; the reference scans validity and tag separately and
+    // picks its victim in two passes.
+    const CacheGeometry geom{4 * 1024, 4, kLineBytes};
+    SetAssocCache cache(geom);
+    RefCache ref(geom);
+    const Addr set_stride = static_cast<Addr>(geom.numSets()) * kLineBytes;
+    EXPECT_FALSE(cache.probe(0, 0));
+    Rng rng(0x5e7);
+    for (int op = 0; op < 20000; ++op) {
+        const Addr line = rng.nextBelow(7) * set_stride;
+        const StreamId stream = static_cast<StreamId>(rng.nextBelow(3));
+        switch (rng.nextBelow(10)) {
+        case 0:
+            // Holes in the set: the next victims are the first invalid
+            // ways, whatever their old LRU order.
+            cache.invalidateStream(stream);
+            ref.invalidateStream(stream);
+            break;
+        case 1: {
+            const auto a = cache.fill(line, false, stream, DataClass::Compute);
+            const auto b = ref.fill(line, false, stream, DataClass::Compute);
+            ASSERT_EQ(a.wasPresent, b.wasPresent);
+            ASSERT_EQ(a.evicted, b.evicted);
+            ASSERT_EQ(a.evictedLine, b.evictedLine);
+            ASSERT_EQ(a.evictedDirty, b.evictedDirty);
+            break;
+        }
+        case 2:
+            ASSERT_EQ(cache.probe(line, stream), ref.probe(line, stream));
+            break;
+        default: {
+            const bool write = rng.nextBelow(3) == 0;
+            const auto a =
+                cache.access(line, write, stream, DataClass::Compute);
+            const auto b = ref.access(line, write, stream, DataClass::Compute);
+            ASSERT_EQ(a.hit, b.hit) << op;
+            ASSERT_EQ(a.hitLruPos, b.hitLruPos);
+            ASSERT_EQ(a.evicted, b.evicted);
+            ASSERT_EQ(a.evictedLine, b.evictedLine);
+            ASSERT_EQ(a.evictedDirty, b.evictedDirty);
+            break;
+        }
+        }
+    }
+    EXPECT_EQ(cache.hits(), ref.hits());
+    EXPECT_GT(cache.hits(), 0u);
+}
+
+TEST(CacheSentinelTag, VictimIsFirstInvalidElseFirstLeastRecent)
+{
+    // Fill a 4-way set, free ways 1 and 3, and check the refill takes
+    // way 1 then way 3 (first invalid), then evicts in LRU order.
+    const CacheGeometry geom{4 * 1024, 4, kLineBytes};
+    const Addr stride = static_cast<Addr>(geom.numSets()) * kLineBytes;
+    SetAssocCache cache(geom);
+    RefCache ref(geom);
+    const StreamId owner[4] = {0, 1, 0, 1};
+    for (Addr i = 0; i < 4; ++i) {
+        cache.access(i * stride, true, owner[i], DataClass::Compute);
+        ref.access(i * stride, true, owner[i], DataClass::Compute);
+    }
+    cache.invalidateStream(1);
+    ref.invalidateStream(1);
+    for (Addr i = 4; i < 12; ++i) {
+        const auto a = cache.access(i * stride, false, 0, DataClass::Compute);
+        const auto b = ref.access(i * stride, false, 0, DataClass::Compute);
+        EXPECT_EQ(a.evicted, b.evicted) << i;
+        EXPECT_EQ(a.evictedLine, b.evictedLine) << i;
+        EXPECT_EQ(a.evictedDirty, b.evictedDirty) << i;
+    }
+    // Two refills went into the holes; six evicted, the first two of
+    // them the dirty lines 0 and 2*stride in LRU order.
+    EXPECT_FALSE(cache.probe(0, 0));
+    EXPECT_TRUE(cache.probe(11 * stride, 0));
 }
 
 } // namespace
