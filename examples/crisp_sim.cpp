@@ -29,6 +29,9 @@
  *     --timeline FILE   dump the sampled counter time-series as CSV
  *                       (FILE.gpu<d> per device on a multi-GPU machine)
  *     --profile         print the simulator's wall-clock self-profile
+ *                       and its exact work counts per device (ticks,
+ *                       SM steps, fast-forward jumps, fabric-retry
+ *                       re-offers, refusals and skipped re-offers)
  *     --quiet           suppress the banner
  *
  * Every N is a whole decimal number; anything else ("1e6", "-1", "4k")
@@ -317,6 +320,32 @@ simulate(const Options &opt, const scenario::Scenario &scn)
     if (!sinks.empty() && opt.profile) {
         std::printf("\nsimulator self-profile (wall clock):\n%s",
                     sinks[0]->profiler().render(r.cycles).c_str());
+        // Exact counts of the run loop's own work, one column per
+        // device: unlike the wall clock above, they do not move between
+        // runs of the same build.
+        std::vector<std::string> headers{"work"};
+        std::vector<Gpu::WorkCounts> counts;
+        for (size_t d = 0; d < devices.size(); ++d) {
+            headers.push_back("gpu" + std::to_string(d));
+            counts.push_back(devices[d]->workCounts());
+        }
+        Table wt(headers);
+        auto add_count = [&](const char *name,
+                             uint64_t Gpu::WorkCounts::*field) {
+            std::vector<std::string> row{name};
+            for (const Gpu::WorkCounts &c : counts) {
+                row.push_back(std::to_string(c.*field));
+            }
+            wt.addRow(std::move(row));
+        };
+        add_count("ticks", &Gpu::WorkCounts::ticks);
+        add_count("sm-steps", &Gpu::WorkCounts::smSteps);
+        add_count("ff-jumps", &Gpu::WorkCounts::fastForwardJumps);
+        add_count("retry-offers", &Gpu::WorkCounts::retryOffers);
+        add_count("retry-refusals", &Gpu::WorkCounts::retryRefusals);
+        add_count("retry-skips", &Gpu::WorkCounts::retrySkips);
+        std::printf("\nsimulator work counts (exact):\n%s",
+                    wt.toText().c_str());
     }
     return 0;
 }

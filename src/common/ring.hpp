@@ -12,9 +12,10 @@ namespace crisp
 /**
  * FIFO on a ring buffer of power-of-two capacity that only grows: every
  * queue on the memory path (L2 bank queues, the L2's due queues, an
- * SM's LDST queue and fabric-retry queue) is one of these, so a queue
- * that has reached its working depth never allocates again, where a
- * std::deque allocates and frees a chunk every few hundred pushes.
+ * SM's LDST queue and fabric-retry queue, the inter-GPU fabric's link
+ * queues) is one of these, so a queue that has reached its working
+ * depth never allocates again, where a std::deque allocates and frees
+ * a chunk every few hundred pushes.
  *
  * Besides front/pop/push it indexes and walks front to back (audits,
  * in-flight scans) and inserts at any position, shifting the entries

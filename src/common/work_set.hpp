@@ -74,6 +74,23 @@ class WorkSet
         visit(first, words_[first] & below, fn);
     }
 
+    /** True when @p pred(id) holds for some member; asks the members in
+     *  ascending id order and stops at the first that answers true. */
+    template <typename Pred>
+    bool
+    anyOf(Pred &&pred) const
+    {
+        for (size_t w = 0; w < words_.size(); ++w) {
+            for (uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+                if (pred(w * 64 +
+                         static_cast<size_t>(__builtin_ctzll(bits)))) {
+                    return true;
+                }
+            }
+        }
+        return false;
+    }
+
   private:
     /** Visit the ids of the bits in @p bits, a copy of word @p w taken
      *  before the visits so @p fn may erase as it goes. */

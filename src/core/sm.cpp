@@ -20,17 +20,19 @@ CtaFootprint::of(const KernelInfo &k)
 }
 
 Sm::Sm(uint32_t sm_id, const SmConfig &cfg, MemFabricPort *fabric,
-       StatsRegistry *stats)
+       StatsRegistry *stats, Cycle *wake_slot)
     : smId_(sm_id),
       cfg_(cfg),
       fabric_(fabric),
       stats_(stats),
+      wake_(wake_slot),
       l1_({cfg.l1SizeBytes, cfg.l1Ways, kLineBytes}),
       l1Mshr_(cfg.l1MshrEntries, cfg.l1MshrTargets),
       smemBanks_(cfg.smemBanks)
 {
-    panic_if(fabric_ == nullptr || stats_ == nullptr,
-             "SM requires a fabric port and stats registry");
+    panic_if(fabric_ == nullptr || stats_ == nullptr || wake_ == nullptr,
+             "SM requires a fabric port, a stats registry and a wake slot");
+    *wake_ = 0;
     fatal_if(cfg_.maxWarps > 64,
              "maxWarps %u exceeds the 64 warp slots the park masks hold",
              cfg_.maxWarps);
@@ -74,7 +76,7 @@ void
 Sm::refreshPriorityCaches()
 {
     // Priorities reorder issue and move the LDST limits.
-    wakeCycle_ = 0;
+    *wake_ = 0;
     ldstRoomParked_ = 0;
     for (WarpState &warp : warps_) {
         if (!warp.live) {
@@ -285,7 +287,7 @@ Sm::launchCta(const KernelInfo &kernel, KernelId kernel_id,
     if (now > 0) {
         settleCycles(now - 1);
     }
-    wakeCycle_ = 0;
+    *wake_ = 0;
 
     StreamSlot &stream_slot = streamSlots_[stream_idx];
     StreamStats &st = stream_slot.stats;
@@ -430,7 +432,7 @@ void
 Sm::scheduleWriteback(uint32_t slot, uint8_t reg, Cycle when)
 {
     writebacks_.push(when, slot, reg);
-    wakeCycle_ = std::min(wakeCycle_, when);
+    *wake_ = std::min(*wake_, when);
 }
 
 void
@@ -673,7 +675,10 @@ Sm::beginMemPhase(Cycle now)
     // an arbitrarily long retry queue in one cycle ahead of fresh
     // requests.
     memRetriesLeft_ = cfg_.maxFabricRetriesPerCycle;
-    memRetryBlocked_ = false;
+    // A head whose gate is closed would be refused again: block the
+    // stage as that refusal would, without re-offering.
+    memRetryBlocked_ = !retryGate_.open();
+    retryCounts_.skips += memRetryBlocked_ ? 1 : 0;
     memLdstBlocked_ = false;
 }
 
@@ -688,10 +693,21 @@ Sm::memPhaseGrantRetry(Cycle now)
     if (memRetryBlocked_ || fabricRetry_.empty() || memRetriesLeft_ == 0) {
         return false;
     }
+    // The gate may have closed again since the phase opened: an earlier
+    // grant this cycle can have refilled the bank a pop had freed.
+    if (!retryGate_.open()) {
+        memRetryBlocked_ = true;
+        ++retryCounts_.skips;
+        return false;
+    }
+    ++retryCounts_.offers;
     if (!fabric_->submitToL2(fabricRetry_.front().req, now)) {
+        ++retryCounts_.refusals;
+        retryGate_ = fabric_->refusalGate(fabricRetry_.front().req);
         memRetryBlocked_ = true;
         return false;
     }
+    retryGate_ = RetryGate{};
     const Cycle waited = now - fabricRetry_.front().parkedAt;
     if (waited > maxFabricRetryWait_) {
         maxFabricRetryWait_ = waited;
@@ -805,7 +821,7 @@ Sm::stepLdstOne(Cycle now)
         ldstQueue_.pop_front();
         // Queue room may unblock a warp's memory instruction. (An L1 hit
         // that completes a load wakes the SM through its writeback.)
-        wakeCycle_ = 0;
+        *wake_ = 0;
         ldstRoomParked_ = 0;
     }
     return LdstOutcome::Progress;
@@ -1099,7 +1115,7 @@ Sm::step(Cycle now)
     // and in-flight memory continue, so the SM quietly stops committing —
     // the hang class the forward-progress watchdog exists to diagnose.
     if (issueFrozen_) {
-        wakeCycle_ = wake;
+        *wake_ = wake;
         return;
     }
 
@@ -1165,7 +1181,7 @@ Sm::step(Cycle now)
     // An issue may have unblocked more; otherwise every live warp was
     // refused, and nothing changes until the wake cycle or an outside
     // event.
-    wakeCycle_ = issued ? now + 1 : wake;
+    *wake_ = issued ? now + 1 : wake;
 }
 
 void

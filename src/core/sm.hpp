@@ -32,6 +32,18 @@ class MemFabricPort
     virtual ~MemFabricPort() = default;
     /** @return false when the fabric refuses the request (backpressure). */
     virtual bool submitToL2(MemRequest req, Cycle now) = 0;
+    /**
+     * The gate of @p req, which submitToL2 just refused (see RetryGate):
+     * the SM does not re-offer it while the gate stays closed. The
+     * default gate is always open, so the request is re-offered every
+     * cycle.
+     */
+    virtual RetryGate
+    refusalGate(const MemRequest &req) const
+    {
+        (void)req;
+        return {};
+    }
 };
 
 /** Resource footprint of a CTA, used by quota and occupancy accounting. */
@@ -69,8 +81,14 @@ struct SmQuota
 class Sm
 {
   public:
+    /**
+     * @param wake_slot where the SM keeps its wake cycle (see due()): a
+     *        slot of its owner's WakeCalendar, so the owner finds the due
+     *        SMs and the next wake without visiting each SM. It must
+     *        outlive the SM; the SM is the only writer.
+     */
     Sm(uint32_t sm_id, const SmConfig &cfg, MemFabricPort *fabric,
-       StatsRegistry *stats);
+       StatsRegistry *stats, Cycle *wake_slot);
 
     /**
      * Try to place one CTA of @p kernel on this SM, honoring total resources
@@ -112,7 +130,7 @@ class Sm
      * an LDST grant that retires a queue entry (freeing room), an
      * issue-priority change and a change in setIssueFrozen.
      */
-    bool due(Cycle now) const { return wakeCycle_ <= now; }
+    bool due(Cycle now) const { return *wake_ <= now; }
 
     /**
      * Credit the per-stream active cycles up to and including @p now
@@ -210,7 +228,7 @@ class Sm
     {
         if (frozen != issueFrozen_) {
             issueFrozen_ = frozen;
-            wakeCycle_ = 0;
+            *wake_ = 0;
         }
     }
     bool issueFrozen() const { return issueFrozen_; }
@@ -329,21 +347,48 @@ class Sm
     /**
      * Open this SM's memory phase for cycle @p now: reload the per-cycle
      * L1 port and retry budgets and clear the blocked flags. Must be
-     * called once per cycle before any grant.
+     * called once per cycle before any grant. A retry head whose gate is
+     * closed (its bank is still full and it still routes there) blocks
+     * the retry stage here, exactly as its refusal would: the re-offer
+     * is skipped, not made.
      */
     void beginMemPhase(Cycle now);
+
+    /** After beginMemPhase: the retry stage has a head it may offer. */
+    bool retryStageOpen() const
+    {
+        return !fabricRetry_.empty() && !memRetryBlocked_;
+    }
 
     /**
      * One retry-stage grant: re-send the head of the fabric-retry queue
      * (FIFO). A refusal blocks the stage for the rest of the cycle —
      * bank-queue refusals are monotone within a cycle — as does the
-     * per-cycle retry cap. @return true when a request was submitted;
-     * false drops this SM from the arbiter's retry rotation this cycle.
-     * Parked requests are the oldest traffic in the machine, so the
-     * arbiter runs every SM's retry rounds before any LDST round: fresh
-     * lines must not steal freed bank slots from starved retries.
+     * per-cycle retry cap, and the refusal's gate (see RetryGate) keeps
+     * the head from being re-offered, here or in later cycles, while
+     * that would be refused again. @return true
+     * when a request was submitted; false drops this SM from the
+     * arbiter's retry rotation this cycle. Parked requests are the
+     * oldest traffic in the machine, so the arbiter runs every SM's
+     * retry rounds before any LDST round: fresh lines must not steal
+     * freed bank slots from starved retries.
      */
     bool memPhaseGrantRetry(Cycle now);
+
+    /** The retry head's gate: closed while a re-offer would be refused
+     *  by the same full bank queue (always open with no head). */
+    const RetryGate &retryGate() const { return retryGate_; }
+    /** The retry head (fabricRetryDepth() > 0). */
+    const MemRequest &retryHead() const { return fabricRetry_.front().req; }
+
+    /** Retry-stage work over the SM's life (exact work counts). */
+    struct RetryCounts
+    {
+        uint64_t offers = 0;    ///< Re-offers made to the fabric.
+        uint64_t refusals = 0;  ///< Of those, refused.
+        uint64_t skips = 0;     ///< Re-offers a closed gate skipped.
+    };
+    const RetryCounts &retryCounts() const { return retryCounts_; }
 
     /**
      * One LDST-stage grant: push at most one line through the LDST unit
@@ -374,11 +419,14 @@ class Sm
      * waits on memory; the L2 side owns those wake-ups, and the response
      * that unparks an LDST head). Exact or early in any state after a
      * tick, never late: idle fast-forward jumps to the minimum across all
-     * components after every tick, with no other test of idleness.
+     * components after every tick, with no other test of idleness. The
+     * owning Gpu reads the same term without visiting the SM: the wake
+     * from its WakeCalendar slot, the memory-phase work from its
+     * memory-phase set.
      */
     Cycle nextWorkCycle(Cycle now) const
     {
-        return hasMemPhaseWork() ? now + 1 : std::max(wakeCycle_, now + 1);
+        return hasMemPhaseWork() ? now + 1 : std::max(*wake_, now + 1);
     }
 
   private:
@@ -519,8 +567,9 @@ class Sm
     uint64_t liveMask_ = 0;
     /** Slots each scheduler owns (slot % numSchedulers), one bit each. */
     std::vector<uint64_t> schedSlots_;
-    /** First cycle at which step() may do work again (0 = due now). */
-    Cycle wakeCycle_ = 0;
+    /** First cycle at which step() may do work again (0 = due now): the
+     *  SM's slot in its owner's WakeCalendar. */
+    Cycle *wake_;
     /** Last cycle whose per-stream active cycles have been credited. */
     Cycle countedThrough_ = 0;
     /** See resourceEpoch(). */
@@ -586,6 +635,9 @@ class Sm
     };
     /** Requests refused by the fabric, waiting to be re-sent. */
     Ring<ParkedRequest> fabricRetry_;
+    /** Gate of the retry head's last refusal; reset when the head leaves. */
+    RetryGate retryGate_;
+    RetryCounts retryCounts_;
     Cycle maxFabricRetryWait_ = 0;
     // Grant-driven memory phase: per-cycle budgets and sticky blocked
     // flags, reloaded by beginMemPhase(). A retry-head refusal blocks

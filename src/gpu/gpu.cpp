@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <string>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -27,7 +28,7 @@ drawcallName(const std::string &kernel_name)
 
 } // namespace
 
-Gpu::Gpu(const GpuConfig &cfg) : cfg_(cfg)
+Gpu::Gpu(const GpuConfig &cfg) : cfg_(cfg), smWake_(cfg.numSms)
 {
     fatal_if(cfg_.numSms == 0, "GPU needs at least one SM");
     l2_ = std::make_unique<L2Subsystem>(cfg_.l2, &stats_);
@@ -45,13 +46,15 @@ Gpu::Gpu(const GpuConfig &cfg) : cfg_(cfg)
     });
     sms_.reserve(cfg_.numSms);
     for (uint32_t i = 0; i < cfg_.numSms; ++i) {
-        sms_.push_back(std::make_unique<Sm>(i, cfg_.sm, this, &stats_));
+        sms_.push_back(std::make_unique<Sm>(i, cfg_.sm, this, &stats_,
+                                            smWake_.slot(i)));
         allSms_.push_back(i);
     }
     retryPhaseScratch_.reserve(cfg_.numSms);
     ldstPhaseScratch_.reserve(cfg_.numSms);
     memPhaseSms_ = WorkSet(cfg_.numSms);
     dueSms_.reserve(cfg_.numSms);
+    lastLaunch_.assign(cfg_.numSms, kNeverCycle);
 }
 
 Gpu::~Gpu() = default;
@@ -412,10 +415,8 @@ Gpu::promoteReadyKernels(StreamState &ss)
 void
 Gpu::issueCtas()
 {
-    // Track which SMs already accepted a CTA this cycle (launch throughput
-    // of one CTA per SM per cycle).
-    issueLaunchedScratch_.assign(sms_.size(), 0);
-    std::vector<uint8_t> &launched = issueLaunchedScratch_;
+    // An SM takes at most one CTA per cycle: lastLaunch_ stamps each
+    // launch with its cycle, so no per-tick reset is needed.
     ctaLaunched_ = false;
 
     for (auto &[id, ss] : streams_) {
@@ -427,7 +428,7 @@ Gpu::issueCtas()
                 continue;   // all issued, waiting for commits
             }
             for (uint32_t sm_id : allowedSms(id)) {
-                if (launched[sm_id]) {
+                if (lastLaunch_[sm_id] == cycle_) {
                     continue;
                 }
                 if (ak.nextCta >= total) {
@@ -442,7 +443,7 @@ Gpu::issueCtas()
                     continue;
                 }
                 sm.launchCta(ak.info, ak.id, ak.nextCta++, cycle_);
-                launched[sm_id] = true;
+                lastLaunch_[sm_id] = cycle_;
                 ctaLaunched_ = true;
                 if (telemetry_) {
                     telemetry_->emit(
@@ -522,6 +523,7 @@ void
 Gpu::tick()
 {
     ++cycle_;
+    ++ticks_;
     if (faultInjector_) {
         const uint32_t target = faultInjector_->config().freezeSm;
         if (target < sms_.size()) {
@@ -570,6 +572,9 @@ Gpu::memoryPhase()
     // LDST rounds, as one whose retry queue is empty sits out the retry
     // rounds. The scan visits only memPhaseSms_, in the same rotation;
     // an SM outside it has no work, and a member found drained leaves.
+    // A member whose retry head waits on a closed gate (its bank queue
+    // is still full and it still routes there) sits out the retry
+    // rounds: its turn would only be refused, with no side effect.
     if (memPhaseSms_.empty()) {
         return;
     }
@@ -585,7 +590,7 @@ Gpu::memoryPhase()
             return;
         }
         sm->beginMemPhase(cycle_);
-        if (retry) {
+        if (sm->retryStageOpen()) {
             retryPhaseScratch_.push_back(sm);
         }
         if (ldst) {
@@ -629,12 +634,13 @@ Gpu::stepSms()
     // nothing a step does reaches another SM, because CTA completions
     // wait for the merge. A CTA launched this cycle made its SM due, so
     // a CTA that launchCta retired at once reaches the merge as well.
+    // The list comes from the wake calendar alone: an SM that is not
+    // due is never visited.
     dueSms_.clear();
-    for (auto &sm : sms_) {
-        if (sm->due(cycle_)) {
-            dueSms_.push_back(sm.get());
-        }
-    }
+    smWake_.forEachDue(cycle_, [this](size_t i) {
+        dueSms_.push_back(sms_[i].get());
+    });
+    smSteps_ += dueSms_.size();
 
     // Each step (writebacks, issue, execute) touches only its own SM's
     // state: CTA completions land in the SM's list and stats in its own
@@ -769,15 +775,19 @@ Gpu::nextWakeCycle() const
     if (ctaLaunched_) {
         return next;
     }
+    // The SMs' term (Sm::nextWorkCycle over every SM), visiting no SM
+    // outside the memory-phase set: every SM acts at its calendar wake,
+    // and a member with memory-phase work acts next cycle.
     Cycle wake = kNeverCycle;
     auto soonest = [&](Cycle at) {
         wake = std::min(wake, std::max(at, next));
         return wake == next;
     };
-    for (const auto &sm : sms_) {
-        if (soonest(sm->nextWorkCycle(cycle_))) {
-            return next;
-        }
+    if (soonest(smWake_.earliest()) ||
+        memPhaseSms_.anyOf([this](size_t i) {
+            return sms_[i]->hasMemPhaseWork();
+        })) {
+        return next;
     }
     if (soonest(l2_->nextEventCycle(cycle_))) {
         return next;
@@ -892,6 +902,47 @@ Gpu::checkMemPhaseSet(std::vector<integrity::InvariantViolation> &out) const
                      "missing from the memory-phase set, so the memory "
                      "phase would skip it", sm->smId(),
                      sm->fabricRetryDepth()),
+                 cycle_});
+        }
+    }
+}
+
+void
+Gpu::checkRetryGates(std::vector<integrity::InvariantViolation> &out) const
+{
+    // A closed gate skips the head's re-offer, so it must name the bank
+    // the head routes to now, and that bank's queue must be full: then
+    // the skipped re-offer would have been refused.
+    const std::vector<size_t> depths = l2_->bankQueueDepths();
+    for (const auto &sm : sms_) {
+        const RetryGate &gate = sm->retryGate();
+        if (gate.open()) {
+            continue;
+        }
+        if (sm->fabricRetryDepth() == 0) {
+            out.push_back({"retry-gate",
+                           logging_detail::formatMessage(
+                               "SM %u has a closed retry gate but no "
+                               "retry head", sm->smId()),
+                           cycle_});
+            continue;
+        }
+        const RetryGate now = refusalGate(sm->retryHead());
+        const size_t depth = now.full != nullptr ? depths[now.bank] : 0;
+        if (now.full == nullptr || now.bank != gate.bank ||
+            depth < cfg_.l2.bankQueueCapacity) {
+            const std::string route = now.full == nullptr
+                ? logging_detail::formatMessage(
+                      "device %u", remote_->ownerOf(sm->retryHead().line))
+                : logging_detail::formatMessage(
+                      "bank %u, whose queue holds %zu of %u", now.bank,
+                      depth, cfg_.l2.bankQueueCapacity);
+            out.push_back(
+                {"retry-gate",
+                 logging_detail::formatMessage(
+                     "SM %u skips re-offering its retry head on a closed "
+                     "gate for L2 bank %u, but the head now routes to %s",
+                     sm->smId(), gate.bank, route.c_str()),
                  cycle_});
         }
     }
@@ -1039,6 +1090,31 @@ Gpu::setStreamIdBase(StreamId base)
     fatal_if(!streams_.empty(),
              "setStreamIdBase after streams were created");
     nextStream_ = base;
+}
+
+RetryGate
+Gpu::refusalGate(const MemRequest &req) const
+{
+    if (remote_ != nullptr && remote_->ownerOf(req.line) != deviceId_) {
+        return {};
+    }
+    return l2_->refusalGate(req);
+}
+
+Gpu::WorkCounts
+Gpu::workCounts() const
+{
+    WorkCounts counts;
+    counts.ticks = ticks_;
+    counts.smSteps = smSteps_;
+    counts.fastForwardJumps = ffJumps_;
+    for (const auto &sm : sms_) {
+        const Sm::RetryCounts &retry = sm->retryCounts();
+        counts.retryOffers += retry.offers;
+        counts.retryRefusals += retry.refusals;
+        counts.retrySkips += retry.skips;
+    }
+    return counts;
 }
 
 bool

@@ -13,6 +13,7 @@
 
 #include "common/flat_map.hpp"
 #include "common/stats.hpp"
+#include "common/wake_calendar.hpp"
 #include "common/work_set.hpp"
 #include "core/sm.hpp"
 #include "gpu/gpu_config.hpp"
@@ -368,6 +369,27 @@ class Gpu : public MemFabricPort
 
     // MemFabricPort
     bool submitToL2(MemRequest req, Cycle now) override;
+    /** A local refusal's gate is its L2 bank's (L2Subsystem::
+     *  refusalGate); a line owned by another device gets an open gate,
+     *  since its link queue frees room without any bank pop. */
+    RetryGate refusalGate(const MemRequest &req) const override;
+
+    /**
+     * Exact work counts of this device's run so far: what the run loop
+     * did, as opposed to what the modelled machine did. Noise-free, so
+     * they show where the host time can go.
+     */
+    struct WorkCounts
+    {
+        uint64_t ticks = 0;            ///< tick() calls.
+        uint64_t smSteps = 0;          ///< Sm::step calls.
+        uint64_t fastForwardJumps = 0; ///< Idle fast-forward jumps.
+        uint64_t retryOffers = 0;      ///< Retry-stage re-offers made.
+        uint64_t retryRefusals = 0;    ///< Of those, refused.
+        uint64_t retrySkips = 0;       ///< Re-offers skipped on a closed
+                                       ///< gate (bank still full).
+    };
+    WorkCounts workCounts() const;
 
     // --- Multi-GPU lift ----------------------------------------------------
 
@@ -493,6 +515,12 @@ class Gpu : public MemFabricPort
      *  work that is missing from memPhaseSms_ (a lost wakeup). */
     void checkMemPhaseSet(
         std::vector<integrity::InvariantViolation> &out) const;
+    /** Append a "retry-gate" violation for each SM whose retry head's
+     *  gate is closed while the head no longer routes to the gate's bank
+     *  or that bank's queue is not full: the skipped re-offer might have
+     *  been accepted. */
+    void checkRetryGates(
+        std::vector<integrity::InvariantViolation> &out) const;
     /** Append this device's SM, stream and memory rows to @p report. */
     void describe(integrity::HangReport &report) const;
 
@@ -500,13 +528,17 @@ class Gpu : public MemFabricPort
     /** Mutable: the const stats() folds the SMs' blocks into it. */
     mutable StatsRegistry stats_;
     std::unique_ptr<L2Subsystem> l2_;
+    /** Every SM's wake cycle, written by the SM through its slot: the
+     *  step pass's due list and the SMs' wake term read this alone.
+     *  Declared before sms_, which point into it. */
+    WakeCalendar smWake_;
     std::vector<std::unique_ptr<Sm>> sms_;
     std::map<StreamId, StreamState> streams_;
     std::map<StreamId, std::vector<uint32_t>> smAssignment_;
     std::vector<uint32_t> allSms_;
-    /** Per-tick "SM accepted a CTA this cycle" scratch for issueCtas():
-     *  reused so the per-cycle scheduler pass does not allocate. */
-    std::vector<uint8_t> issueLaunchedScratch_;
+    /** Per SM, the last cycle issueCtas() launched a CTA on it (launch
+     *  throughput is one CTA per SM per cycle). */
+    std::vector<Cycle> lastLaunch_;
     /** issueCtas() launched a CTA this tick (pins nextWakeCycle). */
     bool ctaLaunched_ = false;
     /** Arbitration rotations for memoryPhase()'s retry and LDST rounds,
@@ -534,6 +566,9 @@ class Gpu : public MemFabricPort
 
     uint64_t ffJumps_ = 0;
     uint64_t ffCyclesSkipped_ = 0;
+    /** Work counts (see WorkCounts). */
+    uint64_t ticks_ = 0;
+    uint64_t smSteps_ = 0;
 
     // --- Telemetry ---------------------------------------------------------
 

@@ -143,6 +143,7 @@ Machine::checkInvariants(
         integrity::checkSmAccounting(sms, cycle, violations);
         integrity::checkL2WorkSets(gpu->l2(), cycle, violations);
         gpu->checkMemPhaseSet(violations);
+        gpu->checkRetryGates(violations);
         std::function<bool(uint32_t, Addr)> remote;
         if (fabric_ != nullptr) {
             remote = [this, device](uint32_t sm, Addr line) {

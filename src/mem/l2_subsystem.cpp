@@ -33,6 +33,7 @@ L2Subsystem::L2Subsystem(const L2Config &cfg, StatsRegistry *stats)
     busyBanks_ = WorkSet(cfg_.numBanks);
     bankFreeAt_.assign(cfg_.numBanks, 0);
     bankWake_.assign(cfg_.numBanks, 0);
+    bankFull_.assign(cfg_.numBanks, 0);
     for (uint32_t b = 0; b < cfg_.numBanks; ++b) {
         banks_.emplace_back(cfg_.bankGeometry);
         // Only an access listener reads hitLruPos (setAccessListener).
@@ -80,8 +81,14 @@ L2Subsystem::setAccessListener(AccessListener listener)
 namespace
 {
 
-// The L2 MSHR merges misses from different SMs; each target key must carry
-// the requesting SM so the fill can route every response correctly.
+// The L2 MSHR merges misses from different SMs, and on a multi-GPU
+// machine from different devices; each target key must carry the
+// requesting device and SM so the fill can route every response
+// correctly: device in bits 60-63, SM + 1 in bits 48-59, the completion
+// key below.
+constexpr uint32_t kTargetSmBits = 12;
+constexpr uint32_t kTargetDeviceBits = 4;
+
 uint64_t
 encodeTarget(const MemRequest &req)
 {
@@ -90,13 +97,20 @@ encodeTarget(const MemRequest &req)
     }
     panic_if(req.completionKey >= (1ull << 48),
              "completion key too large to encode");
-    return (static_cast<uint64_t>(req.smId) + 1) << 48 | req.completionKey;
+    panic_if(req.smId + 1 >= (1u << kTargetSmBits) ||
+                 req.srcDevice >= (1u << kTargetDeviceBits),
+             "SM %u of device %u too large to encode", req.smId,
+             req.srcDevice);
+    return static_cast<uint64_t>(req.srcDevice) << (48 + kTargetSmBits) |
+        (static_cast<uint64_t>(req.smId) + 1) << 48 | req.completionKey;
 }
 
 void
 decodeTarget(uint64_t key, MemRequest &req)
 {
-    req.smId = static_cast<uint32_t>((key >> 48) - 1);
+    req.srcDevice = static_cast<uint32_t>(key >> (48 + kTargetSmBits));
+    req.smId = static_cast<uint32_t>(
+                   (key >> 48) & ((1u << kTargetSmBits) - 1)) - 1;
     req.completionKey = key & ((1ull << 48) - 1);
 }
 
@@ -146,6 +160,7 @@ L2Subsystem::submit(MemRequest req, Cycle now)
     }
     auto &queue = bankQueues_[bank];
     queue.push_back(std::move(req));
+    bankFull_[bank] = queue.size() >= cfg_.bankQueueCapacity ? 1 : 0;
     if (queue.size() == 1) {
         busyBanks_.insert(bank);
         bankWake_[bank] = headWake(bank);
@@ -173,6 +188,7 @@ L2Subsystem::popHead(uint32_t b, Cycle now, Cycle occupancy)
         --queuedReads_;
     }
     queue.pop_front();
+    bankFull_[b] = 0;
     bankFreeAt_[b] = now + occupancy;
     if (!queue.empty()) {
         bankWake_[b] = headWake(b);
@@ -512,6 +528,13 @@ L2Subsystem::auditWorkSets(std::string *detail) const
                 "L2 bank %u busy flag %d but its queue holds %zu requests",
                 b, busyBanks_.contains(b) ? 1 : 0, bankQueues_[b].size()));
         }
+        const bool full = bankQueues_[b].size() >= cfg_.bankQueueCapacity;
+        if ((bankFull_[b] != 0) != full) {
+            return fail(formatMessage(
+                "L2 bank %u full flag %d but its queue holds %zu of %u",
+                b, bankFull_[b], bankQueues_[b].size(),
+                cfg_.bankQueueCapacity));
+        }
         if (!queued) {
             continue;
         }
@@ -552,12 +575,14 @@ L2Subsystem::setStreamBankMask(StreamId stream, uint64_t mask)
         : ((1ull << cfg_.numBanks) - 1);
     fatal_if((mask & valid) == 0, "bank mask selects no valid banks");
     bankMasks_[stream] = mask & valid;
+    rerouted();
 }
 
 void
 L2Subsystem::clearBankMasks()
 {
     bankMasks_.clear();
+    rerouted();
 }
 
 void

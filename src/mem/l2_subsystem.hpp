@@ -100,6 +100,7 @@ class L2Subsystem
     /**
      * Re-derive the structures step() walks instead of scanning: each
      * bank's busy flag equals !queue.empty() and the busy count matches;
+     * each bank's full flag (the retry gates' view) equals a full queue;
      * each busy bank's wake cycle is max(head readyAt, bank free cycle)
      * and the earliest wake is the minimum over the busy banks; and both
      * due queues are non-decreasing in due cycle. A lost bank wakeup
@@ -121,8 +122,29 @@ class L2Subsystem
     Cycle nextEventCycle(Cycle now) const;
 
     /**
+     * The gate of @p req, which submit() just refused: its bank's full
+     * flag and the routing epoch as it reads now. The flag clears on the
+     * bank's next pop and the epoch moves on every rerouted(), so a gate
+     * that reads the same epoch and a full bank would be refused again.
+     */
+    RetryGate
+    refusalGate(const MemRequest &req) const
+    {
+        const uint32_t bank = bankFor(req.line, req.stream);
+        return {&bankFull_[bank], &routeEpoch_, routeEpoch_, bank};
+    }
+
+    /**
+     * A refused request may now route elsewhere: to another bank (a
+     * bank-mask change) or off this device (its page migrated away).
+     * Moves the routing epoch, which opens every retry gate.
+     */
+    void rerouted() { ++routeEpoch_; }
+
+    /**
      * MiG-style bank partitioning: restrict @p stream to the banks with set
-     * bits in @p mask. Requests hash across only those banks.
+     * bits in @p mask. Requests hash across only those banks. Both calls
+     * reroute (see rerouted()).
      */
     void setStreamBankMask(StreamId stream, uint64_t mask);
     void clearBankMasks();
@@ -313,6 +335,11 @@ class L2Subsystem
      * and nextEventCycle().
      */
     std::vector<Cycle> bankWake_;
+    /** Per bank, 1 while its queue holds bankQueueCapacity requests
+     *  (set by submit, cleared by popHead): what a RetryGate reads. */
+    std::vector<uint8_t> bankFull_;
+    /** See rerouted(). */
+    uint64_t routeEpoch_ = 0;
     /** Minimum of bankWake_ over the busy banks (kNeverCycle when none):
      *  step() skips the bank phase while it lies in the future. */
     Cycle earliestBankWake_ = kNeverCycle;

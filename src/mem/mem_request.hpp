@@ -43,6 +43,28 @@ struct MemRequest
     bool expectsResponse() const { return completionKey != kNoCompletion; }
 };
 
+/**
+ * What a refused request waits on before a re-offer can succeed. An L2
+ * bank refuses only when its queue is full, so while the request still
+ * routes to that bank (the L2's routing epoch has not moved) and the
+ * bank's queue is still full, a re-offer would be refused again: the
+ * gate is closed. A gate with no bank (a remote link, whose room moves
+ * without any bank pop) is always open.
+ */
+struct RetryGate
+{
+    const uint8_t *full = nullptr;    ///< The refusing bank's full flag.
+    const uint64_t *route = nullptr;  ///< The L2's routing epoch.
+    uint64_t routeSeen = 0;           ///< Its value at the refusal.
+    uint32_t bank = 0;                ///< The refusing bank.
+
+    bool
+    open() const
+    {
+        return full == nullptr || *full == 0 || *route != routeSeen;
+    }
+};
+
 } // namespace crisp
 
 #endif // CRISP_MEM_MEM_REQUEST_HPP

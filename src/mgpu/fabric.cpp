@@ -106,11 +106,11 @@ InterGpuFabric::submitRemote(MemRequest req, Cycle now)
     if (link.queue.size() >= cfg_.requestQueueCapacity) {
         return false;
     }
+    if (cfg_.migrateAfter != 0) {
+        recordTouch(req, dst, now);
+    }
     link.queue.push_back(std::move(req));
     ++requestsAccepted_;
-    if (cfg_.migrateAfter != 0) {
-        recordTouch(link.queue.back(), dst, now);
-    }
     return true;
 }
 
@@ -137,6 +137,11 @@ InterGpuFabric::recordTouch(const MemRequest &req, uint32_t owner,
         .wire.transfer(now, static_cast<uint32_t>(cfg_.pageBytes));
     if (devices_[toucher] != nullptr) {
         devices_[toucher]->stats().stream(req.stream).pageMigrations++;
+    }
+    // The old owner's requests for this page now route over the fabric,
+    // not to the local bank that refused them: re-offer them all.
+    if (devices_[owner] != nullptr) {
+        devices_[owner]->l2().rerouted();
     }
 }
 
@@ -176,22 +181,63 @@ InterGpuFabric::pump(Link &link, Cycle now, bool responses)
 void
 InterGpuFabric::step(Cycle now)
 {
-    // 1. Land due request packets (wire → destination landing queue).
-    for (Link &link : requestLinks_) {
-        while (!link.inFlight.empty() &&
-               link.inFlight.front().dueAt <= now) {
-            link.landed.push_back(std::move(link.inFlight.front().req));
-            link.inFlight.pop_front();
-            ++workCount_;
+    // Every move below acts on a packet of one class, and none makes a
+    // packet: a class with none accepted and not yet delivered has
+    // nothing to walk, and with neither the step returns at once.
+    const bool requests = requestsInFlight() != 0;
+    const bool responses = responsesInFlight() != 0;
+
+    // 1. Land due request packets (wire → destination landing queue),
+    // 2. then drain the landing queues into destination L2s.
+    if (requests) {
+        for (Link &link : requestLinks_) {
+            while (!link.inFlight.empty() &&
+                   link.inFlight.front().dueAt <= now) {
+                link.landed.push_back(std::move(link.inFlight.front().req));
+                link.inFlight.pop_front();
+                ++workCount_;
+            }
+        }
+        drainLanded(now);
+    }
+
+    // 3. Deliver due response packets straight to the requesting SM
+    //    (memResponse never refuses; the L1 fill path absorbs it).
+    if (responses) {
+        for (Link &link : responseLinks_) {
+            while (!link.inFlight.empty() &&
+                   link.inFlight.front().dueAt <= now) {
+                MemRequest resp = std::move(link.inFlight.front().req);
+                link.inFlight.pop_front();
+                devices_[resp.srcDevice]->deliverRemoteResponse(resp, now);
+                ++responsesDelivered_;
+                ++workCount_;
+            }
         }
     }
 
-    // 2. Drain landing queues into destination L2s. Round-robin across
-    //    source devices with a rotation start that is a pure function of
-    //    the cycle, one grant per link per round — the PR-9 fairness
-    //    scheme — so no source link can starve another under a saturated
-    //    destination. A bank refusal blocks that link for this cycle
-    //    (bank queues drain during the device tick, after this step).
+    // 4. Pump admissions onto the wires. Doing this last gives every
+    //    packet at least one full cycle of queue residency, matching the
+    //    submit-then-step order of the in-device bank queues.
+    if (requests) {
+        for (Link &link : requestLinks_) {
+            pump(link, now, false);
+        }
+    }
+    if (responses) {
+        for (Link &link : responseLinks_) {
+            pump(link, now, true);
+        }
+    }
+}
+
+void
+InterGpuFabric::drainLanded(Cycle now)
+{
+    // Round-robin across source devices with a rotation start that is a
+    // pure function of the cycle, one grant per link per round, so no
+    // source link can starve another under a saturated destination. A bank refusal blocks that link for this
+    // cycle (bank queues drain during the device tick, after this step).
     for (uint32_t dst = 0; dst < numDevices_; ++dst) {
         const uint32_t start =
             static_cast<uint32_t>(now % static_cast<Cycle>(numDevices_));
@@ -220,41 +266,22 @@ InterGpuFabric::step(Cycle now)
             }
         }
     }
-
-    // 3. Deliver due response packets straight to the requesting SM
-    //    (memResponse never refuses; the L1 fill path absorbs it).
-    for (Link &link : responseLinks_) {
-        while (!link.inFlight.empty() &&
-               link.inFlight.front().dueAt <= now) {
-            MemRequest resp = std::move(link.inFlight.front().req);
-            link.inFlight.pop_front();
-            devices_[resp.srcDevice]->deliverRemoteResponse(resp, now);
-            ++responsesDelivered_;
-            ++workCount_;
-        }
-    }
-
-    // 4. Pump admissions onto the wires. Doing this last gives every
-    //    packet at least one full cycle of queue residency, matching the
-    //    submit-then-step order of the in-device bank queues.
-    for (Link &link : requestLinks_) {
-        pump(link, now, false);
-    }
-    for (Link &link : responseLinks_) {
-        pump(link, now, true);
-    }
 }
 
 bool
 InterGpuFabric::idle() const
 {
-    return requestsInFlight() == 0 && responsesInFlight() == 0;
+    return requestsAccepted_ == requestsDelivered_ &&
+        responsesAccepted_ == responsesDelivered_;
 }
 
 Cycle
 InterGpuFabric::nextEventCycle(Cycle now) const
 {
     Cycle wake = kNeverCycle;
+    if (idle()) {
+        return wake;
+    }
     auto consider = [&](const Link &link) {
         if (!link.inFlight.empty()) {
             wake = std::min(wake, link.inFlight.front().dueAt);
@@ -344,9 +371,11 @@ InterGpuFabric::auditCounters(const StatsRegistry &merged, Cycle now,
     // counters pair with the fabric totals: every accepted request was
     // counted remoteAccesses by its source device, every delivered
     // response remoteResponses.
-    expect(requestsAccepted_, requestsDelivered_ + requestsInFlight(),
+    expect(requestsAccepted_,
+           requestsDelivered_ + walkInFlight(requestLinks_),
            "fabric requests accepted != delivered + in flight");
-    expect(responsesAccepted_, responsesDelivered_ + responsesInFlight(),
+    expect(responsesAccepted_,
+           responsesDelivered_ + walkInFlight(responseLinks_),
            "fabric responses accepted != delivered + in flight");
     expect(migratedBytes_, pageMigrations_ * cfg_.pageBytes,
            "fabric migrated bytes != migrations * page size");
@@ -358,22 +387,11 @@ InterGpuFabric::auditCounters(const StatsRegistry &merged, Cycle now,
 }
 
 uint64_t
-InterGpuFabric::requestsInFlight() const
+InterGpuFabric::walkInFlight(const std::vector<Link> &links) const
 {
     uint64_t n = 0;
-    for (const Link &link : requestLinks_) {
-        n += link.queue.size() + link.inFlight.size() +
-            link.landed.size();
-    }
-    return n;
-}
-
-uint64_t
-InterGpuFabric::responsesInFlight() const
-{
-    uint64_t n = 0;
-    for (const Link &link : responseLinks_) {
-        n += link.queue.size() + link.inFlight.size();
+    for (const Link &link : links) {
+        n += link.queue.size() + link.inFlight.size() + link.landed.size();
     }
     return n;
 }

@@ -2,12 +2,12 @@
 #define CRISP_MGPU_FABRIC_HPP
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <vector>
 
 #include "common/flat_map.hpp"
+#include "common/ring.hpp"
 #include "common/types.hpp"
 #include "gpu/gpu.hpp"
 #include "mem/icnt.hpp"
@@ -120,10 +120,17 @@ class InterGpuFabric : public RemoteMemPort
     uint64_t pageMigrations() const { return pageMigrations_; }
     uint64_t migratedBytes() const { return migratedBytes_; }
 
-    /** Requests not yet delivered into a destination L2. */
-    uint64_t requestsInFlight() const;
+    /** Requests not yet delivered into a destination L2: accepted minus
+     *  delivered, which the audit balances against a walk of the links. */
+    uint64_t requestsInFlight() const
+    {
+        return requestsAccepted_ - requestsDelivered_;
+    }
     /** Responses not yet delivered back to the requesting SM. */
-    uint64_t responsesInFlight() const;
+    uint64_t responsesInFlight() const
+    {
+        return responsesAccepted_ - responsesDelivered_;
+    }
 
     /** Busy cycles summed over every wire (utilization numerator). */
     double totalBusyCycles() const;
@@ -142,9 +149,9 @@ class InterGpuFabric : public RemoteMemPort
     /** One directed link (either direction class). */
     struct Link
     {
-        std::deque<MemRequest> queue;  ///< Admitted, awaiting bandwidth.
-        std::deque<Packet> inFlight;   ///< On the wire, FIFO by dueAt.
-        std::deque<MemRequest> landed; ///< Requests only: awaiting dst L2.
+        Ring<MemRequest> queue;  ///< Admitted, awaiting bandwidth.
+        Ring<Packet> inFlight;   ///< On the wire, FIFO by dueAt.
+        Ring<MemRequest> landed; ///< Requests only: awaiting dst L2.
         IcntLink wire;
 
         explicit Link(const FabricConfig &cfg)
@@ -161,6 +168,11 @@ class InterGpuFabric : public RemoteMemPort
     uint32_t requestBytes(const MemRequest &req) const;
     void recordTouch(const MemRequest &req, uint32_t owner, Cycle now);
     void pump(Link &link, Cycle now, bool responses);
+    /** Step 2 of step(): hand landed requests to their destination L2s. */
+    void drainLanded(Cycle now);
+    /** Packets queued, on a wire or landed, counted link by link: the
+     *  audit's independent side of requestsInFlight/responsesInFlight. */
+    uint64_t walkInFlight(const std::vector<Link> &links) const;
     /** Visit every packet queued, on a wire or landed, on any link. */
     void forEachInFlight(
         const std::function<void(const MemRequest &, bool response)> &fn)

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "audit/audit.hpp"
+#include "common/wake_calendar.hpp"
 #include "core/sm.hpp"
 #include "gpu/gpu.hpp"
 #include "graphics/pipeline.hpp"
@@ -188,7 +189,8 @@ TEST(AuditTest, ParkedWritesAreNotPendingReads)
     SmConfig cfg;
     RefusingFabric fabric;
     StatsRegistry stats;
-    Sm sm(0, cfg, &fabric, &stats);
+    WakeCalendar calendar(1);
+    Sm sm(0, cfg, &fabric, &stats, calendar.slot(0));
 
     // Store-only kernel: every STG is refused and parks in the retry
     // queue.

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/wake_calendar.hpp"
+#include "common/work_set.hpp"
 #include "core/sm.hpp"
 #include "isa/trace_builder.hpp"
 #include "sm_step.hpp"
@@ -81,7 +85,8 @@ TEST_P(LatencySweep, DependenceChainPaysProducerLatency)
     SmConfig cfg;
     DelayFabric fabric(100);
     StatsRegistry stats;
-    Sm sm(0, cfg, &fabric, &stats);
+    WakeCalendar calendar(1);
+    Sm sm(0, cfg, &fabric, &stats, calendar.slot(0));
 
     TraceBuilder tb(32);
     tb.alu(c.op, 5, 1, 2);
@@ -124,7 +129,8 @@ TEST_P(BarrierSweep, AllWarpsDrain)
     SmConfig cfg;
     DelayFabric fabric(50);
     StatsRegistry stats;
-    Sm sm(0, cfg, &fabric, &stats);
+    WakeCalendar calendar(1);
+    Sm sm(0, cfg, &fabric, &stats, calendar.slot(0));
 
     CtaTrace cta;
     for (uint32_t w = 0; w < warps; ++w) {
@@ -170,7 +176,8 @@ TEST(PriorityRegression, PriorityStreamProgressesUnderFlood)
     SmConfig cfg;
     DelayFabric fabric(200);
     StatsRegistry stats;
-    Sm sm(0, cfg, &fabric, &stats);
+    WakeCalendar calendar(1);
+    Sm sm(0, cfg, &fabric, &stats, calendar.slot(0));
     sm.setIssuePriority(/*stream=*/1, -1);
 
     // Stream 0 floods: many warps of back-to-back loads + ALU.
@@ -245,7 +252,8 @@ TEST_P(QuotaSweep, UsageNeverExceedsQuota)
     SmConfig cfg;
     DelayFabric fabric(80);
     StatsRegistry stats;
-    Sm sm(0, cfg, &fabric, &stats);
+    WakeCalendar calendar(1);
+    Sm sm(0, cfg, &fabric, &stats, calendar.slot(0));
     SmQuota q;
     q.maxThreads = quota_threads;
     sm.setQuota(2, q);
@@ -295,7 +303,8 @@ TEST(SchedulerSweep, MultiWarpKernelDrains)
     SmConfig cfg;
     DelayFabric fabric(100);
     StatsRegistry stats;
-    Sm sm(0, cfg, &fabric, &stats);
+    WakeCalendar calendar(1);
+    Sm sm(0, cfg, &fabric, &stats, calendar.slot(0));
     CtaTrace cta;
     for (int w = 0; w < 12; ++w) {
         TraceBuilder tb(32);
@@ -544,7 +553,8 @@ driveSm(const DueCase &c, bool due_only)
     }
     DelayFabric fabric(150);
     StatsRegistry stats;
-    Sm sm(0, cfg, &fabric, &stats);
+    WakeCalendar calendar(1);
+    Sm sm(0, cfg, &fabric, &stats, calendar.slot(0));
     if (c.workload == DueWorkload::Priority ||
         c.workload == DueWorkload::PriorityFront) {
         sm.setIssuePriority(1, -1);
@@ -663,7 +673,8 @@ TEST(CoreProperty, SimulationIsDeterministic)
         SmConfig cfg;
         DelayFabric fabric(120);
         StatsRegistry stats;
-        Sm sm(0, cfg, &fabric, &stats);
+        WakeCalendar calendar(1);
+        Sm sm(0, cfg, &fabric, &stats, calendar.slot(0));
         CtaTrace cta;
         for (int w = 0; w < 8; ++w) {
             TraceBuilder tb(32);
@@ -710,7 +721,8 @@ TEST(ExactUnpark, WarpWaitingOnTwoRegistersIssuesOnTheSecondWriteback)
         SmConfig cfg;
         DelayFabric fabric(100);
         StatsRegistry stats;
-        Sm sm(0, cfg, &fabric, &stats);
+        WakeCalendar calendar(1);
+        Sm sm(0, cfg, &fabric, &stats, calendar.slot(0));
         TraceBuilder tb(32);
         tb.alu(Opcode::FFMA, 5, 1, 2);
         tb.alu(Opcode::MUFU_SIN, 6, 1);
@@ -767,7 +779,8 @@ TEST(ResourceEpoch, RefusalStandsUntilCommitOrQuotaChange)
     cfg.maxWarps = 16;
     DelayFabric fabric(60);
     StatsRegistry stats;
-    Sm sm(0, cfg, &fabric, &stats);
+    WakeCalendar calendar(1);
+    Sm sm(0, cfg, &fabric, &stats, calendar.slot(0));
 
     auto kernel = [](StreamId stream, uint32_t warps, uint32_t chain) {
         std::vector<WarpTrace> ws;
@@ -836,6 +849,168 @@ TEST(ResourceEpoch, RefusalStandsUntilCommitOrQuotaChange)
     EXPECT_GT(memo_hits, 1000u);
     EXPECT_GT(commits, 100u);
     EXPECT_GT(quota_moves, 5u);
+}
+
+// ---------------------------------------------------------------------
+// Wake calendar: the due list and the SMs' next wake, read from the
+// calendar (plus the memory-phase set, as Gpu reads them), equal the
+// per-SM due()/nextWorkCycle scan they replaced, on random states.
+// ---------------------------------------------------------------------
+
+/** A fabric that refuses every submission while refuse is set and
+ *  answers accepted reads after a fixed delay. */
+class SwitchedFabric : public MemFabricPort
+{
+  public:
+    explicit SwitchedFabric(Cycle delay) : delay_(delay) {}
+
+    bool
+    submitToL2(MemRequest req, Cycle now) override
+    {
+        if (refuse) {
+            return false;
+        }
+        if (!req.write) {
+            pending_.emplace(now + delay_, req);
+        }
+        return true;
+    }
+
+    /** Deliver due reads to @p sm; @return true when one landed. */
+    bool
+    step(Sm &sm, Cycle now)
+    {
+        bool any = false;
+        while (!pending_.empty() && pending_.begin()->first <= now) {
+            auto node = pending_.extract(pending_.begin());
+            sm.memResponse(node.mapped(), now);
+            any = true;
+        }
+        return any;
+    }
+
+    bool refuse = false;
+
+  private:
+    Cycle delay_;
+    std::multimap<Cycle, MemRequest> pending_;
+};
+
+TEST(WakeCalendar, DueListAndNextWakeMatchThePerSmScan)
+{
+    // SMs in five roles by id % 5: mixed work; misses through a
+    // two-entry L1 MSHR (parked LDST heads); mixed work with the issue
+    // stage frozen and thawed at random; a fabric that refuses in long
+    // spells (SMs with only retries); no work at all. 67 SMs span two
+    // calendar words; on 7 and 13 each SM holds the earliest wake often.
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+        const uint32_t kSms = seed == 1 ? 67 : seed == 2 ? 7 : 13;
+        Rng rng(seed);
+        WakeCalendar calendar(kSms);
+        StatsRegistry stats;
+        std::vector<std::unique_ptr<SwitchedFabric>> fabrics;
+        std::vector<std::unique_ptr<Sm>> sms;
+        for (uint32_t i = 0; i < kSms; ++i) {
+            SmConfig cfg;
+            cfg.ldstQueueDepth = 4;
+            cfg.l1PortsPerCycle = 1;
+            if (i % 5 == 1) {
+                cfg.l1MshrEntries = 2;
+                cfg.l1MshrTargets = 2;
+            }
+            fabrics.push_back(std::make_unique<SwitchedFabric>(
+                40 + rng.nextBelow(200)));
+            sms.push_back(std::make_unique<Sm>(i, cfg, fabrics.back().get(),
+                                               &stats, calendar.slot(i)));
+        }
+        // The memory-phase set, kept as Gpu keeps it.
+        WorkSet members(kSms);
+        uint64_t compared = 0, frozen_cycles = 0, retry_only = 0;
+        uint64_t parked_heads = 0;
+        std::vector<uint32_t> from_calendar, from_scan;
+        for (Cycle now = 1; now <= 6000; ++now) {
+            for (uint32_t i = 0; i < kSms; ++i) {
+                Sm &sm = *sms[i];
+                const uint32_t role = i % 5;
+                if (role != 4 && rng.nextBelow(150) == 0) {
+                    KernelInfo k = role == 1
+                        ? ctaKernel({missWarp(i), missWarp(i + 1)}, 0, "m")
+                        : ctaKernel({mixedWarp(i), mixedWarp(i + 1)}, 0,
+                                    "x");
+                    if (sm.canAccept(k)) {
+                        sm.launchCta(k, 1, 0, now);
+                    }
+                }
+                if (role == 2 && rng.nextBelow(50) == 0) {
+                    sm.setIssueFrozen(!sm.issueFrozen());
+                }
+                if (role == 3 && rng.nextBelow(60) == 0) {
+                    fabrics[i]->refuse = !fabrics[i]->refuse;
+                }
+            }
+            // Memory phase over the set's members, in id order.
+            members.forEachFrom(0, [&](size_t i) {
+                Sm &sm = *sms[i];
+                if (!sm.hasMemPhaseWork()) {
+                    members.erase(i);
+                    return;
+                }
+                sm.beginMemPhase(now);
+                while (sm.memPhaseGrantRetry(now) ||
+                       sm.memPhaseGrantLdst(now)) {
+                }
+            });
+            // The due list from the calendar against due() on every SM.
+            from_calendar.clear();
+            from_scan.clear();
+            calendar.forEachDue(now, [&](size_t i) {
+                from_calendar.push_back(static_cast<uint32_t>(i));
+            });
+            for (uint32_t i = 0; i < kSms; ++i) {
+                if (sms[i]->due(now)) {
+                    from_scan.push_back(i);
+                }
+            }
+            ASSERT_EQ(from_calendar, from_scan)
+                << "seed " << seed << " cycle " << now;
+            for (uint32_t i : from_calendar) {
+                sms[i]->step(now);
+                if (sms[i]->hasMemPhaseWork()) {
+                    members.insert(i);
+                }
+            }
+            for (uint32_t i = 0; i < kSms; ++i) {
+                if (fabrics[i]->step(*sms[i], now) &&
+                    sms[i]->hasMemPhaseWork()) {
+                    members.insert(i);
+                }
+                sms[i]->clearCtaDones();
+            }
+            // The SMs' next wake, as Gpu::nextWakeCycle reads it.
+            Cycle scan = kNeverCycle;
+            for (uint32_t i = 0; i < kSms; ++i) {
+                scan = std::min(scan, sms[i]->nextWorkCycle(now));
+                const Sm::IntegrityProbe p = sms[i]->probe(now);
+                frozen_cycles += p.issueFrozen ? 1 : 0;
+                retry_only += p.fabricRetryDepth > 0 &&
+                        !sms[i]->hasLdstWork() ? 1 : 0;
+                parked_heads += p.ldstQueueDepth > 0 &&
+                        !sms[i]->hasLdstWork() ? 1 : 0;
+            }
+            const Cycle from_set =
+                members.anyOf([&](size_t i) {
+                    return sms[i]->hasMemPhaseWork();
+                })
+                ? now + 1
+                : std::max(calendar.earliest(), now + 1);
+            ASSERT_EQ(from_set, scan) << "seed " << seed << " cycle " << now;
+            ++compared;
+        }
+        EXPECT_EQ(compared, 6000u);
+        EXPECT_GT(frozen_cycles, 0u) << "seed " << seed;
+        EXPECT_GT(retry_only, 0u) << "seed " << seed;
+        EXPECT_GT(parked_heads, 0u) << "seed " << seed;
+    }
 }
 
 } // namespace

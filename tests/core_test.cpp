@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/wake_calendar.hpp"
 #include "core/sm.hpp"
 #include "isa/trace_builder.hpp"
 #include "sm_step.hpp"
@@ -71,12 +72,14 @@ struct SmHarness
     SmConfig cfg;
     TestFabric fabric;
     StatsRegistry stats;
+    WakeCalendar calendar{1};
     std::unique_ptr<Sm> sm;
     Cycle now = 0;
 
     explicit SmHarness(Cycle mem_delay = 100) : fabric(mem_delay)
     {
-        sm = std::make_unique<Sm>(0, cfg, &fabric, &stats);
+        sm = std::make_unique<Sm>(0, cfg, &fabric, &stats,
+                                  calendar.slot(0));
     }
 
     /** Step until the SM idles; returns cycles taken. */

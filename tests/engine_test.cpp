@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/table.hpp"
+#include "common/wake_calendar.hpp"
 #include "core/sm.hpp"
 #include "gpu/gpu.hpp"
 #include "graphics/pipeline.hpp"
@@ -524,7 +525,8 @@ TEST(FabricRetry, DrainIsBoundedPerCycle)
     cfg.maxFabricRetriesPerCycle = 8;
     TestFabric fabric(50);
     StatsRegistry stats;
-    Sm sm(0, cfg, &fabric, &stats);
+    WakeCalendar calendar(1);
+    Sm sm(0, cfg, &fabric, &stats, calendar.slot(0));
 
     // Phase 1: the fabric refuses everything while the SM issues a burst
     // of cold loads, building a deep retry queue.
@@ -565,7 +567,8 @@ TEST(FabricRetry, FreshRequestsAreNotLivelockedByBacklog)
     cfg.maxFabricRetriesPerCycle = 8;
     TestFabric fabric(50);
     StatsRegistry stats;
-    Sm sm(0, cfg, &fabric, &stats);
+    WakeCalendar calendar(1);
+    Sm sm(0, cfg, &fabric, &stats, calendar.slot(0));
 
     fabric.setRefuseAll(true);
     sm.launchCta(streamingKernel(40, 0), 1, 0, 0);
@@ -619,7 +622,9 @@ TEST(FabricRetry, ZeroCapIsRejected)
     cfg.maxFabricRetriesPerCycle = 0;
     TestFabric fabric(50);
     StatsRegistry stats;
-    EXPECT_EXIT(Sm(0, cfg, &fabric, &stats), testing::ExitedWithCode(1),
+    WakeCalendar calendar(1);
+    EXPECT_EXIT(Sm(0, cfg, &fabric, &stats, calendar.slot(0)),
+                testing::ExitedWithCode(1),
                 "maxFabricRetriesPerCycle must be at least 1");
 }
 

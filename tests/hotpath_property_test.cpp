@@ -15,7 +15,8 @@
 // the shared-memory lane-linear fast path against the general scan. The
 // per-line structures are pinned the same way: the L2's per-bank wake
 // against the busy-bank poll, the flat MSHR against the reference MSHR,
-// the ring FIFO against std::deque, and the sentinel-tag hit test and
+// the ring FIFO against std::deque (alone and as the fabric's chain of
+// link stages), and the sentinel-tag hit test and
 // one-pass victim against the reference cache's two-pass scans.
 
 #include <gtest/gtest.h>
@@ -1832,6 +1833,71 @@ TEST(RingEquivalence, GrowthWhileWrappedKeepsOrder)
         ref.push_back({700 + i, {}});
     }
     expectSameQueue(ring, ref);
+}
+
+TEST(RingEquivalence, FabricLinkStagesMatchDeque)
+{
+    // The inter-GPU fabric's link, three FIFOs in a chain: admitted
+    // requests wait in a bounded queue, move onto the wire stamped with a
+    // due cycle, land when due and leave only when the destination
+    // accepts the head. Every stage moves entries front to back, as
+    // InterGpuFabric does, on rings and on std::deques side by side.
+    Ring<RingItem> queue, landed;
+    Ring<std::pair<RingItem, Cycle>> wire;
+    std::deque<RingItem> ref_queue, ref_landed;
+    std::deque<std::pair<RingItem, Cycle>> ref_wire;
+    std::vector<RingItem> got, want;
+    Rng rng(0xfab);
+    uint64_t next_id = 0;
+    for (Cycle now = 1; now <= 20000; ++now) {
+        // Bursty admission into a 6-entry queue; refused when full.
+        const uint64_t offers = (now / 700) % 2 == 0 ? rng.nextBelow(3) : 0;
+        for (uint64_t k = 0; k < offers && ref_queue.size() < 6; ++k) {
+            RingItem item{++next_id, {}};
+            item.payload.assign(rng.nextBelow(3), next_id);
+            ref_queue.push_back(item);
+            queue.push_back(std::move(item));
+        }
+        // Land every due packet (due cycles never decrease).
+        while (!ref_wire.empty() && ref_wire.front().second <= now) {
+            ref_landed.push_back(std::move(ref_wire.front().first));
+            ref_wire.pop_front();
+            ASSERT_FALSE(wire.empty());
+            landed.push_back(std::move(wire.front().first));
+            wire.pop_front();
+        }
+        // The destination takes landed heads until it refuses one.
+        while (!ref_landed.empty() && rng.nextBelow(4) != 0) {
+            want.push_back(std::move(ref_landed.front()));
+            ref_landed.pop_front();
+            ASSERT_FALSE(landed.empty());
+            got.push_back(std::move(landed.front()));
+            landed.pop_front();
+        }
+        // Pump at most one packet onto the wire per cycle.
+        if (!ref_queue.empty() && rng.nextBelow(2) == 0) {
+            const Cycle due = now + 20 + rng.nextBelow(2);
+            const Cycle at = ref_wire.empty()
+                ? due
+                : std::max(due, ref_wire.back().second);
+            ref_wire.emplace_back(std::move(ref_queue.front()), at);
+            ref_queue.pop_front();
+            wire.push_back({std::move(queue.front()), at});
+            queue.pop_front();
+        }
+        expectSameQueue(queue, ref_queue);
+        expectSameQueue(landed, ref_landed);
+        ASSERT_EQ(wire.size(), ref_wire.size());
+        size_t i = 0;
+        for (const auto &packet : wire) {
+            ASSERT_EQ(packet, ref_wire[i++]);
+        }
+        if (HasFatalFailure()) {
+            return;
+        }
+    }
+    EXPECT_EQ(got, want);
+    EXPECT_GT(want.size(), 1000u);
 }
 
 TEST(CacheSentinelTag, LineZeroAndInvalidatedWaysMatchTwoPassReference)

@@ -1,20 +1,25 @@
 /**
  * @file
  * crisp::mgpu tests: remote round-trip accounting against the hand
- * model, page-migration conservation, the shared run loop's
- * protections on a two-GPU machine (idle fast-forward against a ticked reference, watchdog hang
- * reports naming the device, cancellation), and the multi-GPU scenario
- * schema (num_gpus, placement, per-stream/per-buffer device fields,
- * Poisson arrivals).
+ * model, page-migration conservation, fills merged across devices, the
+ * shared run loop's protections on a two-GPU machine (idle fast-forward
+ * against a ticked reference, watchdog hang reports naming the device,
+ * cancellation), the multi-GPU scenario schema (num_gpus, placement,
+ * per-stream/per-buffer device fields, Poisson arrivals), the fabric's
+ * O(1) in-flight counters against a walk of its links, and the
+ * bank-gated fabric retry against the polling retry it replaced.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "integrity/fault_injector.hpp"
 #include "mgpu/multi_gpu.hpp"
 #include "scenario/build.hpp"
@@ -155,6 +160,40 @@ TEST(MgpuFabric, PageMigrationConservation)
     EXPECT_EQ(fabric.ownerOf(base), 1u);
     EXPECT_EQ(dev1.stats().stream(s).pageMigrations,
               fabric.pageMigrations());
+}
+
+TEST(MgpuFabric, MergedFillAnswersEveryDevice)
+{
+    // Both devices stream over one buffer homed on device 0. Device 1
+    // starts at once; device 0 starts 44 cycles after device 1's first
+    // requests can land (one link latency), while those misses still
+    // wait on DRAM, so its own misses merge into MSHR entries device 1's
+    // requests opened. The fill must answer each target on the device
+    // that asked: a target answered on the primary's device instead
+    // leaves the asker's L1 MSHR entry waiting forever, which the
+    // cadence-1 conservation check reports.
+    mgpu::MultiGpu machine(smallDual());
+    AddressSpace heap = machine.heapFor(0);
+    const uint64_t bytes = 1 << 16;
+    const Addr base = heap.alloc(bytes);
+    Gpu &dev1 = machine.device(1);
+    dev1.enqueueKernel(dev1.createStream("reader"),
+                       readerKernel(base, bytes));
+    Gpu &dev0 = machine.device(0);
+    dev0.enqueueKernelAt(dev0.createStream("reader"),
+                         readerKernel(base, bytes),
+                         machine.fabric().config().linkLatency + 44);
+    integrity::RunOptions opts;
+    opts.checkInterval = 1;
+    opts.auditInterval = 1;
+    const auto r = machine.run(4'000'000, opts);
+    ASSERT_TRUE(r.completed)
+        << (r.violations.empty() ? "" : r.violations.front().detail);
+    // Every remote read came back, and device 0's L2 did merge misses.
+    EXPECT_GT(machine.fabric().responsesDelivered(), 0u);
+    EXPECT_EQ(machine.fabric().responsesDelivered(),
+              machine.fabric().requestsAccepted());
+    EXPECT_GT(machine.device(0).l2().mergedAccesses(), 0u);
 }
 
 TEST(MgpuFabric, BoundedQueueRefusesThenDrains)
@@ -588,4 +627,382 @@ TEST(MgpuScenario, PlacementResolvesDevices)
         EXPECT_TRUE(r.violations.empty());
         EXPECT_GT(machine.fabric().requestsAccepted(), 0u);
     }
+}
+
+// ---------------------------------------------------------------------
+// The fabric's in-flight counters and the bank-gated retry, each pinned
+// against the form it replaced: the accepted-minus-delivered counters
+// against a walk of every link, and the gated retry against the polling
+// retry that re-offered every refused head every cycle.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** A random mix of gather loads and streaming stores over
+ *  [base, base + bytes): lines land on every bank. */
+KernelInfo
+randomTrafficKernel(Rng &rng, Addr base, uint64_t bytes, const char *name)
+{
+    ComputeKernelDesc d;
+    d.name = name;
+    d.ctas = 2 + static_cast<uint32_t>(rng.nextBelow(6));
+    d.threadsPerCta = 64 * (1 + static_cast<uint32_t>(rng.nextBelow(2)));
+    d.regsPerThread = 32;
+    d.iterations = 1 + static_cast<uint32_t>(rng.nextBelow(3));
+    d.fp32Ops = static_cast<uint32_t>(rng.nextBelow(4));
+    MemPattern gather;
+    gather.kind = MemPatternKind::Gather;
+    gather.base = base;
+    gather.regionBytes = bytes;
+    gather.count = 1 + static_cast<uint32_t>(rng.nextBelow(2));
+    d.loads.push_back(gather);
+    if (rng.nextBelow(2) == 0) {
+        d.hasStore = true;
+        d.store.kind = MemPatternKind::Streaming;
+        d.store.base = base + bytes / 2;
+        d.store.regionBytes = bytes / 2;
+    }
+    return buildComputeKernel(d);
+}
+
+TEST(MgpuFabric, InFlightCountersMatchTheLinkWalk)
+{
+    // Two devices each run random traffic over both windows through
+    // short request queues on a slow wire (bounded-queue refusals), with
+    // pages migrating after two touches. After every cycle the O(1)
+    // counters must equal what a walk of the links finds, and the idle
+    // answer must agree with both.
+    for (uint32_t seed = 1; seed <= 3; ++seed) {
+        mgpu::MultiGpuConfig cfg = smallDual();
+        cfg.fabric.requestQueueCapacity = 2;
+        cfg.fabric.linkBytesPerCycle = 16.0;
+        cfg.fabric.linkLatency = 40;
+        cfg.fabric.migrateAfter = 2;
+        mgpu::MultiGpu machine(cfg);
+        Rng rng(seed);
+        for (uint32_t d = 0; d < 2; ++d) {
+            Gpu &dev = machine.device(d);
+            const StreamId s = dev.createStream("traffic");
+            for (uint32_t k = 0; k < 3; ++k) {
+                AddressSpace heap = machine.heapFor(rng.nextBelow(2));
+                const uint64_t bytes = 16384 << rng.nextBelow(3);
+                dev.enqueueKernel(s, randomTrafficKernel(
+                                         rng, heap.alloc(bytes), bytes,
+                                         "traffic"));
+            }
+        }
+        const mgpu::InterGpuFabric &fabric = machine.fabric();
+        SmallFlatMap<StreamId, uint64_t> walked;
+        std::vector<integrity::InvariantViolation> violations;
+        bool ever_busy = false;
+        while (!machine.done() && machine.now() < 2'000'000) {
+            machine.tick();
+            walked.clear();
+            fabric.countInFlightByStream(walked);
+            uint64_t requests = 0;
+            for (const auto &[stream, n] : walked) {
+                requests += n;
+            }
+            ASSERT_EQ(fabric.requestsInFlight(), requests)
+                << "seed " << seed << " cycle " << machine.now();
+            ASSERT_EQ(fabric.idle(),
+                      requests == 0 && fabric.readsInFlight() == 0)
+                << "seed " << seed << " cycle " << machine.now();
+            ASSERT_EQ(fabric.idle(),
+                      fabric.nextEventCycle(machine.now()) == kNeverCycle);
+            ever_busy |= !fabric.idle();
+            // The audit's side: accepted == delivered + the link walk,
+            // requests and responses both.
+            fabric.auditCounters(machine.mergedStats(), machine.now(),
+                                 violations);
+            ASSERT_TRUE(violations.empty())
+                << "seed " << seed << ": " << violations.front().detail;
+        }
+        ASSERT_TRUE(machine.done())
+            << "seed " << seed << " cycle " << machine.now();
+        EXPECT_TRUE(ever_busy);
+        EXPECT_GT(fabric.pageMigrations(), 0u) << "seed " << seed;
+        EXPECT_TRUE(fabric.idle());
+        EXPECT_EQ(fabric.responsesInFlight(), 0u);
+    }
+}
+
+/** One SM grant: a request the fabric port accepted. */
+struct Grant
+{
+    Cycle at = 0;
+    uint32_t device = 0;
+    uint32_t sm = 0;
+    Addr line = 0;
+    bool write = false;
+    bool operator==(const Grant &) const = default;
+};
+
+/** A Gpu that logs every request its SMs get accepted, in order. */
+class LoggingGpu : public Gpu
+{
+  public:
+    LoggingGpu(const GpuConfig &cfg, std::vector<Grant> *log)
+        : Gpu(cfg), log_(log)
+    {
+    }
+
+    bool
+    submitToL2(MemRequest req, Cycle now) override
+    {
+        const Grant g{now, deviceId(), req.smId, req.line, req.write};
+        if (!Gpu::submitToL2(std::move(req), now)) {
+            return false;
+        }
+        log_->push_back(g);
+        return true;
+    }
+
+  private:
+    std::vector<Grant> *log_;
+};
+
+/** The retry before gating: every refusal's gate is open, so each
+ *  refused head is re-offered every cycle. */
+class PollingGpu : public LoggingGpu
+{
+  public:
+    using LoggingGpu::LoggingGpu;
+
+    RetryGate
+    refusalGate(const MemRequest &req) const override
+    {
+        (void)req;
+        return {};
+    }
+};
+
+/** A gate that misses its bank's pops: a local refusal's gate reads a
+ *  full flag that never clears, so only a reroute opens it. */
+class StuckGateGpu : public LoggingGpu
+{
+  public:
+    using LoggingGpu::LoggingGpu;
+
+    RetryGate
+    refusalGate(const MemRequest &req) const override
+    {
+        RetryGate gate = LoggingGpu::refusalGate(req);
+        if (gate.full != nullptr) {
+            gate.full = &kAlwaysFull;
+        }
+        return gate;
+    }
+
+  private:
+    static constexpr uint8_t kAlwaysFull = 1;
+};
+
+/** Re-partitions its GPU every @p period cycles, cycling MPS, an even
+ *  MiG split, an uneven one and a lone mask change of stream @p a: bank
+ *  masks change while requests are parked on full banks of the old
+ *  mapping. */
+class Repartitioner : public GpuController
+{
+  public:
+    Repartitioner(Cycle period, StreamId a) : period_(period), a_(a) {}
+
+    void
+    onCycle(Gpu &gpu, Cycle now) override
+    {
+        if (now % period_ != 0) {
+            return;
+        }
+        PartitionConfig p;
+        switch (++changes_ % 4) {
+          case 0: p.policy = PartitionPolicy::Mps; break;
+          case 1: p.policy = PartitionPolicy::Mig; break;
+          case 2:
+            p.policy = PartitionPolicy::Mig;
+            p.share[a_] = 0.25;
+            break;
+          default:
+            // One stream's mask alone, straight on the L2.
+            gpu.l2().setStreamBankMask(a_, 0x6);
+            return;
+        }
+        gpu.setPartition(p);
+    }
+
+  private:
+    Cycle period_;
+    StreamId a_;
+    uint32_t changes_ = 0;
+};
+
+struct RetryRun
+{
+    std::vector<Grant> grants;
+    Cycle cycles = 0;
+    bool completed = false;
+    std::vector<Gpu::WorkCounts> counts;
+    std::vector<std::string> violations;
+    uint64_t remoteRequests = 0;
+    uint64_t migrations = 0;
+};
+
+/** A small device with few, shallow L2 bank queues: they fill often. */
+GpuConfig
+fullBanksGpu()
+{
+    GpuConfig cfg;
+    cfg.numSms = 6;
+    cfg.l2.numBanks = 4;
+    cfg.l2.bankQueueCapacity = 2;
+    cfg.l2.bankGeometry = {64 * 1024, 8, kLineBytes};
+    cfg.finalize();
+    return cfg;
+}
+
+/**
+ * Random traffic on @p devices devices of type @p Device, run to drain
+ * with every invariant checker (the retry-gate identity included) and
+ * the counter audit at cadence 1. Each device has two streams and a
+ * controller that keeps moving its bank masks (Repartitioner). With two
+ * devices the streams also read the peer's window over a fabric with
+ * four-entry request queues (remote heads) and migrate pages after two
+ * touches.
+ */
+template <typename Device>
+RetryRun
+runRetryTraffic(uint64_t seed, uint32_t devices)
+{
+    RetryRun run;
+    const GpuConfig cfg = fullBanksGpu();
+    mgpu::FabricConfig fcfg;
+    fcfg.requestQueueCapacity = 4;
+    fcfg.linkLatency = 30;
+    fcfg.linkBytesPerCycle = 32.0;
+    fcfg.migrateAfter = 2;
+    const Addr window = 1ull << 34;
+    mgpu::InterGpuFabric fabric(fcfg, std::max(devices, 2u), window);
+    std::vector<std::unique_ptr<Device>> gpus;
+    std::vector<std::unique_ptr<Repartitioner>> controllers;
+    std::vector<Gpu *> list;
+    Rng rng(seed);
+    for (uint32_t d = 0; d < devices; ++d) {
+        gpus.push_back(std::make_unique<Device>(cfg, &run.grants));
+        Device &gpu = *gpus.back();
+        gpu.setDeviceId(d);
+        gpu.setStreamIdBase(d * 32);
+        if (devices > 1) {
+            gpu.setRemotePort(&fabric);
+            fabric.attachDevice(d, &gpu);
+        }
+        list.push_back(&gpu);
+        const StreamId a = gpu.createStream("a");
+        const StreamId b = gpu.createStream("b");
+        gpu.setPartition({PartitionPolicy::Mps, {}, kInvalidStream});
+        controllers.push_back(
+            std::make_unique<Repartitioner>(40 + rng.nextBelow(80), a));
+        gpu.addController(controllers.back().get());
+        for (StreamId s : {a, b}) {
+            for (uint32_t k = 0; k < 3; ++k) {
+                // Four regions per window, shared by both devices: pages
+                // their owner also reads migrate away under it.
+                const uint32_t home = static_cast<uint32_t>(
+                    rng.nextBelow(devices));
+                AddressSpace heap(home * window + 0x1000'0000ull +
+                                  (rng.nextBelow(4) << 15));
+                const uint64_t bytes = 8192 << rng.nextBelow(3);
+                gpu.enqueueKernel(s, randomTrafficKernel(
+                                         rng, heap.alloc(bytes), bytes,
+                                         "traffic"));
+            }
+        }
+    }
+    integrity::RunOptions opts;
+    opts.checkInterval = 1;
+    opts.auditInterval = 1;
+    const Gpu::RunResult r =
+        Machine(list, devices > 1 ? &fabric : nullptr).run(2'000'000, opts);
+    run.cycles = r.cycles;
+    run.completed = r.completed;
+    if (r.hang) {
+        for (const auto &v : r.hang->violations) {
+            run.violations.push_back(v.check + ": " + v.detail);
+        }
+    }
+    for (const auto &gpu : gpus) {
+        run.counts.push_back(gpu->workCounts());
+    }
+    run.remoteRequests = fabric.requestsAccepted();
+    run.migrations = fabric.pageMigrations();
+    return run;
+}
+
+void
+expectGatedMatchesPolling(uint64_t seed, uint32_t devices)
+{
+    const RetryRun polling = runRetryTraffic<PollingGpu>(seed, devices);
+    const RetryRun gated = runRetryTraffic<LoggingGpu>(seed, devices);
+    for (const RetryRun *run : {&polling, &gated}) {
+        ASSERT_TRUE(run->completed)
+            << (run == &gated ? "gated" : "polling") << ", seed " << seed
+            << ", cycle " << run->cycles << ": "
+            << (run->violations.empty() ? "" : run->violations.front());
+    }
+    EXPECT_EQ(gated.cycles, polling.cycles) << "seed " << seed;
+    ASSERT_EQ(gated.grants.size(), polling.grants.size()) << "seed " << seed;
+    for (size_t i = 0; i < gated.grants.size(); ++i) {
+        ASSERT_EQ(gated.grants[i], polling.grants[i])
+            << "seed " << seed << ": grant " << i << " at cycle "
+            << polling.grants[i].at << " differs";
+    }
+    uint64_t skips = 0;
+    for (uint32_t d = 0; d < devices; ++d) {
+        const Gpu::WorkCounts &g = gated.counts[d];
+        const Gpu::WorkCounts &p = polling.counts[d];
+        // A skipped re-offer stands for exactly one refused re-offer of
+        // the polling retry: the grants above are the same, so every
+        // re-offer the gate spared was a refusal.
+        EXPECT_EQ(p.retrySkips, 0u);
+        EXPECT_EQ(g.retryOffers + g.retrySkips, p.retryOffers);
+        EXPECT_EQ(g.retryRefusals + g.retrySkips, p.retryRefusals);
+        EXPECT_EQ(g.ticks, p.ticks);
+        EXPECT_EQ(g.smSteps, p.smSteps);
+        skips += g.retrySkips;
+    }
+    EXPECT_GT(skips, 0u) << "seed " << seed << ": no gate ever closed";
+    EXPECT_EQ(gated.remoteRequests, polling.remoteRequests);
+    EXPECT_EQ(gated.migrations, polling.migrations);
+    if (devices > 1) {
+        EXPECT_GT(gated.remoteRequests, 0u) << "seed " << seed;
+        EXPECT_GT(gated.migrations, 0u) << "seed " << seed;
+    }
+}
+
+} // namespace
+
+TEST(RetryGate, FullBanksAndMigMaskChangesMatchThePollingRetry)
+{
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+        expectGatedMatchesPolling(seed, 1);
+    }
+}
+
+TEST(RetryGate, RemoteHeadsAndMigrationMatchThePollingRetry)
+{
+    for (uint64_t seed = 11; seed <= 13; ++seed) {
+        expectGatedMatchesPolling(seed, 2);
+    }
+}
+
+TEST(RetryGate, AGateStillClosedAfterItsBankPoppedIsReported)
+{
+    // The retry-gate identity is what makes a skip safe: a closed gate's
+    // bank queue is full. A gate that stays closed after its bank popped
+    // would skip a re-offer that could be accepted, and the check at
+    // cadence 1 must stop the run on it.
+    const RetryRun run = runRetryTraffic<StuckGateGpu>(1, 1);
+    EXPECT_FALSE(run.completed);
+    ASSERT_FALSE(run.violations.empty());
+    EXPECT_EQ(run.violations.front().rfind("retry-gate: ", 0), 0u)
+        << run.violations.front();
 }

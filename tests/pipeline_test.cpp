@@ -30,9 +30,12 @@ tinyScene(AddressSpace &heap, ShaderKind kind = ShaderKind::Basic)
     mat.kind = kind;
     const uint32_t n_tex = kind == ShaderKind::Pbr ? 8 : 1;
     for (uint32_t i = 0; i < n_tex; ++i) {
+        // Appending, not `"t" + std::to_string(i)`: GCC 12 inlines that
+        // operator+ into a false -Wrestrict warning.
+        std::string name = "t";
+        name += std::to_string(i);
         mat.textures.push_back(scene.addTexture(std::make_unique<Texture2D>(
-            "t" + std::to_string(i), 64, 64, TexFormat::RGBA8, heap, 1,
-            true, i + 1)));
+            name, 64, 64, TexFormat::RGBA8, heap, 1, true, i + 1)));
     }
     Material *m = scene.addMaterial(std::move(mat));
     DrawCall d;
