@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "common/logging.hpp"
@@ -138,87 +137,6 @@ Json::offsetToLineCol(const std::string &text, size_t offset,
 
 namespace
 {
-
-void
-dumpString(const std::string &s, std::string &out)
-{
-    out += '"';
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
-    out += '"';
-}
-
-void
-dumpValue(const Json &j, std::string &out)
-{
-    switch (j.type()) {
-      case Json::Type::Null:
-        out += "null";
-        break;
-      case Json::Type::Bool:
-        out += j.asBool() ? "true" : "false";
-        break;
-      case Json::Type::Number: {
-        const double v = j.asDouble();
-        char buf[40];
-        // Integers (the common case: ids, counters, cycles) print
-        // without an exponent or trailing zeros.
-        if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-            std::snprintf(buf, sizeof(buf), "%.0f", v);
-        } else {
-            std::snprintf(buf, sizeof(buf), "%.17g", v);
-        }
-        out += buf;
-        break;
-      }
-      case Json::Type::String:
-        dumpString(j.asString(), out);
-        break;
-      case Json::Type::Array: {
-        out += '[';
-        bool first = true;
-        for (const Json &item : j.items()) {
-            if (!first) {
-                out += ',';
-            }
-            first = false;
-            dumpValue(item, out);
-        }
-        out += ']';
-        break;
-      }
-      case Json::Type::Object: {
-        out += '{';
-        bool first = true;
-        for (const auto &[k, v] : j.fields()) {
-            if (!first) {
-                out += ',';
-            }
-            first = false;
-            dumpString(k, out);
-            out += ':';
-            dumpValue(v, out);
-        }
-        out += '}';
-        break;
-      }
-    }
-}
 
 /** Recursive-descent parser over a byte range; positions for errors. */
 class Parser
@@ -550,14 +468,6 @@ class Parser
 };
 
 } // namespace
-
-std::string
-Json::dump() const
-{
-    std::string out;
-    dumpValue(*this, out);
-    return out;
-}
 
 bool
 Json::parse(const std::string &text, Json &out, std::string &err)

@@ -22,9 +22,7 @@ namespace crisp
  * within one object is an error, not a silent overwrite. Numbers are
  * kept as doubles (every scenario field fits a double exactly).
  *
- * Input may span multiple lines (pretty-printed scenario files); dump()
- * renders compactly on one line, escaping any newline inside a string,
- * which is what Scenario::canonicalText relies on.
+ * Input may span multiple lines (pretty-printed scenario files).
  */
 class Json
 {
@@ -80,10 +78,6 @@ class Json
     Json &set(const std::string &key, Json value);
     /** Append an array element; fatal on non-arrays. */
     Json &push(Json value);
-
-    /** Compact single-line rendering; newlines inside strings are
-     *  escaped, so the output never contains a raw newline. */
-    std::string dump() const;
 
     /**
      * Parse one complete JSON document. Trailing non-whitespace, bad

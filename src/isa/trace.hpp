@@ -43,9 +43,6 @@ struct TraceInstr
 
     uint32_t activeLanes() const { return __builtin_popcount(activeMask); }
     bool hasDst() const { return dst != kNoReg; }
-
-    /** Field-wise equality (trace round-trip tests, trace_diff). */
-    bool operator==(const TraceInstr &) const = default;
 };
 
 /** The ordered instruction stream of one warp. */
@@ -54,8 +51,6 @@ struct WarpTrace
     std::vector<TraceInstr> instrs;
     /** Number of live threads in this warp (<= kWarpSize). */
     uint32_t threadCount = kWarpSize;
-
-    bool operator==(const WarpTrace &) const = default;
 };
 
 /** All warps of one CTA (thread block). */
@@ -64,8 +59,6 @@ struct CtaTrace
     std::vector<WarpTrace> warps;
 
     uint64_t totalInstrs() const;
-
-    bool operator==(const CtaTrace &) const = default;
 };
 
 /** CUDA-style 3D extent. */

@@ -16,15 +16,6 @@ MultiGpuConfig::dualRtx3070()
     return cfg;
 }
 
-MultiGpuConfig
-MultiGpuConfig::quadRtx3070()
-{
-    MultiGpuConfig cfg;
-    cfg.numGpus = 4;
-    cfg.gpu = GpuConfig::rtx3070();
-    return cfg;
-}
-
 MultiGpu::MultiGpu(const MultiGpuConfig &cfg) : cfg_(cfg)
 {
     fatal_if(cfg_.numGpus < 2 || cfg_.numGpus > 8,

@@ -41,9 +41,8 @@ struct MultiGpuConfig
      */
     StreamId streamIdStride = 32;
 
-    /** Two/four RTX 3070-class devices over an NVLink-ish mesh. */
+    /** Two RTX 3070-class devices over an NVLink-ish mesh. */
     static MultiGpuConfig dualRtx3070();
-    static MultiGpuConfig quadRtx3070();
 };
 
 /**

@@ -471,111 +471,4 @@ submitScenarioMulti(const Scenario &sc, mgpu::MultiGpu &mgpu,
     return r;
 }
 
-bool
-flattenable(const Scenario &sc, std::string &why)
-{
-    why.clear();
-    if (sc.graphics.present && sc.graphics.fixedFunctionDelay != 0) {
-        why = "fixed_function_delay has no packed-trace representation";
-        return false;
-    }
-    if (sc.gpu.numGpus > 1) {
-        why = "multi-GPU scenarios have no packed-trace representation";
-        return false;
-    }
-    const ComputeDesc &cd = sc.compute;
-    if (cd.present && cd.preset.empty()) {
-        if (cd.schedule.bursts > 1) {
-            why = "burst schedules have no packed-trace representation";
-            return false;
-        }
-        if (cd.schedule.poisson) {
-            why = "Poisson arrival schedules have no packed-trace "
-                  "representation";
-            return false;
-        }
-        for (const KernelNode &kn : cd.kernels) {
-            if (kn.hasAt && kn.at != 0) {
-                why = "arrival times (\"at\") have no packed-trace "
-                      "representation";
-                return false;
-            }
-            if (kn.delay != 0) {
-                why = "dependency delays have no packed-trace "
-                      "representation";
-                return false;
-            }
-        }
-    }
-    return true;
-}
-
-namespace
-{
-
-/** Functionally render every frame and collect the kernels with
- *  cross-frame-adjusted dependency indices. */
-void
-flattenGraphicsSide(const Scenario &sc, AddressSpace &heap,
-                    Materialized &out, std::vector<KernelInfo> &kernels,
-                    std::vector<int> &deps)
-{
-    GfxBuild gb = prepareGraphics(sc, heap, out);
-    for (uint32_t f = 0; f < sc.graphics.frames; ++f) {
-        RenderSubmission rs = renderFrame(sc, gb, f, heap, *out.pipeline);
-        const int offset = static_cast<int>(kernels.size());
-        for (size_t i = 0; i < rs.kernels.size(); ++i) {
-            kernels.push_back(rs.kernels[i]);
-            const int dep = i < rs.dependsOn.size() ? rs.dependsOn[i] : -1;
-            deps.push_back(dep < 0 ? -1 : dep + offset);
-        }
-        out.frames.push_back(std::move(rs));
-    }
-}
-
-/** The compute side's kernels and their launch dependencies. */
-void
-flattenComputeSide(const Scenario &sc, AddressSpace &heap,
-                   RenderPipeline *pipeline,
-                   std::vector<KernelInfo> &kernels,
-                   std::vector<int> &deps)
-{
-    const ComputeDesc &cd = sc.compute;
-    if (!cd.preset.empty()) {
-        kernels = buildPresetCompute(cd, heap, pipeline);
-        for (size_t i = 0; i < kernels.size(); ++i) {
-            // The live path chains presets in stream order.
-            deps.push_back(i == 0 ? -1 : static_cast<int>(i) - 1);
-        }
-    } else {
-        kernels = buildExplicitKernels(cd, heap, pipeline);
-        std::map<std::string, int> index;
-        for (size_t i = 0; i < cd.kernels.size(); ++i) {
-            const KernelNode &kn = cd.kernels[i];
-            deps.push_back(kn.hasAfter ? index.at(kn.after) : -1);
-            index[kn.name] = static_cast<int>(i);
-        }
-    }
-}
-
-} // namespace
-
-bool
-flattenScenario(const Scenario &sc, AddressSpace &heap, Materialized &out,
-                Flattened &flat, std::string &why)
-{
-    if (!flattenable(sc, why)) {
-        return false;
-    }
-    if (sc.graphics.present) {
-        flattenGraphicsSide(sc, heap, out, flat.gfxKernels,
-                            flat.gfxDependsOn);
-    }
-    if (sc.compute.present) {
-        flattenComputeSide(sc, heap, out.pipeline.get(), flat.cmpKernels,
-                           flat.cmpDependsOn);
-    }
-    return true;
-}
-
 } // namespace crisp::scenario

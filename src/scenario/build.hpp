@@ -2,7 +2,6 @@
 #define CRISP_SCENARIO_BUILD_HPP
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "gpu/gpu.hpp"
@@ -92,36 +91,6 @@ MultiSubmitResult submitScenarioMulti(const Scenario &sc,
  * for the Poisson model — deterministic for a fixed seed.
  */
 std::vector<Cycle> burstBases(const ScheduleNode &s, double core_clock_mhz);
-
-/**
- * A scenario flattened to the packed-trace shape: per-stream kernel lists
- * with dependency indices (-1 = none). Only dependency-expressible
- * scenarios flatten; arrival schedules (bursts, "at", "delay",
- * fixed_function_delay) have no CRTR representation.
- */
-struct Flattened
-{
-    std::vector<KernelInfo> gfxKernels;
-    std::vector<int> gfxDependsOn;
-    std::vector<KernelInfo> cmpKernels;
-    std::vector<int> cmpDependsOn;
-};
-
-/**
- * Whether the scenario can be expressed in the packed-trace shape at
- * all. False (with @p why set) for arrival schedules — bursts, "at",
- * "delay", fixed_function_delay — which only run live.
- */
-bool flattenable(const Scenario &sc, std::string &why);
-
-/**
- * Flatten the whole scenario without a Gpu (trace packing): graphics
- * side first, then compute, matching the live path's heap-allocation
- * order. Returns false with @p why set when not flattenable(); such
- * scenarios still run live through submitScenario.
- */
-bool flattenScenario(const Scenario &sc, AddressSpace &heap,
-                     Materialized &out, Flattened &flat, std::string &why);
 
 } // namespace crisp::scenario
 

@@ -950,11 +950,7 @@ loadScenarioText(const std::string &text, const std::string &file_label,
                           "\" needs both a \"graphics\" and a "
                           "\"compute\" section");
     }
-    if (!c.ok) {
-        return false;
-    }
-    out.canonicalText = doc.dump();
-    return true;
+    return c.ok;
 }
 
 bool

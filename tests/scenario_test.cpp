@@ -19,9 +19,6 @@
 #include "scenario/build.hpp"
 #include "scenario/scenario.hpp"
 #include "telemetry/sink.hpp"
-#include "traceio/reader.hpp"
-#include "traceio/replay.hpp"
-#include "traceio/writer.hpp"
 #include "workloads/compute.hpp"
 #include "workloads/scenes.hpp"
 #include "workloads/submit.hpp"
@@ -106,12 +103,6 @@ TEST(ScenarioLoader, MinimalComputeScenarioParses)
     EXPECT_EQ(sc.compute.preset, "VIO");
     EXPECT_EQ(sc.compute.frames, 2u);
     EXPECT_EQ(sc.gpu.preset, "rtx3070");
-    // Canonical text is a single line and stable across reformatting.
-    EXPECT_EQ(sc.canonicalText.find('\n'), std::string::npos);
-    const Scenario re = loadTextOrDie(
-        "{\"crisp_scenario\":1,\"name\":\"mini\","
-        "\"compute\":{\"preset\":\"VIO\",\"frames\":2}}");
-    EXPECT_EQ(sc.canonicalText, re.canonicalText);
 }
 
 TEST(ScenarioLoader, UnknownKeyCarriesFileLineCol)
@@ -642,73 +633,6 @@ TEST(ScenarioStress, DramSaturationSurvivesTheWatchdog)
     EXPECT_EQ(wr.cycles, pr.cycles);
     expectStreamStatsIdentical(watched.stats().stream(sr.cmp),
                                plain.stats().stream(sr.cmp));
-}
-
-// --- Flattening: packed traces ---------------------------------------------
-
-TEST(ScenarioFlatten, ArrivalSchedulesDoNotFlatten)
-{
-    std::string why;
-    const Scenario bursts = loadFileOrDie("game_inference.json");
-    EXPECT_FALSE(scenario::flattenable(bursts, why));
-    EXPECT_NE(why.find("burst"), std::string::npos) << why;
-
-    const Scenario rays = loadFileOrDie("ray_traversal.json");
-    why.clear();
-    EXPECT_TRUE(scenario::flattenable(rays, why)) << why;
-
-    AddressSpace heap;
-    scenario::Materialized mat;
-    scenario::Flattened flat;
-    EXPECT_FALSE(scenario::flattenScenario(bursts, heap, mat, flat, why));
-    EXPECT_FALSE(why.empty());
-}
-
-TEST(ScenarioFlatten, PackedTraceReplaysByteIdenticalToLive)
-{
-    const Scenario sc = loadFileOrDie("ray_traversal.json");
-
-    // Live path.
-    Gpu live(scenario::gpuConfigFor(sc));
-    AddressSpace heap_live;
-    scenario::Materialized mat_live;
-    const scenario::SubmitResult sr =
-        scenario::submitScenario(sc, live, heap_live, mat_live);
-    const auto run_live = live.run(8'000'000'000ull);
-    ASSERT_TRUE(run_live.completed);
-
-    // Flatten, pack to disk, reload, replay — trace_pack's pipeline.
-    AddressSpace heap_flat;
-    const Addr base = heap_flat.allocatedEnd();
-    scenario::Materialized mat_flat;
-    scenario::Flattened flat;
-    std::string why;
-    ASSERT_TRUE(
-        scenario::flattenScenario(sc, heap_flat, mat_flat, flat, why))
-        << why;
-    EXPECT_TRUE(flat.gfxKernels.empty());
-    ASSERT_EQ(flat.cmpKernels.size(), 3u);
-
-    const std::string path =
-        std::string(::testing::TempDir()) + "/scenario_rt.crtr";
-    traceio::TraceError terr;
-    ASSERT_TRUE(traceio::writeTrace(
-        path, "trace_pack/scenario/" + sc.canonicalText, flat.cmpKernels,
-        flat.cmpDependsOn, heap_flat.allocatedEnd() - base, terr))
-        << terr.render();
-    traceio::LoadedTrace loaded;
-    ASSERT_TRUE(traceio::loadTrace(path, loaded, terr)) << terr.render();
-    ASSERT_EQ(loaded.dependsOn, flat.cmpDependsOn);
-
-    Gpu replay(scenario::gpuConfigFor(sc));
-    const StreamId rs = replay.createStream("compute");
-    traceio::submitLoaded(replay, rs, loaded);
-    const auto run_replay = replay.run(8'000'000'000ull);
-    ASSERT_TRUE(run_replay.completed);
-
-    EXPECT_EQ(run_live.cycles, run_replay.cycles);
-    expectStreamStatsIdentical(live.stats().stream(sr.cmp),
-                               replay.stats().stream(rs));
 }
 
 // --- Schema fuzzing --------------------------------------------------------
