@@ -344,6 +344,8 @@ simulate(const Options &opt, const scenario::Scenario &scn)
         add_count("retry-offers", &Gpu::WorkCounts::retryOffers);
         add_count("retry-refusals", &Gpu::WorkCounts::retryRefusals);
         add_count("retry-skips", &Gpu::WorkCounts::retrySkips);
+        add_count("issue-tries", &Gpu::WorkCounts::issueTries);
+        add_count("issue-refusals", &Gpu::WorkCounts::issueRefusals);
         std::printf("\nsimulator work counts (exact):\n%s",
                     wt.toText().c_str());
     }

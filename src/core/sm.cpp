@@ -26,6 +26,9 @@ Sm::Sm(uint32_t sm_id, const SmConfig &cfg, MemFabricPort *fabric,
       fabric_(fabric),
       stats_(stats),
       wake_(wake_slot),
+      // Left unwritten: an entry is read only after its warp writes it.
+      readyAt_(std::make_unique_for_overwrite<Cycle[]>(
+          size_t{cfg.maxWarps} * kRegs)),
       l1_({cfg.l1SizeBytes, cfg.l1Ways, kLineBytes}),
       l1Mshr_(cfg.l1MshrEntries, cfg.l1MshrTargets),
       smemBanks_(cfg.smemBanks)
@@ -307,6 +310,15 @@ Sm::launchCta(const KernelInfo &kernel, KernelId kernel_id,
         const uint32_t slot = freeSlots_.back();
         freeSlots_.pop_back();
         WarpState &warp = warps_[slot];
+        // Results of the slot's last warp still to land become strays:
+        // each clears this warp's write of its register if pending then.
+        for (size_t reg = warp.written._Find_first(); reg < kRegs;
+             reg = warp.written._Find_next(reg)) {
+            const Cycle ready = readyAt(slot, static_cast<uint8_t>(reg));
+            if (ready > now && ready < kInFlight) {
+                strays_.push_back({ready, slot, static_cast<uint8_t>(reg)});
+            }
+        }
         warp = WarpState{};
         warp.slot = slot;
         warp.ctaKey = key;
@@ -371,7 +383,7 @@ bool
 Sm::idle() const
 {
     return activeWarps_ == 0 && ldstQueue_.empty() && liveTrackers_ == 0 &&
-           writebacks_.empty() && fabricRetry_.empty();
+           !landingOwed_ && fabricRetry_.empty();
 }
 
 uint32_t
@@ -429,17 +441,123 @@ Sm::streamIdxOf(StreamId stream)
 }
 
 void
-Sm::scheduleWriteback(uint32_t slot, uint8_t reg, Cycle when)
+Sm::noteLanding(Cycle at)
 {
-    writebacks_.push(when, slot, reg);
-    *wake_ = std::min(*wake_, when);
+    lastLanding_ = std::max(lastLanding_, at);
+    landingOwed_ = true;
+    if (liveMask_ == 0) {
+        // No warp keeps the SM stepping: wake it for the landing, so it
+        // goes idle on the same cycle as when stepping every cycle.
+        *wake_ = std::min(*wake_, at);
+    }
+}
+
+void
+Sm::park(WarpState &warp, Cycle clear_at)
+{
+    warp.readyFrom = clear_at;
+    if (clear_at >= kInFlight) {
+        loadParked_ |= slotBit(warp.slot);
+        return;
+    }
+    scoreboardParked_ |= slotBit(warp.slot);
+    parkWheel_.push(clear_at, warp.slot);
+}
+
+void
+Sm::repark(WarpState &warp)
+{
+    const uint64_t bit = slotBit(warp.slot);
+    if (((scoreboardParked_ | loadParked_) & bit) == 0) {
+        return;
+    }
+    const Cycle clear_at = operandsReadyAt(warp, warp.trace.instrs[warp.pc]);
+    if ((loadParked_ & bit) != 0 ? clear_at >= kInFlight
+                                 : clear_at >= warp.readyFrom) {
+        return;
+    }
+    // The wheel entry of an earlier clear cycle stays behind: step()
+    // unparks only a warp whose own clear cycle has come.
+    loadParked_ &= ~bit;
+    scoreboardParked_ &= ~bit;
+    park(warp, clear_at);
+    *wake_ = std::min(*wake_, clear_at);
+}
+
+void
+Sm::writeReg(WarpState &warp, uint8_t reg, Cycle ready, Cycle now)
+{
+    warp.written.set(reg);
+    Cycle clears_at = ready;
+    for (const StrayWrite &stray : strays_) {
+        if (stray.slot == warp.slot && stray.reg == reg && stray.at > now) {
+            clears_at = std::min(clears_at, stray.at);
+        }
+    }
+    if (clears_at < ready && ready < kInFlight) {
+        // This write lands after the stray has cleared it: a stray now.
+        strays_.push_back({ready, warp.slot, reg});
+    }
+    readyAt(warp.slot, reg) = clears_at;
+    if (clears_at < kInFlight) {
+        warp.resultsBy = std::max(warp.resultsBy, clears_at);
+    }
+}
+
+void
+Sm::strayLands(uint32_t slot, uint8_t reg, Cycle at)
+{
+    WarpState &warp = warps_[slot];
+    if (!warp.live || !warp.written.test(reg)) {
+        return;
+    }
+    Cycle &ready = readyAt(slot, reg);
+    if (ready <= at) {
+        return;
+    }
+    if (ready < kInFlight) {
+        // The write it clears still lands later: a stray from now on.
+        strays_.push_back({ready, slot, reg});
+    }
+    ready = at;
+    warp.resultsBy = std::max(warp.resultsBy, at);
+    repark(warp);
+}
+
+void
+Sm::landLoad(const LoadTracker &tracker, uint64_t id, Cycle usable)
+{
+    noteLanding(usable);
+    if (tracker.reg == kNoReg) {
+        return;
+    }
+    WarpState &warp = warps_[tracker.warpSlot];
+    const bool issuer = warp.live && warp.age == tracker.warpAge;
+    if (issuer) {
+        --warp.loadsInFlight;
+    }
+    Cycle &ready = readyAt(tracker.warpSlot, tracker.reg);
+    if (issuer && warp.written.test(tracker.reg) &&
+        ready == (kInFlight | id)) {
+        ready = usable;
+        warp.resultsBy = std::max(warp.resultsBy, usable);
+        // A warp parked on its loads waits on no timed result it could
+        // be refused for sooner: reschedule it for the cycle its
+        // operands are all in.
+        repark(warp);
+        return;
+    }
+    // Its warp has left the slot, or a stray cleared its register
+    // first. (A write issued before an L1 hit's landing clears there.)
+    strays_.push_back({usable, tracker.warpSlot, tracker.reg});
+    strayLands(tracker.warpSlot, tracker.reg, usable);
 }
 
 void
 Sm::releaseBarrier(CtaState &cta)
 {
     for (uint32_t slot : cta.warpSlots) {
-        warps_[slot].atBarrier = false;
+        barrierParked_ &= ~slotBit(slot);
     }
     cta.warpsAtBarrier = 0;
 }
@@ -529,12 +647,13 @@ Sm::issueMemory(WarpState &warp, const TraceInstr &instr, Cycle now)
         tracker.reg = instr.dst;
         tracker.remaining = static_cast<uint32_t>(entry.lines.size());
         tracker.isTexture = texture;
+        tracker.warpAge = warp.age;
         entry.tracker = allocTracker(tracker);
         if (instr.hasDst()) {
-            warp.pendingWrites.set(instr.dst);
+            writeReg(warp, instr.dst, kInFlight | entry.tracker, now);
+            ++warp.loadsInFlight;
         }
     }
-    (void)now;
     if (warp.prioStream) {
         // Priority entries service ahead of queued lower-priority ones
         // (but stay ordered among themselves).
@@ -557,39 +676,48 @@ Sm::issueMemory(WarpState &warp, const TraceInstr &instr, Cycle now)
     }
 }
 
-bool
-Sm::scoreboardHazard(const WarpState &warp, const TraceInstr &instr)
+Cycle
+Sm::operandsReadyAt(const WarpState &warp, const TraceInstr &instr) const
 {
-    if (instr.hasDst() && warp.pendingWrites.test(instr.dst)) {
-        return true;
-    }
-    for (uint8_t src : instr.srcs) {
-        if (src != kNoReg && warp.pendingWrites.test(src)) {
-            return true;
+    const Cycle *ready = &readyAt_[size_t{warp.slot} * kRegs];
+    Cycle at = 0;
+    auto operand = [&](uint8_t reg) {
+        if (reg != kNoReg && warp.written.test(reg)) {
+            at = std::max(at, ready[reg]);
         }
+    };
+    operand(instr.dst);
+    for (const uint8_t src : instr.srcs) {
+        operand(src);
     }
-    return false;
+    return at;
 }
 
 bool
 Sm::tryIssue(WarpState &warp, Cycle now, Cycle &wake)
 {
-    // Warps at a barrier are woken by another warp's issue.
-    if (!warp.live || warp.atBarrier || warp.pc >= warp.trace.instrs.size()) {
-        return false;
-    }
+    // Only live, unparked warps are tried: a warp at a barrier is parked
+    // until another warp's issue releases it, and a warp leaves its
+    // slot on issuing its last instruction.
+    ++issueCounts_.tries;
     const TraceInstr &instr = warp.trace.instrs[warp.pc];
 
-    // Register scoreboard: stall on RAW and WAW hazards. Most warps have
-    // no pending writes at all; one bitset sweep skips the per-operand
-    // tests in that common case.
-    if (warp.pendingWrites.any() && scoreboardHazard(warp, instr)) {
-        scoreboardParked_ |= slotBit(warp.slot);
-        return false;
+    // Register scoreboard: stall on RAW and WAW hazards until the
+    // operands land. Most tries come at or after the bound the warp's
+    // last issue or park left, which skips the per-operand test.
+    if (warp.readyFrom > now) {
+        const Cycle clear_at = operandsReadyAt(warp, instr);
+        if (clear_at > now) {
+            ++issueCounts_.refusals;
+            park(warp, clear_at);
+            return false;
+        }
     }
 
     StreamSlot &stream_slot = streamSlots_[warp.streamIdx];
     const OpClass cls = opcodeClass(instr.opcode);
+    // Landing cycle of a fixed-latency result (kNeverCycle: none).
+    Cycle lands_at = kNeverCycle;
     switch (cls) {
       case OpClass::FP32:
       case OpClass::INT:
@@ -597,19 +725,17 @@ Sm::tryIssue(WarpState &warp, Cycle now, Cycle &wake)
       case OpClass::Tensor: {
         UnitPool &pool = units_[static_cast<size_t>(cls)];
         if (pool.minFree() > now) {
+            ++issueCounts_.refusals;
             wake = std::min(wake, pool.minFree());
             return false;
         }
         pool.take(now);
-        if (instr.hasDst()) {
-            warp.pendingWrites.set(instr.dst);
-            scheduleWriteback(warp.slot, instr.dst,
-                              now + cfg_.latencyFor(cls));
-        }
+        lands_at = now + cfg_.latencyFor(cls);
         break;
       }
       case OpClass::MemShared: {
         if (smemPortFreeAt_ > now) {
+            ++issueCounts_.refusals;
             wake = std::min(wake, smemPortFreeAt_);
             return false;
         }
@@ -618,18 +744,11 @@ Sm::tryIssue(WarpState &warp, Cycle now, Cycle &wake)
         StreamStats &st = stream_slot.stats;
         st.smemAccesses++;
         st.smemBankConflicts += serial - 1;
-        if (instr.hasDst()) {
-            warp.pendingWrites.set(instr.dst);
-            scheduleWriteback(warp.slot, instr.dst,
-                              now + cfg_.smemLatency + serial - 1);
-        }
+        lands_at = now + cfg_.smemLatency + serial - 1;
         break;
       }
       case OpClass::MemConst:
-        if (instr.hasDst()) {
-            warp.pendingWrites.set(instr.dst);
-            scheduleWriteback(warp.slot, instr.dst, now + cfg_.constLatency);
-        }
+        lands_at = now + cfg_.constLatency;
         break;
       case OpClass::MemGlobal:
       case OpClass::MemTexture:
@@ -637,6 +756,7 @@ Sm::tryIssue(WarpState &warp, Cycle now, Cycle &wake)
         // doing it here against the warp's cached limit keeps the
         // (overwhelmingly common) full-queue rejection to two loads.
         if (ldstQueue_.size() >= warp.ldstLimit) {
+            ++issueCounts_.refusals;
             ldstRoomParked_ |= slotBit(warp.slot);
             return false;
         }
@@ -644,7 +764,7 @@ Sm::tryIssue(WarpState &warp, Cycle now, Cycle &wake)
         break;
       case OpClass::Barrier: {
         CtaState &cta = ctaPool_[warp.ctaKey];
-        warp.atBarrier = true;
+        barrierParked_ |= slotBit(warp.slot);
         if (++cta.warpsAtBarrier == cta.liveWarps) {
             releaseBarrier(cta);
         }
@@ -656,12 +776,27 @@ Sm::tryIssue(WarpState &warp, Cycle now, Cycle &wake)
         panic("unhandled op class %d", static_cast<int>(cls));
     }
 
+    if (lands_at != kNeverCycle && instr.hasDst()) {
+        // A fixed-latency result is no event: its landing cycle is all
+        // the scoreboard needs.
+        writeReg(warp, instr.dst, lands_at, now);
+        noteLanding(lands_at);
+    }
     warp.pc++;
     stream_slot.stats.instructions++;
     stream_slot.issued++;
 
     if (instr.opcode == Opcode::EXIT || warp.pc >= warp.trace.instrs.size()) {
         finishWarp(warp, now);
+        return true;
+    }
+    // Park at once a warp whose next instruction next cycle's try would
+    // refuse on the scoreboard: the try has no side effect.
+    warp.readyFrom = mayWait(warp, now + 1)
+        ? operandsReadyAt(warp, warp.trace.instrs[warp.pc])
+        : now + 1;
+    if (warp.readyFrom > now + 1) {
+        park(warp, warp.readyFrom);
     }
     return true;
 }
@@ -714,7 +849,9 @@ Sm::memPhaseGrantRetry(Cycle now)
     }
     fabricRetry_.pop_front();
     --memRetriesLeft_;
-    return true;
+    // With no retry left to spend or no head left to offer, a further
+    // grant this cycle would refuse without a side effect.
+    return memRetriesLeft_ > 0 && !fabricRetry_.empty();
 }
 
 bool
@@ -727,7 +864,10 @@ Sm::memPhaseGrantLdst(Cycle now)
     if (outcome == LdstOutcome::Blocked) {
         memLdstBlocked_ = true;
     }
-    return outcome == LdstOutcome::Progress;
+    // With no L1 port left or the queue empty, a further grant this
+    // cycle would be idle (only step() queues memory instructions).
+    return outcome == LdstOutcome::Progress && memPortsLeft_ > 0 &&
+        !ldstQueue_.empty();
 }
 
 Sm::LdstOutcome
@@ -789,8 +929,7 @@ Sm::stepLdstOne(Cycle now)
             LoadTracker *tracker = findTracker(entry.tracker);
             panic_if(tracker == nullptr, "L1 hit for dead tracker");
             if (--tracker->remaining == 0) {
-                scheduleWriteback(tracker->warpSlot, tracker->reg,
-                                  now + cfg_.l1HitLatency);
+                landLoad(*tracker, entry.tracker, now + cfg_.l1HitLatency);
                 freeTracker(static_cast<uint32_t>(
                     entry.tracker & ((1ull << kTrackerIdxBits) - 1)));
             }
@@ -820,7 +959,8 @@ Sm::stepLdstOne(Cycle now)
         recycleLines(std::move(entry.lines));
         ldstQueue_.pop_front();
         // Queue room may unblock a warp's memory instruction. (An L1 hit
-        // that completes a load wakes the SM through its writeback.)
+        // that completes a load a parked warp waits on wakes the SM
+        // itself.)
         *wake_ = 0;
         ldstRoomParked_ = 0;
     }
@@ -828,7 +968,7 @@ Sm::stepLdstOne(Cycle now)
 }
 
 void
-Sm::memResponse(const MemRequest &resp, Cycle now)
+Sm::memResponse(const MemRequest &resp, Cycle usable)
 {
     // Fill the unified L1 (reads only; write-through stores never respond).
     // fill(), not access(): the returning data is not a demand access, so
@@ -843,7 +983,7 @@ Sm::memResponse(const MemRequest &resp, Cycle now)
             continue;
         }
         if (--tracker->remaining == 0) {
-            scheduleWriteback(tracker->warpSlot, tracker->reg, now);
+            landLoad(*tracker, key, usable);
             freeTracker(static_cast<uint32_t>(
                 key & ((1ull << kTrackerIdxBits) - 1)));
         }
@@ -898,7 +1038,7 @@ Sm::probe(Cycle now) const
         if (!warp.live) {
             continue;
         }
-        if (warp.atBarrier) {
+        if ((barrierParked_ & slotBit(warp.slot)) != 0) {
             p.atBarrier++;
             continue;
         }
@@ -907,7 +1047,7 @@ Sm::probe(Cycle now) const
             continue;
         }
         const TraceInstr &instr = warp.trace.instrs[warp.pc];
-        if (scoreboardHazard(warp, instr)) {
+        if (operandsReadyAt(warp, instr) > now) {
             p.waitScoreboard++;
             continue;
         }
@@ -1036,34 +1176,76 @@ Sm::auditAccounting(std::string *detail) const
     }
 
     // Every park must still hold: a park whose refusal has cleared is a
-    // lost wakeup, and would quietly shift timing.
-    for (uint32_t slot = 0; slot < warps_.size(); ++slot) {
-        const bool on_scoreboard = (scoreboardParked_ & slotBit(slot)) != 0;
-        const bool on_ldst = (ldstRoomParked_ & slotBit(slot)) != 0;
-        if (!on_scoreboard && !on_ldst) {
-            continue;
-        }
+    // lost wakeup, and would quietly shift timing. A scoreboard park
+    // must name the cycle its operands land, recomputed from the ready
+    // table, and the SM must step by then; a load park must wait on a
+    // load still in flight.
+    if ((parkedMask() & ~liveMask_) != 0) {
+        return fail(formatMessage(
+            "SM %u parks %016llx hold warp slots with no live warp", smId_,
+            static_cast<unsigned long long>(parkedMask() & ~liveMask_)));
+    }
+    if ((scoreboardParked_ & loadParked_) != 0) {
+        return fail(formatMessage(
+            "SM %u warp slots %016llx parked both on the park wheel and "
+            "on their loads", smId_,
+            static_cast<unsigned long long>(scoreboardParked_ &
+                                            loadParked_)));
+    }
+    for (uint64_t live = liveMask_; live != 0; live &= live - 1) {
+        const uint32_t slot = static_cast<uint32_t>(__builtin_ctzll(live));
         const WarpState &warp = warps_[slot];
-        const TraceInstr *instr =
-            warp.live && !warp.atBarrier && warp.pc < warp.trace.instrs.size()
-            ? &warp.trace.instrs[warp.pc]
-            : nullptr;
-        const bool hazard = instr != nullptr && scoreboardHazard(warp, *instr);
-        if (on_scoreboard && !hazard) {
+        const TraceInstr &instr = warp.trace.instrs[warp.pc];
+        const Cycle clear_at = operandsReadyAt(warp, instr);
+        // A try at or past readyFrom skips the scoreboard test.
+        if (clear_at > warp.readyFrom) {
             return fail(formatMessage(
-                "SM %u warp slot %u parked on the scoreboard with no "
-                "hazard left", smId_, slot));
+                "SM %u warp slot %u bounds its operands by cycle %llu, "
+                "but they land at %llu", smId_, slot,
+                static_cast<unsigned long long>(warp.readyFrom),
+                static_cast<unsigned long long>(clear_at)));
         }
-        const OpClass cls =
-            instr != nullptr ? opcodeClass(instr->opcode) : OpClass::Control;
+        const bool on_scoreboard = (scoreboardParked_ & slotBit(slot)) != 0;
+        const bool on_load = (loadParked_ & slotBit(slot)) != 0;
+        const bool on_ldst = (ldstRoomParked_ & slotBit(slot)) != 0;
+        if (on_scoreboard &&
+            (clear_at != warp.readyFrom || clear_at <= steppedAt_ ||
+             clear_at < *wake_)) {
+            return fail(formatMessage(
+                "SM %u warp slot %u parked on the scoreboard until cycle "
+                "%llu, but its operands land at %llu (last step %llu, next "
+                "step %llu)", smId_, slot,
+                static_cast<unsigned long long>(warp.readyFrom),
+                static_cast<unsigned long long>(clear_at),
+                static_cast<unsigned long long>(steppedAt_),
+                static_cast<unsigned long long>(*wake_)));
+        }
+        if (on_load && clear_at < kInFlight) {
+            return fail(formatMessage(
+                "SM %u warp slot %u parked on its loads with none of its "
+                "operands in flight", smId_, slot));
+        }
+        const OpClass cls = opcodeClass(instr.opcode);
         if (on_ldst &&
-            (hazard ||
+            (clear_at > steppedAt_ ||
              (cls != OpClass::MemGlobal && cls != OpClass::MemTexture) ||
              ldstQueue_.size() < warp.ldstLimit)) {
             return fail(formatMessage(
                 "SM %u warp slot %u parked on LDST room with %zu of %u "
                 "queue entries used", smId_, slot, ldstQueue_.size(),
                 warp.ldstLimit));
+        }
+    }
+    for (uint32_t key : liveCtaSlots_) {
+        const CtaState &cta = ctaPool_[key];
+        uint32_t at_barrier = 0;
+        for (uint32_t slot : cta.warpSlots) {
+            at_barrier += (barrierParked_ & slotBit(slot)) != 0 ? 1 : 0;
+        }
+        if (at_barrier != cta.warpsAtBarrier) {
+            return fail(formatMessage(
+                "SM %u CTA %u has %u warps parked at its barrier, %u "
+                "counted", smId_, key, at_barrier, cta.warpsAtBarrier));
         }
     }
     if (ldstParked_) {
@@ -1083,42 +1265,44 @@ Sm::auditAccounting(std::string *detail) const
 void
 Sm::step(Cycle now)
 {
-    // The fabric-facing memory phase (retry queue + LDST unit) already
-    // ran this cycle under the owner's arbiter, before any SM stepped.
+    // The fabric-facing memory phase already ran this cycle under the
+    // owner's arbiter, before any SM stepped.
 
-    // Commit due register writebacks (clears scoreboard entries). Each
-    // pop clears a distinct scoreboard bit, so their order is
-    // unobservable. A warp parked on the scoreboard unparks only once
-    // its instruction has no hazard left: trying it earlier would refuse
-    // it again with no side effect. (A parked warp cannot have issued,
-    // so it is live, off any barrier and inside its trace.)
-    writebacks_.popDue(now, [this](uint32_t slot, uint8_t reg) {
-        WarpState &warp = warps_[slot];
-        if (reg != kNoReg) {
-            warp.pendingWrites.reset(reg);
-        }
-        if ((scoreboardParked_ & slotBit(slot)) != 0 &&
-            !scoreboardHazard(warp, warp.trace.instrs[warp.pc])) {
+    // Unpark the warps whose operands have landed by now. (A parked warp
+    // cannot have issued, so it is live and inside its trace.) A slot
+    // re-parked sooner by a stray left its later entry behind, which
+    // unparks nothing.
+    for (uint64_t due = parkWheel_.popDue(now) & scoreboardParked_;
+         due != 0; due &= due - 1) {
+        const uint32_t slot = static_cast<uint32_t>(__builtin_ctzll(due));
+        if (warps_[slot].readyFrom <= now) {
             scoreboardParked_ &= ~slotBit(slot);
         }
-    });
+    }
+    if (landingOwed_ && lastLanding_ <= now) {
+        landingOwed_ = false;
+    }
+    if (!strays_.empty()) {
+        std::erase_if(strays_, [now](const StrayWrite &stray) {
+            return stray.at <= now;
+        });
+    }
+    steppedAt_ = now;
 
     // Count active cycles per stream (streams with live warps this
     // cycle), plus any cycles the SM slept through.
     settleCycles(now);
 
-    // A step that issues nothing sleeps until the next writeback or the
-    // earliest cycle a refused warp's blocker clears.
-    Cycle wake = writebacks_.nextDue();
+    // A step that issues nothing sleeps until the earliest cycle a
+    // refused warp's blocker clears (or a park below ends).
+    Cycle wake = kNeverCycle;
+    bool issued = false;
 
-    // Fault injection: a frozen issue stage stops dead while writebacks
-    // and in-flight memory continue, so the SM quietly stops committing —
-    // the hang class the forward-progress watchdog exists to diagnose.
-    if (issueFrozen_) {
-        *wake_ = wake;
-        return;
-    }
-
+    // Fault injection: a frozen issue stage stops dead while results and
+    // in-flight memory continue to land, so the SM quietly stops
+    // committing — the hang class the forward-progress watchdog exists
+    // to diagnose.
+    //
     // GTO issue with stream priorities: each scheduler owns the slots with
     // slot % numSchedulers == id and picks, in order, by (stream priority,
     // greediness, age). The greedy bit keeps a warp issuing back-to-back
@@ -1135,14 +1319,14 @@ Sm::step(Cycle now)
     // its walk would try none of them, and the rest of a walk once every
     // untried live warp of the scheduler is parked: a refused walk only
     // adds parks, so the rest would try none of them either.
-    bool issued = false;
     auto is_parked = [this](uint32_t slot) {
-        return ((scoreboardParked_ | ldstRoomParked_) & slotBit(slot)) != 0;
+        return (parkedMask() & slotBit(slot)) != 0;
     };
-    for (uint32_t sched = 0; sched < cfg_.numSchedulers; ++sched) {
+    for (uint32_t sched = 0; sched < cfg_.numSchedulers && !issueFrozen_;
+         ++sched) {
         // Live slots of this scheduler the walk has not tried yet.
         uint64_t untried = liveMask_ & schedSlots_[sched];
-        if ((untried & ~(scoreboardParked_ | ldstRoomParked_)) == 0) {
+        if ((untried & ~parkedMask()) == 0) {
             continue;
         }
         const auto &order = schedOrder_[sched];
@@ -1163,7 +1347,7 @@ Sm::step(Cycle now)
                     break;
                 }
             }
-            if ((untried & ~(scoreboardParked_ | ldstRoomParked_)) == 0) {
+            if ((untried & ~parkedMask()) == 0) {
                 break;
             }
             if (slot == greedy || is_parked(slot)) {
@@ -1178,10 +1362,19 @@ Sm::step(Cycle now)
             }
         }
     }
-    // An issue may have unblocked more; otherwise every live warp was
-    // refused, and nothing changes until the wake cycle or an outside
-    // event.
-    *wake_ = issued ? now + 1 : wake;
+    // After an issue, a live warp left unparked may issue next cycle.
+    // Otherwise nothing issues before a park ends, a refused warp's
+    // blocker clears or an outside event wakes the SM; with no live warp
+    // left, the last result landing still owes a step (see idle()).
+    if (issued && (liveMask_ & ~parkedMask()) != 0) {
+        *wake_ = now + 1;
+        return;
+    }
+    wake = std::min(wake, parkWheel_.nextDue());
+    if (landingOwed_ && liveMask_ == 0) {
+        wake = std::min(wake, lastLanding_);
+    }
+    *wake_ = wake;
 }
 
 void

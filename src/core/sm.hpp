@@ -14,9 +14,9 @@
 #include "common/ring.hpp"
 #include "common/stats.hpp"
 #include "core/sm_config.hpp"
+#include "core/park_wheel.hpp"
 #include "core/smem_banks.hpp"
 #include "core/unit_pool.hpp"
-#include "core/writeback_wheel.hpp"
 #include "isa/trace.hpp"
 #include "mem/cache.hpp"
 #include "mem/mem_request.hpp"
@@ -68,7 +68,8 @@ struct SmQuota
 /**
  * Cycle-level Streaming Multiprocessor model.
  *
- * Replays warp traces with in-order issue per warp, a register scoreboard,
+ * Replays warp traces with in-order issue per warp, a register scoreboard
+ * that keeps the cycle each pending register lands,
  * greedy-then-oldest (GTO) warp scheduling across numSchedulers schedulers,
  * per-class execution unit pools with initiation intervals, a shared-memory
  * bank-conflict model, barriers, and a unified L1 data cache with MSHRs in
@@ -120,14 +121,17 @@ class Sm
     void step(Cycle now);
 
     /**
-     * True when step(@p now) can do anything. After a step that issued
-     * nothing the SM sleeps until the earliest cycle it could issue
-     * again: a due writeback, or an execution unit or the shared-memory
-     * port coming free for a refused warp (a warp with an issuable
-     * barrier, control, const or memory instruction would not have been
-     * refused). Every outside event that can change what issues wakes
-     * it: launchCta, a writeback scheduled by memResponse or an L1 hit,
-     * an LDST grant that retires a queue entry (freeing room), an
+     * True when step(@p now) can do anything. A step is followed by the
+     * next cycle's only while a live warp is left unparked after an
+     * issue. Otherwise the SM sleeps until the earliest cycle it could
+     * issue again: a parked warp's operands landing, or an execution
+     * unit or the shared-memory port coming free for a refused warp (a
+     * warp with an issuable barrier, control, const or memory
+     * instruction would not have been refused), or, with no live warp
+     * left, its last result landing (see idle()). Every outside event
+     * that can change what issues wakes it: launchCta, a load landing
+     * that a parked warp waits on (memResponse or an L1 hit), an LDST
+     * grant that retires a queue entry (freeing room), an
      * issue-priority change and a change in setIssueFrozen.
      */
     bool due(Cycle now) const { return *wake_ <= now; }
@@ -141,8 +145,14 @@ class Sm
      */
     void settleCycles(Cycle now);
 
-    /** Response from the L2 fabric for a previously submitted line. */
-    void memResponse(const MemRequest &resp, Cycle now);
+    /**
+     * Response from the L2 fabric for a previously submitted line. The
+     * loads it completes land at @p usable, the first cycle whose step
+     * may read them: the cycle after the delivery when it comes after
+     * that cycle's step pass, the delivery cycle itself when it comes
+     * before.
+     */
+    void memResponse(const MemRequest &resp, Cycle usable);
 
     /**
      * CTAs committed since the last clearCtaDones(), in commit order, as
@@ -168,6 +178,8 @@ class Sm
     void setIssuePriority(StreamId stream, int priority);
     void clearIssuePriorities();
 
+    /** No live warp, no memory work and no result still to land: a
+     *  result stays owed until a step at or after its landing cycle. */
     bool idle() const;
     uint32_t activeWarps() const { return activeWarps_; }
     uint32_t activeWarpsOf(StreamId stream) const;
@@ -366,12 +378,13 @@ class Sm
      * bank-queue refusals are monotone within a cycle — as does the
      * per-cycle retry cap, and the refusal's gate (see RetryGate) keeps
      * the head from being re-offered, here or in later cycles, while
-     * that would be refused again. @return true
-     * when a request was submitted; false drops this SM from the
-     * arbiter's retry rotation this cycle. Parked requests are the
-     * oldest traffic in the machine, so the arbiter runs every SM's
-     * retry rounds before any LDST round: fresh lines must not steal
-     * freed bank slots from starved retries.
+     * that would be refused again. @return true when a request was
+     * submitted and another may follow this cycle; false drops this SM
+     * from the arbiter's retry rotation this cycle (on the grant that
+     * spends its last retry or empties its queue, too). Parked requests
+     * are the oldest traffic in the machine, so the arbiter runs every
+     * SM's retry rounds before any LDST round: fresh lines must not
+     * steal freed bank slots from starved retries.
      */
     bool memPhaseGrantRetry(Cycle now);
 
@@ -380,6 +393,14 @@ class Sm
     const RetryGate &retryGate() const { return retryGate_; }
     /** The retry head (fabricRetryDepth() > 0). */
     const MemRequest &retryHead() const { return fabricRetry_.front().req; }
+
+    /** Issue-stage work over the SM's life (exact work counts). */
+    struct IssueCounts
+    {
+        uint64_t tries = 0;     ///< tryIssue calls.
+        uint64_t refusals = 0;  ///< Of those, refused.
+    };
+    const IssueCounts &issueCounts() const { return issueCounts_; }
 
     /** Retry-stage work over the SM's life (exact work counts). */
     struct RetryCounts
@@ -394,8 +415,10 @@ class Sm
      * One LDST-stage grant: push at most one line through the LDST unit
      * (L1 hit, MSHR merge, or fabric submission; refused submissions
      * park in the retry queue). A head-of-line stall blocks the unit
-     * for the rest of the cycle. @return true when a line progressed;
-     * false drops this SM from the LDST rotation this cycle.
+     * for the rest of the cycle. @return true when a line progressed
+     * and another could follow this cycle; false drops this SM from the
+     * LDST rotation this cycle (on the grant that spends its last L1
+     * port or empties its queue, too: a further grant would be idle).
      */
     bool memPhaseGrantLdst(Cycle now);
 
@@ -430,6 +453,12 @@ class Sm
     }
 
   private:
+    /** Architectural registers per thread the scoreboard tracks. */
+    static constexpr uint32_t kRegs = 256;
+    /** Ready cycles from here up: the register waits on a load still
+     *  in flight, whose tracker id the low bits hold. */
+    static constexpr Cycle kInFlight = Cycle{1} << 63;
+
     struct WarpState
     {
         WarpTrace trace;
@@ -439,7 +468,6 @@ class Sm
         StreamId stream = 0;
         uint32_t streamIdx = 0;     ///< Index into streamSlots_.
         bool live = false;
-        bool atBarrier = false;
         /** Stream issue priority, cached so the scheduler order and the
          *  issue path never look it up per attempt (refreshed whenever
          *  setIssuePriority / clearIssuePriorities changes the table). */
@@ -447,7 +475,20 @@ class Sm
         bool prioStream = false;    ///< prio < 0 (LDST fast lane).
         uint32_t ldstLimit = 0;     ///< Cached ldstLimitFor(stream).
         uint64_t age = 0;           ///< Launch order for GTO.
-        std::bitset<256> pendingWrites;
+        /** Registers whose readyAt_ entry this warp has written: an
+         *  unwritten entry holds whatever its slot's last warp left. */
+        std::bitset<kRegs> written;
+        /** Loads with a destination still in flight. */
+        uint32_t loadsInFlight = 0;
+        /** Latest landing cycle of any result this warp has written. */
+        Cycle resultsBy = 0;
+        /** Upper bound on the cycle the operands of the warp's next
+         *  instruction are all in (from kInFlight up while one waits on
+         *  a load in flight), set when the warp issues or parks: ready
+         *  cycles only fall until the warp issues again, so a try at or
+         *  past it skips the scoreboard test. Exact while the warp is
+         *  parked on the scoreboard. */
+        Cycle readyFrom = 0;
     };
 
     struct CtaState
@@ -467,6 +508,9 @@ class Sm
         uint32_t remaining = 0;
         bool isTexture = false;
         bool active = false;
+        /** Age of the issuing warp: a warp slot a new CTA reused since
+         *  holds a younger warp, for which this load is a stray. */
+        uint64_t warpAge = 0;
         /** Allocation generation; id = (gen << kTrackerIdxBits) | slot. */
         uint64_t gen = 0;
     };
@@ -487,18 +531,47 @@ class Sm
 
     /**
      * Issue @p warp's next instruction, or refuse. A refusal has no side
-     * effect. One on the register scoreboard parks the warp until a
-     * writeback for its slot pops in step(); one on a full LDST queue
-     * parks it until the queue pops or refreshPriorityCaches() moves the
-     * limits. step() skips parked warps. Other refusals lower @p wake to
-     * the cycle a busy execution unit or the smem port frees, when that
-     * is known here.
+     * effect. One on the register scoreboard parks the warp until its
+     * operands land (see park()); one on a full LDST queue parks it
+     * until the queue pops or refreshPriorityCaches() moves the limits.
+     * An issue whose warp's next instruction would still be refused on
+     * the scoreboard next cycle parks the warp at once. step() skips
+     * parked warps. Other refusals lower @p wake to the cycle a busy
+     * execution unit or the smem port frees, when that is known here.
      */
     bool tryIssue(WarpState &warp, Cycle now, Cycle &wake);
-    /** True when @p instr reads or writes a register @p warp has a
-     *  write pending on (RAW/WAW). */
-    static bool scoreboardHazard(const WarpState &warp,
-                                 const TraceInstr &instr);
+    /** Cycle from which every register @p instr reads or writes (RAW/
+     *  WAW) has landed for @p warp: 0 when none is pending, at least
+     *  kInFlight when one waits on a load still in flight. */
+    Cycle operandsReadyAt(const WarpState &warp,
+                          const TraceInstr &instr) const;
+    /** False when no register of @p warp is pending at @p at, which
+     *  skips the per-operand test. */
+    static bool mayWait(const WarpState &warp, Cycle at)
+    {
+        return warp.loadsInFlight != 0 || warp.resultsBy > at;
+    }
+    /** Park @p warp on the scoreboard until @p clear_at (> the last
+     *  step): on the park wheel, or on its loads from kInFlight up. */
+    void park(WarpState &warp, Cycle clear_at);
+    /** Re-derive the scoreboard park of @p warp after one of its ready
+     *  cycles fell, waking the SM for the new clear cycle. */
+    void repark(WarpState &warp);
+    /** A result lands at @p at: the SM owes a step at or after it
+     *  before it is idle. */
+    void noteLanding(Cycle at);
+    /** @p warp issues a write of @p reg that lands at @p ready (a load
+     *  token from kInFlight up while its load is in flight). */
+    void writeReg(WarpState &warp, uint8_t reg, Cycle ready, Cycle now);
+    /** A stray write of @p reg to warp slot @p slot lands at @p at (see
+     *  strays_): it clears the write of that register pending then. */
+    void strayLands(uint32_t slot, uint8_t reg, Cycle at);
+    /** The load of tracker @p id completes, usable from @p usable. */
+    void landLoad(const LoadTracker &tracker, uint64_t id, Cycle usable);
+    Cycle &readyAt(uint32_t slot, uint8_t reg)
+    {
+        return readyAt_[size_t{slot} * kRegs + reg];
+    }
     /** True when the L1 refuses a load of @p line for @p stream, whose
      *  L1 MSHR lookup is @p at: a merge into a pending miss whose targets
      *  are full, or a miss with every MSHR entry taken. stepLdstOne parks
@@ -513,6 +586,12 @@ class Sm
     static constexpr uint64_t slotBit(uint32_t slot)
     {
         return uint64_t{1} << slot;
+    }
+    /** Warp slots that step() skips: a try would refuse them. */
+    uint64_t parkedMask() const
+    {
+        return scoreboardParked_ | loadParked_ | ldstRoomParked_ |
+            barrierParked_;
     }
     void issueMemory(WarpState &warp, const TraceInstr &instr, Cycle now);
     size_t ldstLimitFor(StreamId stream) const;
@@ -529,8 +608,6 @@ class Sm
     void recycleLines(std::vector<Addr> &&lines);
     /** Index of @p stream's slot in streamSlots_, added on first use. */
     uint32_t streamIdxOf(StreamId stream);
-    /** Also wakes the SM by @p when, so the writeback commits on time. */
-    void scheduleWriteback(uint32_t slot, uint8_t reg, Cycle when);
     void finishWarp(WarpState &warp, Cycle now);
     void releaseBarrier(CtaState &cta);
     /** Outcome of pushing one line through the LDST unit. */
@@ -560,8 +637,13 @@ class Sm
     bool issueFrozen_ = false;
     // Parked warps (see tryIssue), one bit per slot: maxWarps <= 64.
     // auditAccounting() re-derives every park and the live mask.
+    /** On the park wheel until their operands land. */
     uint64_t scoreboardParked_ = 0;
+    /** Waiting on an operand whose load is in flight. */
+    uint64_t loadParked_ = 0;
     uint64_t ldstRoomParked_ = 0;
+    /** At a CTA barrier, released by another warp's issue or exit. */
+    uint64_t barrierParked_ = 0;
     /** Live warp slots, one bit each. step() skips a scheduler none of
      *  whose live warps is unparked: its walk would try none of them. */
     uint64_t liveMask_ = 0;
@@ -618,10 +700,37 @@ class Sm
     // bandwidth from rendering's address math).
     Cycle smemPortFreeAt_ = 0;
 
-    // Pending register writebacks. Same-cycle writebacks commute (each
-    // clears a distinct scoreboard bit), so their pop order is
-    // unobservable.
-    WritebackWheel writebacks_;
+    // Register scoreboard: per warp slot, the cycle each register lands
+    // (a token from kInFlight up while its load is in flight), maxWarps x
+    // kRegs entries.
+    // An entry counts only while its warp's written bit is set, so the
+    // table is never cleared, not even when it is allocated.
+    std::unique_ptr<Cycle[]> readyAt_;
+    /**
+     * A register write clears whichever write of the same warp slot and
+     * register is pending when it lands, as a scoreboard indexed by slot
+     * and register does. Normally that is its own. A write whose warp
+     * has left the slot, or whose register an earlier stray cleared
+     * before the warp rewrote it, is a stray: strays_ holds the landing
+     * cycles known ahead of strays still to land (a fixed-latency result
+     * or an L1 hit), and a write issued before one lands clears there.
+     * Usually empty; entries at or before the current step are dropped.
+     */
+    struct StrayWrite
+    {
+        Cycle at;
+        uint32_t slot;
+        uint8_t reg;
+    };
+    std::vector<StrayWrite> strays_;
+    ParkWheel parkWheel_;
+    /** Latest landing of any result, and whether a step at or after it
+     *  is still owed (see idle()). */
+    Cycle lastLanding_ = 0;
+    bool landingOwed_ = false;
+    /** Cycle of the last step (the audit's reference for parks). */
+    Cycle steppedAt_ = 0;
+    IssueCounts issueCounts_;
 
     // LDST unit.
     Ring<LdstEntry> ldstQueue_;

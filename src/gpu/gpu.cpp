@@ -41,7 +41,9 @@ Gpu::Gpu(const GpuConfig &cfg) : cfg_(cfg), smWake_(cfg.numSms)
         }
         panic_if(resp.smId >= sms_.size(), "response for unknown SM %u",
                  resp.smId);
-        sms_[resp.smId]->memResponse(resp, cycle_);
+        // The L2 steps after the SM step pass: the data is usable from
+        // the next cycle.
+        sms_[resp.smId]->memResponse(resp, cycle_ + 1);
         noteMemPhaseWork(*sms_[resp.smId]);
     });
     sms_.reserve(cfg_.numSms);
@@ -642,7 +644,7 @@ Gpu::stepSms()
     });
     smSteps_ += dueSms_.size();
 
-    // Each step (writebacks, issue, execute) touches only its own SM's
+    // Each step (unparks, issue, execute) touches only its own SM's
     // state: CTA completions land in the SM's list and stats in its own
     // blocks.
     for (Sm *sm : dueSms_) {
@@ -1113,6 +1115,8 @@ Gpu::workCounts() const
         counts.retryOffers += retry.offers;
         counts.retryRefusals += retry.refusals;
         counts.retrySkips += retry.skips;
+        counts.issueTries += sm->issueCounts().tries;
+        counts.issueRefusals += sm->issueCounts().refusals;
     }
     return counts;
 }
@@ -1132,6 +1136,7 @@ Gpu::deliverRemoteResponse(const MemRequest &resp, Cycle now)
     panic_if(resp.smId >= sms_.size(), "remote response for unknown SM %u",
              resp.smId);
     stats_.stream(resp.stream).remoteResponses++;
+    // The fabric delivers before the step pass of cycle @p now.
     sms_[resp.smId]->memResponse(resp, now);
     noteMemPhaseWork(*sms_[resp.smId]);
 }

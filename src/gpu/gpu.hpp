@@ -388,6 +388,8 @@ class Gpu : public MemFabricPort
         uint64_t retryRefusals = 0;    ///< Of those, refused.
         uint64_t retrySkips = 0;       ///< Re-offers skipped on a closed
                                        ///< gate (bank still full).
+        uint64_t issueTries = 0;       ///< Sm::tryIssue calls.
+        uint64_t issueRefusals = 0;    ///< Of those, refused.
     };
     WorkCounts workCounts() const;
 

@@ -39,7 +39,8 @@ class DelayFabric : public MemFabricPort
     {
         while (!pending_.empty() && pending_.begin()->first <= now) {
             auto node = pending_.extract(pending_.begin());
-            sm.memResponse(node.mapped(), now);
+            // Delivered after the SM's step: usable from next cycle.
+            sm.memResponse(node.mapped(), now + 1);
         }
     }
 
@@ -383,7 +384,7 @@ ctaKernel(std::vector<WarpTrace> warps, StreamId stream, const char *name)
 }
 
 /** A warp that misses, re-reads the same lines as L1 hits (its consumer
- *  waits on the hit's writeback), then floods the LDST queue. */
+ *  waits on the hit's landing), then floods the LDST queue. */
 WarpTrace
 mixedWarp(uint32_t w)
 {
@@ -585,8 +586,9 @@ driveSm(const DueCase &c, bool due_only)
         } else {
             if (sm.hasMemPhaseWork()) {
                 sm.beginMemPhase(now);
-                while (sm.memPhaseGrantRetry(now) ||
-                       sm.memPhaseGrantLdst(now)) {
+                while (sm.memPhaseGrantRetry(now)) {
+                }
+                while (sm.memPhaseGrantLdst(now)) {
                 }
             } else if (sm.probe(now).ldstQueueDepth > 0) {
                 ++run.headParked;
@@ -638,7 +640,7 @@ TEST_P(DueStepping, MatchesSteppingEveryCycle)
     if (workload != DueWorkload::Barrier) {
         EXPECT_GT(due.ldstBlocked, 0u);
         // Re-read lines hit in the L1; their consumers wake on the hit's
-        // writeback, not on a response.
+        // landing, not on a response.
         EXPECT_GT(due.l1Hits, 0u);
     }
     EXPECT_EQ(every.headParked, 0u);
@@ -706,17 +708,18 @@ TEST(CoreProperty, SimulationIsDeterministic)
 }
 
 // ---------------------------------------------------------------------
-// Exact scoreboard unpark: a writeback unparks its warp only once the
-// warp's instruction has no hazard left.
+// Exact scoreboard unpark: a parked warp wakes on the cycle its last
+// operand lands, not on each result.
 // ---------------------------------------------------------------------
 
 TEST(ExactUnpark, WarpWaitingOnTwoRegistersIssuesOnTheSecondWriteback)
 {
     // r5 comes back after the FP32 latency, r6 after the SFU latency;
-    // the consumer reads both. The first writeback leaves the consumer
-    // parked (the audit holds every park to a live hazard), the SM
-    // sleeps through to the second, and the consumer issues on the
-    // second writeback's cycle, as when stepping every cycle.
+    // the consumer reads both. The consumer parks when the second
+    // producer issues (the audit holds the park to the cycle its
+    // operands land), the SM sleeps through the first result to the
+    // second, and the consumer issues on that cycle, as when stepping
+    // every cycle.
     auto run = [](bool due_only) {
         SmConfig cfg;
         DelayFabric fabric(100);
@@ -757,14 +760,346 @@ TEST(ExactUnpark, WarpWaitingOnTwoRegistersIssuesOnTheSecondWriteback)
     ASSERT_LT(first_wb, second_wb);
     EXPECT_EQ(every[2], second_wb);
     EXPECT_EQ(due, every);
-    // Due cycles: the two producers, the consumer's refusal, the first
-    // writeback (which leaves it parked), then nothing until the second.
-    const std::vector<Cycle> expect_due = {every[0], every[1], every[1] + 1,
-                                           first_wb, second_wb,
-                                           second_wb + 1};
-    EXPECT_EQ(std::vector<Cycle>(due_cycles.begin(),
-                                 due_cycles.begin() + 6),
-              expect_due);
+    // Due cycles: the two producers (the second parks the consumer on
+    // issuing), nothing until the second result lands, the consumer and
+    // EXIT, then the consumer's own result landing with no warp left
+    // (the SM is not idle before it).
+    const std::vector<Cycle> expect_due = {
+        every[0], every[1], second_wb, second_wb + 1,
+        second_wb + cfg.fp32Latency};
+    ASSERT_EQ(due_cycles.size(), expect_due.size());
+    EXPECT_EQ(due_cycles, expect_due);
+    EXPECT_EQ(expect_due, (std::vector<Cycle>{1, 2, 23, 24, 27}));
+}
+
+// ---------------------------------------------------------------------
+// Exactness traps of the event-driven issue stage. Each case drives a
+// bare SM stepped every cycle and one stepped only when due; both must
+// issue on the same cycles, show the same scoreboard waits and drain on
+// the same cycle, with every park audited on every cycle.
+// ---------------------------------------------------------------------
+
+/** Reads answer after a per-line delay, delivered before the SM's step
+ *  (as the inter-GPU fabric delivers: usable that cycle) or after it (as
+ *  the local L2 does: usable from the next). */
+class TrapFabric : public MemFabricPort
+{
+  public:
+    TrapFabric(Cycle delay, bool before_step,
+               std::map<Addr, Cycle> line_delays)
+        : delay_(delay), beforeStep_(before_step),
+          lineDelays_(std::move(line_delays))
+    {
+    }
+
+    bool
+    submitToL2(MemRequest req, Cycle now) override
+    {
+        if (!req.write) {
+            auto it = lineDelays_.find(req.line);
+            pending_.emplace(
+                now + (it == lineDelays_.end() ? delay_ : it->second), req);
+        }
+        return true;
+    }
+
+    /** Deliver the reads due at @p now if this is the fabric's side of
+     *  the step (@p before_step). */
+    void
+    deliver(Sm &sm, Cycle now, bool before_step)
+    {
+        if (before_step != beforeStep_) {
+            return;
+        }
+        while (!pending_.empty() && pending_.begin()->first <= now) {
+            auto node = pending_.extract(pending_.begin());
+            sm.memResponse(node.mapped(), before_step ? now : now + 1);
+            deliveries.push_back(now);
+        }
+    }
+
+    std::vector<Cycle> deliveries;
+
+  private:
+    Cycle delay_;
+    bool beforeStep_;
+    std::map<Addr, Cycle> lineDelays_;
+    std::multimap<Cycle, MemRequest> pending_;
+};
+
+struct TrapRun
+{
+    std::vector<Cycle> issued;          ///< Cycle of each issue, in order.
+    std::vector<Cycle> deliveries;      ///< Cycle of each response.
+    std::vector<uint32_t> waitScoreboard; ///< probe() after each cycle.
+    Cycle busyThrough = 0;  ///< Last cycle that ended with the SM busy.
+    uint64_t steps = 0;
+    std::string audit;      ///< First audit failure ("" = none).
+};
+
+/** Drive a bare SM for @p cycles, every cycle or only when due, with
+ *  reads answered by a TrapFabric(@p delay, @p remote, @p line_delays).
+ *  @p each(sm, now) runs at the top of each cycle (launches, freezes). */
+template <typename Each>
+TrapRun
+runTrap(bool due_only, const SmConfig &cfg, Cycle delay, bool remote,
+        const std::map<Addr, Cycle> &line_delays, Cycle cycles, Each each)
+{
+    TrapFabric fabric(delay, remote, line_delays);
+    StatsRegistry stats;
+    WakeCalendar calendar(1);
+    Sm sm(0, cfg, &fabric, &stats, calendar.slot(0));
+    TrapRun run;
+    for (Cycle now = 1; now <= cycles; ++now) {
+        each(sm, now);
+        fabric.deliver(sm, now, true);
+        const uint64_t before = sm.issuedInstrsOf(0);
+        if (!due_only) {
+            stepSm(sm, now);
+            ++run.steps;
+        } else {
+            if (sm.hasMemPhaseWork()) {
+                sm.beginMemPhase(now);
+                while (sm.memPhaseGrantRetry(now)) {
+                }
+                while (sm.memPhaseGrantLdst(now)) {
+                }
+            }
+            if (sm.due(now)) {
+                sm.step(now);
+                ++run.steps;
+            }
+        }
+        for (uint64_t i = before; i < sm.issuedInstrsOf(0); ++i) {
+            run.issued.push_back(now);
+        }
+        fabric.deliver(sm, now, false);
+        run.waitScoreboard.push_back(sm.probe(now).waitScoreboard);
+        if (!sm.idle()) {
+            run.busyThrough = now;
+        }
+        std::string detail;
+        if (!sm.auditAccounting(&detail) && run.audit.empty()) {
+            run.audit = "cycle " + std::to_string(now) + ": " + detail;
+        }
+    }
+    run.deliveries = fabric.deliveries;
+    return run;
+}
+
+void
+expectSameRun(const TrapRun &every, const TrapRun &due)
+{
+    EXPECT_EQ(due.issued, every.issued);
+    EXPECT_EQ(due.deliveries, every.deliveries);
+    EXPECT_EQ(due.waitScoreboard, every.waitScoreboard);
+    EXPECT_EQ(due.busyThrough, every.busyThrough);
+    EXPECT_EQ(every.audit, "");
+    EXPECT_EQ(due.audit, "");
+    EXPECT_LT(due.steps, every.steps / 2);
+}
+
+/** Launches the kernels in order: the first at cycle 1, each next one
+ *  the cycle after its predecessor's CTA commits. */
+struct ChainLauncher
+{
+    std::vector<KernelInfo> kernels;
+    size_t next = 0;
+
+    void
+    operator()(Sm &sm, Cycle now)
+    {
+        const bool committed = !sm.ctaDones().empty();
+        sm.clearCtaDones();
+        if (next < kernels.size() && (now == 1 || committed)) {
+            ASSERT_TRUE(sm.canAccept(kernels[next]));
+            sm.launchCta(kernels[next], next + 1, 0, now);
+            ++next;
+        }
+    }
+};
+
+TEST(ExactWake, LocalResponseIsUsableNextCycleRemoteTheSameCycle)
+{
+    for (const bool remote : {false, true}) {
+        SCOPED_TRACE(remote ? "remote" : "local");
+        TraceBuilder tb(32);
+        tb.memUniform(Opcode::LDG, 4, 0x1000, 4, DataClass::Compute);
+        tb.alu(Opcode::FFMA, 5, 4, 4);
+        tb.exit();
+        const KernelInfo k = warpKernel(tb.take());
+        auto run = [&](bool due_only) {
+            return runTrap(due_only, SmConfig{}, 60, remote, {}, 200,
+                           ChainLauncher{{k}});
+        };
+        const TrapRun every = run(false);
+        const TrapRun due = run(true);
+        expectSameRun(every, due);
+        ASSERT_EQ(every.issued.size(), 3u);
+        ASSERT_EQ(every.deliveries.size(), 1u);
+        const Cycle delivered = every.deliveries[0];
+        EXPECT_EQ(every.issued[1], remote ? delivered : delivered + 1);
+        // The probe at the end of the delivery cycle (the timeline's
+        // sample): a local response still owes its consumer a cycle.
+        EXPECT_EQ(every.waitScoreboard[delivered - 1], remote ? 0u : 1u);
+    }
+}
+
+TEST(ExactWake, SmWithNoLiveWarpStaysBusyUntilItsLastResultLands)
+{
+    const SmConfig cfg;
+    {
+        // An SFU result nobody reads: the warp exits the cycle after.
+        TraceBuilder tb(32);
+        tb.alu(Opcode::MUFU_SIN, 5, 1);
+        tb.exit();
+        const KernelInfo k = warpKernel(tb.take());
+        auto run = [&](bool due_only) {
+            return runTrap(due_only, cfg, 60, false, {}, 100,
+                           ChainLauncher{{k}});
+        };
+        const TrapRun every = run(false);
+        const TrapRun due = run(true);
+        expectSameRun(every, due);
+        ASSERT_EQ(every.issued.size(), 2u);
+        EXPECT_EQ(every.busyThrough, every.issued[0] + cfg.sfuLatency - 1);
+    }
+    for (const bool remote : {false, true}) {
+        // A load nobody reads: busy until the step its data is usable.
+        SCOPED_TRACE(remote ? "remote" : "local");
+        TraceBuilder tb(32);
+        tb.memUniform(Opcode::LDG, 4, 0x1000, 4, DataClass::Compute);
+        tb.exit();
+        const KernelInfo k = warpKernel(tb.take());
+        auto run = [&](bool due_only) {
+            return runTrap(due_only, cfg, 60, remote, {}, 200,
+                           ChainLauncher{{k}});
+        };
+        const TrapRun every = run(false);
+        const TrapRun due = run(true);
+        expectSameRun(every, due);
+        ASSERT_EQ(every.deliveries.size(), 1u);
+        EXPECT_EQ(every.busyThrough, every.deliveries[0] - (remote ? 1 : 0));
+    }
+}
+
+TEST(ExactWake, StaleWritesLandInASlotANewCtaReused)
+{
+    // Warp slot 0 is the first free slot, so each CTA below reuses it.
+    // A write the slot's last warp left pending clears the new warp's
+    // pending write of the same register when it lands, as a scoreboard
+    // indexed by slot and register does: the consumer issues then, well
+    // before its own load (200 cycles) returns.
+    const SmConfig cfg;
+    const Addr own = 0x9000;
+    const std::map<Addr, Cycle> delays = {{own, 200}};
+    auto reader = [own]() {
+        TraceBuilder tb(32);
+        tb.memUniform(Opcode::LDG, 5, own, 4, DataClass::Compute);
+        tb.alu(Opcode::FFMA, 6, 5, 5);
+        tb.exit();
+        return warpKernel(tb.take());
+    };
+    auto check = [&](const char *what, std::vector<KernelInfo> kernels,
+                     size_t consumer, auto expect) {
+        SCOPED_TRACE(what);
+        auto run = [&](bool due_only) {
+            return runTrap(due_only, cfg, 60, false, delays, 400,
+                           ChainLauncher{kernels});
+        };
+        const TrapRun every = run(false);
+        const TrapRun due = run(true);
+        expectSameRun(every, due);
+        ASSERT_GT(every.issued.size(), consumer);
+        ASSERT_FALSE(every.deliveries.empty());
+        EXPECT_EQ(every.issued[consumer], expect(every));
+        EXPECT_LT(every.issued[consumer], every.deliveries.back());
+    };
+    {
+        // A load in flight when its warp exits: its response clears.
+        TraceBuilder tb(32);
+        tb.memUniform(Opcode::LDG, 5, 0x1000, 4, DataClass::Compute);
+        tb.exit();
+        check("stale response", {warpKernel(tb.take()), reader()}, 3,
+              [](const TrapRun &r) { return r.deliveries[0] + 1; });
+    }
+    {
+        // An SFU result landing after its warp exits.
+        TraceBuilder tb(32);
+        tb.alu(Opcode::MUFU_SIN, 5, 1);
+        tb.exit();
+        check("stale fixed-latency result",
+              {warpKernel(tb.take()), reader()}, 3,
+              [&cfg](const TrapRun &r) {
+                  return r.issued[0] + cfg.sfuLatency;
+              });
+    }
+    {
+        // An L1 hit granted after its warp exits: a 32-line load ahead
+        // of it in the one-port LDST unit holds it back 32 cycles.
+        SmConfig one_port = cfg;
+        one_port.l1PortsPerCycle = 1;
+        TraceBuilder warm(32);
+        warm.memUniform(Opcode::LDG, 4, 0x1000, 4, DataClass::Compute);
+        warm.alu(Opcode::FFMA, 6, 4, 4);
+        warm.exit();
+        TraceBuilder tb(32);
+        tb.memStrided(Opcode::LDG, 7, 0x20000, kLineBytes, 4,
+                      DataClass::Compute);
+        tb.memUniform(Opcode::LDG, 5, 0x1000, 4, DataClass::Compute);
+        tb.exit();
+        std::vector<KernelInfo> kernels = {warpKernel(warm.take()),
+                                           warpKernel(tb.take()), reader()};
+        auto run = [&](bool due_only) {
+            return runTrap(due_only, one_port, 60, false, delays, 600,
+                           ChainLauncher{kernels});
+        };
+        const TrapRun every = run(false);
+        const TrapRun due = run(true);
+        SCOPED_TRACE("stale L1 hit");
+        expectSameRun(every, due);
+        ASSERT_EQ(every.issued.size(), 9u);
+        // The 32 lines take the grants after the load's issue; the hit
+        // takes the next one and lands an L1 latency later.
+        const Cycle hit_granted = every.issued[3] + 1 + 32;
+        EXPECT_LT(every.issued[5], hit_granted);  // its warp's EXIT
+        EXPECT_EQ(every.issued[7], hit_granted + one_port.l1HitLatency);
+        EXPECT_LT(every.issued[7], every.deliveries.back());
+    }
+}
+
+TEST(ExactWake, FrozenSmIssuesNothingAndResumesOnTime)
+{
+    // Loads and results land while the issue stage is frozen; after the
+    // thaw the SM picks up exactly where stepping every cycle does.
+    SmConfig cfg;
+    cfg.ldstQueueDepth = 4;
+    const KernelInfo k = ctaKernel(
+        {mixedWarp(0), mixedWarp(1), mixedWarp(2), mixedWarp(3)}, 0, "m");
+    const Cycle freeze = 30;
+    const Cycle thaw = 250;
+    auto run = [&](bool due_only) {
+        ChainLauncher launch{{k}};
+        return runTrap(due_only, cfg, 100, false, {}, 3000,
+                       [&](Sm &sm, Cycle now) {
+                           launch(sm, now);
+                           if (now == freeze || now == thaw) {
+                               sm.setIssueFrozen(now == freeze);
+                           }
+                       });
+    };
+    const TrapRun every = run(false);
+    const TrapRun due = run(true);
+    expectSameRun(every, due);
+    ASSERT_FALSE(every.issued.empty());
+    EXPECT_LT(every.issued.front(), freeze);
+    EXPECT_EQ(std::count_if(every.issued.begin(), every.issued.end(),
+                            [&](Cycle c) {
+                                return c >= freeze && c < thaw;
+                            }),
+              0);
+    EXPECT_EQ(every.issued.size(), 4 * mixedWarp(0).instrs.size());
+    EXPECT_LT(every.busyThrough, 3000u);
 }
 
 // ---------------------------------------------------------------------
@@ -836,7 +1171,9 @@ TEST(ResourceEpoch, RefusalStandsUntilCommitOrQuotaChange)
         }
         const uint64_t before_step = sm.resourceEpoch();
         sm.beginMemPhase(now);
-        while (sm.memPhaseGrantRetry(now) || sm.memPhaseGrantLdst(now)) {
+        while (sm.memPhaseGrantRetry(now)) {
+        }
+        while (sm.memPhaseGrantLdst(now)) {
         }
         sm.step(now);
         fabric.step(sm, now);
@@ -883,7 +1220,8 @@ class SwitchedFabric : public MemFabricPort
         bool any = false;
         while (!pending_.empty() && pending_.begin()->first <= now) {
             auto node = pending_.extract(pending_.begin());
-            sm.memResponse(node.mapped(), now);
+            // Delivered after the SM's step: usable from next cycle.
+            sm.memResponse(node.mapped(), now + 1);
             any = true;
         }
         return any;
@@ -956,8 +1294,9 @@ TEST(WakeCalendar, DueListAndNextWakeMatchThePerSmScan)
                     return;
                 }
                 sm.beginMemPhase(now);
-                while (sm.memPhaseGrantRetry(now) ||
-                       sm.memPhaseGrantLdst(now)) {
+                while (sm.memPhaseGrantRetry(now)) {
+                }
+                while (sm.memPhaseGrantLdst(now)) {
                 }
             });
             // The due list from the calendar against due() on every SM.

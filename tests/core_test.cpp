@@ -38,7 +38,8 @@ class TestFabric : public MemFabricPort
     {
         while (!pending_.empty() && pending_.begin()->first <= now) {
             auto node = pending_.extract(pending_.begin());
-            sm.memResponse(node.mapped(), now);
+            // Delivered after the SM's step: usable from next cycle.
+            sm.memResponse(node.mapped(), now + 1);
         }
     }
 

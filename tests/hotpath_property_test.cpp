@@ -9,8 +9,8 @@
 // original implementations. The L2's due-cycle FIFOs (DueQueue) are
 // pinned the same way against the std::multimap they replaced, and the
 // work-set walk (WorkSet) against a full scan. The SM's per-instruction
-// structures are pinned against the forms they replaced: the writeback
-// wheel against a min-heap, the unit-pool ring against a min_element
+// structures are pinned against the forms they replaced: the park
+// wheel against a std::multimap, the unit-pool ring against a min_element
 // scan, the MSHR's single-probe lookup against the reference MSHR, and
 // the shared-memory lane-linear fast path against the general scan. The
 // per-line structures are pinned the same way: the L2's per-bank wake
@@ -33,9 +33,9 @@
 #include "common/rng.hpp"
 #include "common/ring.hpp"
 #include "common/work_set.hpp"
+#include "core/park_wheel.hpp"
 #include "core/smem_banks.hpp"
 #include "core/unit_pool.hpp"
-#include "core/writeback_wheel.hpp"
 #include "gpu/gpu.hpp"
 #include "isa/trace_builder.hpp"
 #include "mem/cache.hpp"
@@ -895,67 +895,45 @@ TEST(DueQueueEquivalence, RingWrapAroundWithDelayReinsertsMatchesMultimap)
 }
 
 // ---------------------------------------------------------------------
-// Writeback wheel against the min-heap of packed (cycle, slot, reg) it
-// replaced. The SM pops what is due at each step and sleeps until the
-// earliest writeback left; both must agree after every pop, for bursts
-// of same-cycle writebacks, writebacks past the wheel's span, ones
-// scheduled for a cycle already popped, and long sleeps.
+// Park wheel against a std::multimap of (cycle, warp slot). The SM pops
+// the slots due at each step and sleeps until the earliest park left;
+// both must agree after every pop, for bursts of same-cycle parks, parks
+// past the wheel's span, ones pushed for a cycle already popped, and
+// long sleeps.
 // ---------------------------------------------------------------------
 
-class HeapWritebacks
+class MultimapParks
 {
   public:
-    void
-    push(Cycle when, uint32_t slot, uint8_t reg)
-    {
-        heap_.push_back((when << 24) | (static_cast<uint64_t>(slot) << 8) |
-                        reg);
-        std::push_heap(heap_.begin(), heap_.end(), std::greater<uint64_t>());
-    }
+    void push(Cycle when, uint32_t slot) { parks_.emplace(when, slot); }
 
-    /** Pop everything due by @p now as sorted (slot << 8 | reg). */
-    std::vector<uint32_t>
+    /** Pop everything due by @p now as a slot mask. */
+    uint64_t
     popDue(Cycle now)
     {
-        std::vector<uint32_t> out;
-        while (!heap_.empty() && (heap_.front() >> 24) <= now) {
-            std::pop_heap(heap_.begin(), heap_.end(),
-                          std::greater<uint64_t>());
-            out.push_back(static_cast<uint32_t>(heap_.back() & 0xffffff));
-            heap_.pop_back();
+        uint64_t due = 0;
+        while (!parks_.empty() && parks_.begin()->first <= now) {
+            due |= uint64_t{1} << parks_.begin()->second;
+            parks_.erase(parks_.begin());
         }
-        std::sort(out.begin(), out.end());
-        return out;
+        return due;
     }
 
     Cycle
     nextDue() const
     {
-        return heap_.empty() ? kNeverCycle : heap_.front() >> 24;
+        return parks_.empty() ? kNeverCycle : parks_.begin()->first;
     }
 
-    size_t size() const { return heap_.size(); }
-
   private:
-    std::vector<uint64_t> heap_;
+    std::multimap<Cycle, uint32_t> parks_;
 };
 
-std::vector<uint32_t>
-wheelPopDue(WritebackWheel &wheel, Cycle now)
-{
-    std::vector<uint32_t> out;
-    wheel.popDue(now, [&out](uint32_t slot, uint8_t reg) {
-        out.push_back((slot << 8) | reg);
-    });
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-TEST(WritebackWheelEquivalence, RandomScheduleMatchesHeap)
+TEST(ParkWheelEquivalence, RandomScheduleMatchesMultimap)
 {
     for (uint64_t seed = 1; seed <= 6; ++seed) {
-        WritebackWheel wheel;
-        HeapWritebacks heap;
+        ParkWheel wheel;
+        MultimapParks ref;
         Rng rng(0xb0b ^ (seed << 16));
         Cycle now = 0;
         uint64_t far = 0;
@@ -963,8 +941,8 @@ TEST(WritebackWheelEquivalence, RandomScheduleMatchesHeap)
         uint64_t popped = 0;
         for (int step = 0; step < 20000; ++step) {
             // Pushes between steps: ALU-like latencies, bursts on one
-            // cycle, long latencies past the span, and late ones for a
-            // cycle the last pop already covered.
+            // cycle, parks past the span, and late ones for a cycle the
+            // last pop already covered.
             const uint64_t pushes = rng.nextBelow(5);
             const Cycle burst = now + 1 + rng.nextBelow(8);
             for (uint64_t i = 0; i < pushes; ++i) {
@@ -974,8 +952,8 @@ TEST(WritebackWheelEquivalence, RandomScheduleMatchesHeap)
                     when = burst;
                     break;
                   case 1:
-                    when = now + WritebackWheel::kSpan +
-                           rng.nextBelow(3 * WritebackWheel::kSpan);
+                    when = now + ParkWheel::kSpan +
+                           rng.nextBelow(3 * ParkWheel::kSpan);
                     ++far;
                     break;
                   case 2:
@@ -988,36 +966,31 @@ TEST(WritebackWheelEquivalence, RandomScheduleMatchesHeap)
                 }
                 const uint32_t slot =
                     static_cast<uint32_t>(rng.nextBelow(64));
-                const uint8_t reg = rng.nextBelow(8) == 0
-                    ? kNoReg
-                    : static_cast<uint8_t>(rng.nextBelow(255));
-                wheel.push(when, slot, reg);
-                heap.push(when, slot, reg);
+                wheel.push(when, slot);
+                ref.push(when, slot);
             }
-            ASSERT_EQ(wheel.nextDue(), heap.nextDue());
+            ASSERT_EQ(wheel.nextDue(), ref.nextDue());
             // Step: usually the next cycle, sometimes a sleep until the
-            // earliest writeback, sometimes a sleep far past it.
+            // earliest park, sometimes a sleep far past it.
             switch (rng.nextBelow(4)) {
               case 0:
-                if (heap.nextDue() != kNeverCycle) {
-                    now = std::max(now + 1, heap.nextDue());
+                if (ref.nextDue() != kNeverCycle) {
+                    now = std::max(now + 1, ref.nextDue());
                     break;
                 }
                 [[fallthrough]];
               case 1:
-                now += 1 + rng.nextBelow(3 * WritebackWheel::kSpan);
+                now += 1 + rng.nextBelow(3 * ParkWheel::kSpan);
                 break;
               default:
                 ++now;
                 break;
             }
-            const std::vector<uint32_t> got = wheelPopDue(wheel, now);
-            ASSERT_EQ(got, heap.popDue(now)) << "seed " << seed
-                                             << " cycle " << now;
-            popped += got.size();
-            ASSERT_EQ(wheel.size(), heap.size());
-            ASSERT_EQ(wheel.empty(), heap.size() == 0);
-            ASSERT_EQ(wheel.nextDue(), heap.nextDue());
+            const uint64_t got = wheel.popDue(now);
+            ASSERT_EQ(got, ref.popDue(now)) << "seed " << seed
+                                            << " cycle " << now;
+            popped += static_cast<uint64_t>(__builtin_popcountll(got));
+            ASSERT_EQ(wheel.nextDue(), ref.nextDue());
         }
         EXPECT_GT(far, 1000u);
         EXPECT_GT(late, 1000u);
@@ -1025,22 +998,45 @@ TEST(WritebackWheelEquivalence, RandomScheduleMatchesHeap)
     }
 }
 
-TEST(WritebackWheelEquivalence, OnlyFarWritebacksRefileOntoTheWheel)
+TEST(ParkWheelEquivalence, OnlyFarParksRefileOntoTheWheel)
 {
-    // Nothing inside the window: every writeback starts on the far list
-    // and must reach the wheel (or pop) as the clock walks to it.
-    WritebackWheel wheel;
-    HeapWritebacks heap;
+    // Nothing inside the window: every park starts on the far list and
+    // must reach the wheel (or pop) as the clock walks to it.
+    ParkWheel wheel;
+    MultimapParks ref;
     for (uint32_t i = 0; i < 50; ++i) {
         const Cycle when = 1000 + 37 * i;
-        wheel.push(when, i, static_cast<uint8_t>(i));
-        heap.push(when, i, static_cast<uint8_t>(i));
+        wheel.push(when, i);
+        ref.push(when, i);
     }
     for (Cycle now = 0; now < 3000; now += 7) {
-        ASSERT_EQ(wheelPopDue(wheel, now), heap.popDue(now)) << now;
-        ASSERT_EQ(wheel.nextDue(), heap.nextDue()) << now;
+        ASSERT_EQ(wheel.popDue(now), ref.popDue(now)) << now;
+        ASSERT_EQ(wheel.nextDue(), ref.nextDue()) << now;
     }
-    EXPECT_TRUE(wheel.empty());
+    EXPECT_EQ(wheel.nextDue(), kNeverCycle);
+}
+
+TEST(ParkWheelEquivalence, PastDuePushesPopAtTheNextStep)
+{
+    // A landing delivered after the pop of its own cycle (or earlier
+    // ones) is due at once: the next pop hands it out, whatever the
+    // distance behind the wheel's base.
+    ParkWheel wheel;
+    MultimapParks ref;
+    wheel.popDue(500);
+    ref.popDue(500);
+    const Cycle past[] = {500, 499, 437, 436, 100, 0};
+    for (uint32_t i = 0; i < std::size(past); ++i) {
+        wheel.push(past[i], i);
+        ref.push(past[i], i);
+        ASSERT_EQ(wheel.nextDue(), ref.nextDue()) << i;
+    }
+    wheel.push(501, 10);
+    ref.push(501, 10);
+    EXPECT_EQ(wheel.popDue(500), ref.popDue(500));
+    EXPECT_EQ(wheel.nextDue(), Cycle{501});
+    EXPECT_EQ(wheel.popDue(501), ref.popDue(501));
+    EXPECT_EQ(wheel.nextDue(), kNeverCycle);
 }
 
 /** Cycles a one-warp chain of @p n dependent SFU ops takes on an SM
@@ -1074,13 +1070,13 @@ sfuChainCycles(uint32_t n, Cycle latency)
     return result.cycles;
 }
 
-TEST(WritebackWheelEquivalence, WritebacksPastTheSpanCommitOnTime)
+TEST(ParkWheelEquivalence, ParksPastTheSpanEndOnTime)
 {
     // Each extra dependent op waits exactly one latency for its source,
-    // whether the writeback lands inside the wheel's span or past it.
-    for (Cycle latency : {Cycle{5}, Cycle{WritebackWheel::kSpan - 1},
-                          Cycle{WritebackWheel::kSpan},
-                          Cycle{WritebackWheel::kSpan + 1}, Cycle{300}}) {
+    // whether its park ends inside the wheel's span or past it.
+    for (Cycle latency : {Cycle{5}, Cycle{ParkWheel::kSpan - 1},
+                          Cycle{ParkWheel::kSpan},
+                          Cycle{ParkWheel::kSpan + 1}, Cycle{300}}) {
         EXPECT_EQ(sfuChainCycles(20, latency) - sfuChainCycles(10, latency),
                   10 * latency)
             << "latency " << latency;

@@ -9,15 +9,17 @@ namespace crisp
 /**
  * One cycle of a bare SM (no Gpu around it): its fabric-facing memory
  * phase as a fabric arbiter with this one SM in its rotation runs it —
- * the retry stage, else one LDST line, until neither makes progress —
- * then step(), then a fold of the SM's stats into its registry (a Gpu
- * folds on read; a bare SM's registry is read directly).
+ * retry-stage grants until the SM drops out, then LDST grants until it
+ * drops out — then step(), then a fold of the SM's stats into its
+ * registry (a Gpu folds on read; a bare SM's registry is read directly).
  */
 inline void
 stepSm(Sm &sm, Cycle now)
 {
     sm.beginMemPhase(now);
-    while (sm.memPhaseGrantRetry(now) || sm.memPhaseGrantLdst(now)) {
+    while (sm.memPhaseGrantRetry(now)) {
+    }
+    while (sm.memPhaseGrantLdst(now)) {
     }
     sm.step(now);
     sm.foldStats();
